@@ -13,9 +13,14 @@ dimensionless.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def _finite_at_least(value: float | None, low: float) -> bool:
+    return value is not None and math.isfinite(value) and value >= low
 
 
 class FadingFamily(enum.Enum):
@@ -28,8 +33,9 @@ class FadingFamily(enum.Enum):
 class FadingModel:
     """Small-scale fading family plus its parameter.
 
-    ``parameter`` is the Nakagami shape m (>= 0.5) for NAKAGAMI_M, the
-    linear Rician factor K (>= 0) for RICIAN_K, and unused for RAYLEIGH.
+    ``parameter`` is the finite Nakagami shape m (>= 0.5) for NAKAGAMI_M,
+    the finite linear Rician factor K (>= 0) for RICIAN_K, and unused for
+    RAYLEIGH.
     """
 
     family: FadingFamily
@@ -37,14 +43,14 @@ class FadingModel:
 
     def __post_init__(self) -> None:
         if self.family is FadingFamily.NAKAGAMI_M:
-            if self.parameter is None or self.parameter < 0.5:
+            if not _finite_at_least(self.parameter, 0.5):
                 raise ValueError(
-                    f"Nakagami shape must be >= 0.5, got {self.parameter!r}"
+                    f"Nakagami shape must be finite and >= 0.5, got {self.parameter!r}"
                 )
         elif self.family is FadingFamily.RICIAN_K:
-            if self.parameter is None or self.parameter < 0.0:
+            if not _finite_at_least(self.parameter, 0.0):
                 raise ValueError(
-                    f"Rician K factor must be >= 0, got {self.parameter!r}"
+                    f"Rician K factor must be finite and >= 0, got {self.parameter!r}"
                 )
 
     @classmethod
@@ -85,8 +91,9 @@ class LinkBudget:
 
     def __post_init__(self) -> None:
         for name in ("intercept_c", "distance_d", "alpha", "noise_power", "lambda0"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"LinkBudget.{name} must be > 0, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"LinkBudget.{name} must be finite and > 0, got {value!r}")
 
     @property
     def path_gain(self) -> float:
@@ -162,7 +169,9 @@ def sample_path_powers(model: FadingModel, n: int, rng: np.random.Generator) -> 
     Nakagami-m amplitudes give Gamma(m, 1/m) powers; Rayleigh is the m=1
     special case; a Rician amplitude with factor K gives a scaled
     noncentral chi-square power (2 degrees of freedom, noncentrality 2K,
-    scaled by 1/(2(1+K))).
+    scaled by 1/(2(1+K))).  The Rician power is drawn from its definition,
+    ((Z1 + sqrt(2K))^2 + Z2^2) / (2(1+K)) with Z1, Z2 standard normal,
+    which is exact and cheaper than a general noncentral chi-square draw.
     """
     if model.family is FadingFamily.NAKAGAMI_M:
         m = float(model.parameter)  # type: ignore[arg-type]
@@ -170,7 +179,10 @@ def sample_path_powers(model: FadingModel, n: int, rng: np.random.Generator) -> 
     if model.family is FadingFamily.RAYLEIGH:
         return rng.standard_exponential(size=n)
     k = float(model.parameter)  # type: ignore[arg-type]
-    return rng.noncentral_chisquare(2.0, 2.0 * k, size=n) / (2.0 * (1.0 + k))
+    z = rng.standard_normal(size=(2, n))
+    z[0] += math.sqrt(2.0 * k)
+    np.square(z, out=z)
+    return (z[0] + z[1]) / (2.0 * (1.0 + k))
 
 
 def sample_pair_power_sums(

@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import json
 import math
 import subprocess
@@ -48,7 +49,7 @@ from .errors import (
     InfeasibleConfigError,
     NumericalError,
 )
-from .montecarlo import SimConfig, estimate_se
+from .montecarlo import STREAM_VERSION, SimConfig, estimate_se
 from .rng import child_seed
 
 SCHEMA_VERSION = 1
@@ -196,8 +197,8 @@ def _fading_from(section: SectionView) -> FadingModel:
 def _snr_coeff_from(section: SectionView) -> float:
     if section.has("snr_coeff"):
         val = section.get_float("snr_coeff")
-        if not val > 0.0:
-            raise ConfigError(f"[{section.name}] snr_coeff must be > 0")
+        if not (math.isfinite(val) and val > 0.0):
+            raise ConfigError(f"[{section.name}] snr_coeff must be finite and > 0, got {val!r}")
         return val
     needed = ("intercept_c", "distance_d", "alpha", "noise_power")
     if all(section.has(k) for k in needed):
@@ -268,8 +269,8 @@ class PointSpec:
         snr_coeff: float,
         rho_override: float | None = None,
     ):
-        if not lambda0 > 0.0:
-            raise ConfigError(f"lambda0 must be > 0, got {lambda0}")
+        if not (math.isfinite(lambda0) and lambda0 > 0.0):
+            raise ConfigError(f"lambda0 must be finite and > 0, got {lambda0}")
         if b < 1:
             raise ConfigError(f"b must be >= 1, got {b}")
         self.lambda0 = lambda0
@@ -343,7 +344,11 @@ def _evaluate_scalars(
             continue
         try:
             if tag == "sim_se":
-                est = estimate_se(point.sim_config(run.trials, seed, run.units))
+                try:
+                    sim = point.sim_config(run.trials, seed, run.units)
+                except ValueError as exc:
+                    raise ConfigError(f"[{section.name}] {exc}") from None
+                est = estimate_se(sim)
                 row["sim_se"] = est.mean
                 row["sim_ci95"] = est.ci95
             elif tag in ("upper_nakagami", "upper_rayleigh", "lower"):
@@ -408,6 +413,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
             writer.writerow([_fmt_cell(v) for v in row])
 
 
+@functools.cache
 def _version_string() -> str:
     try:
         out = subprocess.run(
@@ -452,15 +458,22 @@ def _cmd_point(kind: str, args: argparse.Namespace) -> int:
     manifest = Manifest(out_dir)
     t0 = time.monotonic()
 
-    point = PointSpec(
-        lambda0=section.get_float("lambda0", required=True),
-        b=section.get_int("b", required=True) if kind != "throughput" else section.get_int("b", 1),
-        fading=_fading_from(section),
-        snr_coeff=_snr_coeff_from(section),
-    )
+    try:
+        point = PointSpec(
+            lambda0=section.get_float("lambda0", required=True),
+            b=section.get_int("b", required=True) if kind != "throughput" else section.get_int("b", 1),
+            fading=_fading_from(section),
+            snr_coeff=_snr_coeff_from(section),
+        )
+        if kind == "simulate":
+            sim = point.sim_config(run.trials, run.seed, run.units)
+        elif kind == "bounds":
+            model = point.sparse_model()
+    except ValueError as exc:
+        raise ConfigError(f"[{kind}] {exc}") from None
 
     if kind == "simulate":
-        est = estimate_se(point.sim_config(run.trials, run.seed, run.units))
+        est = estimate_se(sim)
         header = ["lambda0", "b", "m_eff", "sim_se", "sim_ci95", "trials", "units"]
         rows = [[
             point.lambda0, point.b, point.fading.effective_nakagami_m(),
@@ -470,7 +483,6 @@ def _cmd_point(kind: str, args: argparse.Namespace) -> int:
         print(f"SE = {est.mean!r} +- {est.ci95!r} ({run.units}, {est.trials} trials)")
     elif kind == "bounds":
         scale = _unit_scale(run.units)
-        model = point.sparse_model()
         header = [
             "lambda0", "b", "m_eff", "rho",
             "upper_nakagami", "upper_rayleigh", "lower", "sparse", "units",
@@ -532,10 +544,11 @@ def _cmd_point(kind: str, args: argparse.Namespace) -> int:
         )
 
     _write_csv(csv_path, header, rows)
+    stream = {"stream": STREAM_VERSION} if kind == "simulate" else {}
     manifest.record(
         kind=kind, csv=csv_path.name, seed=run.seed, trials=run.trials,
         units=run.units, config_resolved=section.resolved(run.defaults_dict()),
-        wall_time_s=round(time.monotonic() - t0, 6),
+        wall_time_s=round(time.monotonic() - t0, 6), **stream,
     )
     manifest.close()
     return 0
@@ -615,7 +628,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         rows = []
         tp_rows = []
         for idx, value in enumerate(values):
-            point, velocity = _apply_sweep_variable(variable, value, section)
+            try:
+                point, velocity = _apply_sweep_variable(variable, value, section)
+            except ValueError as exc:
+                raise ConfigError(f"[{name}] {exc}") from None
             seed_point = child_seed(run.seed, zlib.crc32(stem.encode()), idx)
             row_map = _evaluate_scalars(tags, point, section, run, seed_point, velocity)
             rows.append([value] + [row_map.get(c) for c in scalar_cols] + [run.units])
@@ -638,7 +654,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             written.append(tp_path.name)
         manifest.record(
             kind="sweep", name=stem, variable=variable, csv=written,
-            seed=run.seed, trials=run.trials, units=run.units,
+            seed=run.seed, trials=run.trials, units=run.units, stream=STREAM_VERSION,
             config_resolved=section.resolved(run.defaults_dict()),
             wall_time_s=round(time.monotonic() - t0, 6),
         )

@@ -6,12 +6,26 @@ generated in fixed-size chunks, each chunk on its own derived substream,
 and per-chunk moment statistics are merged in chunk order -- so results
 are bit-identical for any worker count and fully determined by the seed.
 
-Sampling uses Poisson superposition: the total path count of a trial is
-Poisson(lambda0), each path lands in a uniformly random beam pair, and
-per-pair power sums are formed by segment reduction.  This is
-distributionally identical to drawing B independent Poisson(lambda0/B)
-pairs (as :func:`beamsim.channel.realize_channel` does) but costs
-O(paths) instead of O(B) per trial.
+Sampling is sort-free.  A trial's optimal power is the largest of its
+occupied pairs' power sums, and those sums are i.i.d.; which pairs are
+occupied does not matter.  With mu = lambda0 / B, each chunk therefore
+
+1. draws, in one multinomial call, how many of its trials have K = 0, 1,
+   ..., B occupied pairs, where K ~ Binomial(B, 1 - exp(-mu)) (over the
+   window of K that holds all but ~1e-20 of the mass);
+2. draws one single-path power per occupied pair, and adds the remaining
+   paths only to pairs whose multiplicity, drawn by inverse CDF from the
+   zero-truncated Poisson(mu) law, is 2 or more (additivity of the power
+   laws, :func:`beamsim.channel.sample_pair_power_sums`);
+3. lays the trials out by K, emptiest first, so the trials with more than
+   c occupied pairs are a suffix of the chunk; their c-th pair sums are the
+   next block of draws, folded into the suffix's running row maxima with
+   one vectorized ``np.maximum`` per c.
+
+Trials in a chunk are exchangeable and only order-free statistics (moments,
+empirical CDF) are kept, so this matches B independent Poisson(mu) pairs
+(as :func:`beamsim.channel.realize_channel` draws them) exactly in
+distribution, at O(occupied pairs) per trial.
 """
 
 from __future__ import annotations
@@ -25,11 +39,19 @@ import numpy as np
 
 from .analytic import snr_scale
 from .beam import BeamGrid
-from .channel import FadingModel, LinkBudget, sample_path_powers
+from .channel import FadingModel, LinkBudget, sample_pair_power_sums, sample_path_powers
 from .errors import ConfigError, DegenerateSampleError
 from .rng import substream
 
 CHUNK_TRIALS = 16_384
+
+# Which numbers a given seed produces; recorded in run manifests.  Stream 1
+# was the Poisson-superposition sampler, stream 2 is the occupancy sampler.
+STREAM_VERSION = 2
+
+# Largest mean path count per beam pair the multiplicity table is built
+# for; the table holds about mu + 10 sqrt(mu) + 40 entries.
+MAX_PATHS_PER_PAIR = 1e5
 
 _UNITS = ("nats", "bits")
 
@@ -52,6 +74,12 @@ class SimConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
         if self.units not in _UNITS:
             raise ValueError(f"units must be one of {_UNITS}, got {self.units!r}")
+        mu = self.link.lambda0 / self.grid.b
+        if not mu <= MAX_PATHS_PER_PAIR:
+            raise ValueError(
+                f"lambda0 / B = {mu!r} paths per beam pair exceeds the Monte Carlo "
+                f"limit of {MAX_PATHS_PER_PAIR:g}"
+            )
 
 
 @dataclass(frozen=True)
@@ -108,27 +136,74 @@ def _chunk_sizes(trials: int) -> list[int]:
     return [CHUNK_TRIALS] * full + ([rem] if rem else [])
 
 
+def _normalized(log_ratios: np.ndarray) -> np.ndarray:
+    """Probabilities whose successive log ratios are ``log_ratios``, summing to 1."""
+    log_w = np.concatenate([[0.0], np.cumsum(log_ratios)])
+    w = np.exp(log_w - log_w.max())
+    return w / w.sum()
+
+
+def _occupancy_tables(lambda0: float, b: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(k0, occupied-pair pmf, pair-multiplicity CDF) for mu = lambda0 / b.
+
+    ``pmf[i]`` is P(K = k0 + i) for K ~ Binomial(b, 1 - exp(-mu)) over the
+    window of k outside which the pmf sums to below ~1e-20, so the table
+    stays short however large b is.  ``cdf[i]`` is P(J <= i + 1) for the
+    zero-truncated Poisson(mu) count J of an occupied pair, cut where its
+    tail falls below ~1e-20 and ending in exactly 1.  Both are formed in
+    log space, so they stay right where exp(-mu) underflows.
+    """
+    mu = lambda0 / b
+    # ln p for p = 1 - exp(-mu), accurate for small and large mu; ln(1 - p) = -mu
+    log_p = math.log(-math.expm1(-mu)) if mu < math.log(2.0) else math.log1p(-math.exp(-mu))
+    mean = b * math.exp(log_p)
+    spread = 10.0 * math.sqrt(mean * math.exp(-mu)) + 40.0
+    k0 = max(0, math.floor(mean - spread))
+    # ln pmf(k + 1) - ln pmf(k) = ln((b - k) / (k + 1)) + ln(p / (1 - p))
+    k = np.arange(k0, min(b, math.ceil(mean + spread)), dtype=float)
+    pmf = _normalized(np.log(b - k) - np.log(k + 1.0) + (log_p + mu))
+    # zero-truncated Poisson: ln q(j + 1) - ln q(j) = ln(mu / (j + 1)), j >= 1
+    j = np.arange(1.0, math.ceil(mu + 10.0 * math.sqrt(mu) + 40.0))
+    cdf = np.cumsum(_normalized(math.log(mu) - np.log(j + 1.0)))
+    cdf[-1] = 1.0
+    return k0, pmf, cdf
+
+
 def _trial_maxima(
-    seed: int, chunk_index: int, n_trials: int, lambda0: float, b: int, fading: FadingModel
+    seed: int,
+    chunk_index: int,
+    n_trials: int,
+    tables: tuple[int, np.ndarray, np.ndarray],
+    fading: FadingModel,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial (max pair power sum, total path count) for one chunk."""
+    """Per-trial (max pair power sum, occupied mask) for one chunk.
+
+    Trials come out grouped by their occupied-pair count K, empty ones
+    first; see the module docstring.
+    """
+    k0, pmf, cdf = tables
     rng = substream(seed, chunk_index)
-    counts = rng.poisson(lambda0, size=n_trials)
-    total = int(counts.sum())
+    trials_with = rng.multinomial(n_trials, pmf)  # trials with K = k0, k0 + 1, ...
+    # more[c]: how many trials hold more than c occupied pairs; being sorted
+    # by K, they are the last more[c] trials of the chunk.
+    more = np.concatenate([np.full(k0, n_trials), np.cumsum(trials_with[::-1])[-2::-1]])
+    more = more[: np.count_nonzero(more)]
+    n_pairs = int(more.sum())
+    sums = sample_path_powers(fading, n_pairs, rng)
+    u = rng.random(n_pairs)
+    multi = np.flatnonzero(u > cdf[0])
+    # inverse CDF: index i is the first with cdf[i] >= u, so J - 1 = i extra paths
+    extra = np.searchsorted(cdf, u[multi])
+    sums[multi] += sample_pair_power_sums(fading, extra, rng)
+    # the next more[c] sums are the c-th pair of those trials
     maxima = np.zeros(n_trials)
-    if total == 0:
-        return maxima, counts
-    trial_of_path = np.repeat(np.arange(n_trials, dtype=np.int64), counts)
-    pair_of_path = rng.integers(0, b, size=total, dtype=np.int64)
-    powers = sample_path_powers(fading, total, rng)
-    key = trial_of_path * b + pair_of_path
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    powers = powers[order]
-    starts = np.flatnonzero(np.r_[True, np.diff(key) > 0])
-    pair_sums = np.add.reduceat(powers, starts)
-    np.maximum.at(maxima, key[starts] // b, pair_sums)
-    return maxima, counts
+    pos = 0
+    for count in more:
+        tail = maxima[n_trials - count:]
+        np.maximum(tail, sums[pos:pos + count], out=tail)
+        pos += count
+    n_occupied = int(more[0]) if len(more) else 0
+    return maxima, np.arange(n_trials) >= n_trials - n_occupied
 
 
 def _map_chunks(fn, n_chunks: int, workers: int) -> list:
@@ -162,11 +237,10 @@ def estimate_se(config: SimConfig, workers: int | None = None) -> SEEstimate:
     rho = snr_scale(config.link, config.grid).rho
     sizes = _chunk_sizes(config.trials)
     nworkers = resolve_workers(workers)
+    tables = _occupancy_tables(config.link.lambda0, config.grid.b)
 
     def run_chunk(i: int) -> tuple[int, float, float]:
-        z, _ = _trial_maxima(
-            config.seed, i, sizes[i], config.link.lambda0, config.grid.b, config.fading
-        )
+        z, _ = _trial_maxima(config.seed, i, sizes[i], tables, config.fading)
         rates = np.log1p(rho * z)
         mean = float(rates.mean())
         m2 = float(((rates - mean) ** 2).sum())
@@ -202,12 +276,11 @@ def empirical_opt_power_cdf(
         raise ValueError("grid_points must be sorted and nonnegative")
     sizes = _chunk_sizes(config.trials)
     nworkers = resolve_workers(workers)
+    tables = _occupancy_tables(config.link.lambda0, config.grid.b)
 
     def run_chunk(i: int) -> tuple[np.ndarray, int]:
-        z, counts = _trial_maxima(
-            config.seed, i, sizes[i], config.link.lambda0, config.grid.b, config.fading
-        )
-        kept = np.sort(z[counts > 0])
+        z, occupied = _trial_maxima(config.seed, i, sizes[i], tables, config.fading)
+        kept = np.sort(z[occupied])
         return np.searchsorted(kept, grid, side="right"), len(kept)
 
     below = np.zeros(len(grid), dtype=np.int64)

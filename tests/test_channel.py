@@ -8,6 +8,7 @@ from scipy import stats
 
 from beamsim.channel import (
     FadingModel,
+    LinkBudget,
     draw_fading_power,
     draw_path_count,
     per_beam_intensity,
@@ -88,6 +89,17 @@ class TestFadingPowers:
             w = sample_path_powers(FadingModel.rician(k), 400_000, rng)
             assert abs(w.mean() - 1.0) <= 4.0 * w.std() / math.sqrt(len(w))
 
+    def test_rician_variance(self):
+        # ((Z1 + sqrt(2K))^2 + Z2^2) / (2(1+K)) is ncx2(2, 2K) scaled to mean 1,
+        # whose variance is (1 + 2K) / (1 + K)^2
+        rng = substream(6, 0)
+        for k in (0.0, 0.5, 5.0, 30.0):
+            w = sample_path_powers(FadingModel.rician(k), 400_000, rng)
+            n = len(w)
+            assert abs(w.mean() - 1.0) <= 4.0 * w.std() / math.sqrt(n)
+            se_var = math.sqrt(((w - w.mean()) ** 2).var() / n)
+            assert abs(w.var() - (1.0 + 2.0 * k) / (1.0 + k) ** 2) <= 4.0 * se_var
+
     def test_scalar_draw(self):
         rng = substream(5, 0)
         vals = [draw_fading_power(FadingModel.rayleigh(), rng) for _ in range(100)]
@@ -98,6 +110,15 @@ class TestFadingPowers:
             FadingModel.nakagami(0.3)
         with pytest.raises(ValueError):
             FadingModel.rician(-1.0)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                FadingModel.nakagami(bad)
+            with pytest.raises(ValueError, match="finite"):
+                FadingModel.rician(bad)
+            with pytest.raises(ValueError, match="finite"):
+                LinkBudget.from_snr_coeff(bad, 1.9)
+            with pytest.raises(ValueError, match="finite"):
+                LinkBudget.from_snr_coeff(0.01, bad)
 
 
 class TestRicianMapping:

@@ -202,6 +202,7 @@ class TestSubcommands:
             assert entry["trials"] == 5000
             assert entry["units"] == "nats"
             assert "version" in entry and "wall_time_s" in entry
+            assert entry["stream"] == 2
             # defaults the user did not set are recorded
             assert "seed" in entry["config_resolved"]
 
@@ -253,6 +254,40 @@ class TestExitCodes:
         res = run_cli("sweep", "--config", str(cfg), "--out-dir", str(tmp_path))
         assert res.returncode == 2
         assert "bogus" in res.stderr
+
+    @pytest.mark.parametrize(
+        "kind, old, new",
+        [
+            ("simulate", "snr_coeff = 0.01", "snr_coeff = inf"),
+            ("simulate", "m = 3.2", "k_db = nan"),
+            ("simulate", "m = 3.2", "m = 0.3"),
+            ("simulate", "lambda0 = 1.9", "lambda0 = 1e308"),
+            ("bounds", "lambda0 = 1.9", "lambda0 = 1e308"),
+        ],
+        ids=["snr_coeff_inf", "k_db_nan", "m_below_half", "lambda0_huge", "bounds_lambda0_huge"],
+    )
+    def test_bad_point_value_is_2(self, tmp_path, kind, old, new):
+        head, section, rest = BASE_CONFIG.partition(f"[{kind}]")
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(head + section + rest.replace(old, new, 1))
+        out = tmp_path / "out"
+        res = run_cli(kind, "--config", str(cfg), "--out-dir", str(out))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith(f"config error: [{kind}] ")
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert not (out / f"{kind}.csv").exists()
+
+    def test_bad_swept_value_is_2(self, tmp_path):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(
+            "[run]\nschema_version = 1\n"
+            "[sweep:x]\nvariable = m\nvalues = 0.3, 1.0\nlambda0 = 1.9\nb = 121\n"
+            "snr_coeff = 0.01\noutputs = sim_se\n"
+        )
+        res = run_cli("sweep", "--config", str(cfg), "--out-dir", str(tmp_path))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("config error: [sweep:x] ")
+        assert len(res.stderr.splitlines()) == 1, res.stderr
 
     def test_infeasible_is_3(self, tmp_path):
         cfg = tmp_path / "infeasible.ini"

@@ -5,14 +5,16 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate, stats
-from scipy.special import gammainc
+from scipy.special import gammaincc
 
 from beamsim.analytic import SparseModel, se_lower, se_upper_rayleigh, snr_scale
 from beamsim.beam import BeamGrid, select_optimal_pair
-from beamsim.channel import FadingModel, LinkBudget, realize_channel
+from beamsim.channel import FadingFamily, FadingModel, LinkBudget, realize_channel
 from beamsim.errors import DegenerateSampleError
 from beamsim.montecarlo import (
+    MAX_PATHS_PER_PAIR,
     SimConfig,
+    _occupancy_tables,
     empirical_opt_power_cdf,
     estimate_se,
     resolve_workers,
@@ -31,40 +33,112 @@ def make_config(lambda0, m_t, m_r, fading, trials, seed, units="nats"):
     )
 
 
-def exact_multipath_se(lambda0, b, m, rho, nmax=30):
-    """Semi-analytic SE of the full Poisson multipath model (no sampling)."""
-    lamd = lambda0 / b
-    pois = [stats.poisson.pmf(n, lamd) for n in range(nmax)]
+def exact_multipath_se(lambda0, b, fading, rho, moment=1):
+    """E[ln(1 + rho z)^moment] of the full Poisson multipath model (no sampling).
 
-    def pair_cdf(P):
-        s = pois[0]
-        for n in range(1, nmax):
-            s += pois[n] * gammainc(m * n, m * P)
-        return s
+    Pairs are independent, so P(z > x) = 1 - (1 - T(x))^b with T the tail
+    of one pair's power sum: sum over n >= 1 of Pois(n; lambda0/b) times the
+    tail of n summed paths -- Gamma(n m, 1/m) for Nakagami and Rayleigh,
+    ncx2(2n, 2nK) / (2(1 + K)) for Rician.  Then E[g(z)] is the integral of
+    g'(x) P(z > x) for g(0) = 0.
+    """
+    mu = lambda0 / b
+    n = np.arange(1, int(mu + 12.0 * math.sqrt(mu) + 40.0))
+    pois = stats.poisson.pmf(n, mu)
+    if fading.family is FadingFamily.RICIAN_K:
+        k = fading.parameter
 
-    val, _ = integrate.quad(
-        lambda P: rho / (1.0 + rho * P) * (1.0 - pair_cdf(P) ** b),
-        0,
-        np.inf,
-        epsabs=1e-12,
-        epsrel=1e-11,
-        limit=400,
+        def pair_tail(x):
+            return pois @ stats.ncx2.sf(2.0 * (1.0 + k) * x, 2.0 * n, 2.0 * k * n)
+    else:
+        m = fading.effective_nakagami_m()
+
+        def pair_tail(x):
+            return pois @ gammaincc(m * n, m * x)
+
+    def integrand(x):
+        t = pair_tail(x)
+        survival = 1.0 if t >= 1.0 else -math.expm1(b * math.log1p(-t))
+        rate = math.log1p(rho * x)
+        return moment * rate ** (moment - 1) * rho / (1.0 + rho * x) * survival
+
+    # split where the pair sums have left their bulk, so quad sees it
+    split = mu + 12.0 * math.sqrt(mu) + 40.0
+    return sum(
+        integrate.quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-11, limit=400)[0]
+        for lo, hi in ((0.0, split), (split, np.inf))
     )
-    return val
 
 
 class TestEstimateSe:
     def test_matches_exact_model(self):
         cfg = make_config(1.9, 11, 11, FadingModel.rayleigh(), 200_000, 314)
         est = estimate_se(cfg)
-        exact = exact_multipath_se(1.9, 121, 1.0, 121 * 0.01 / 1.9)
+        exact = exact_multipath_se(1.9, 121, FadingModel.rayleigh(), 121 * 0.01 / 1.9)
         assert abs(est.mean - exact) <= 4.0 * est.std_error
 
     def test_matches_exact_model_nakagami(self):
         cfg = make_config(1.9, 25, 25, FadingModel.nakagami(3.2), 200_000, 315)
         est = estimate_se(cfg)
-        exact = exact_multipath_se(1.9, 625, 3.2, 625 * 0.01 / 1.9)
+        exact = exact_multipath_se(1.9, 625, FadingModel.nakagami(3.2), 625 * 0.01 / 1.9)
         assert abs(est.mean - exact) <= 4.0 * est.std_error
+
+    @pytest.mark.parametrize(
+        "fading", [FadingModel.rayleigh(), FadingModel.nakagami(3.2), FadingModel.rician(2.0)],
+        ids=["rayleigh", "nakagami", "rician"],
+    )
+    @pytest.mark.parametrize(
+        "lambda0, m_t, m_r, trials",
+        [
+            (4.096e-6, 64, 64, 25_000_000),
+            (6.25, 25, 25, 200_000),
+            (16.0, 4, 4, 200_000),
+            (160.0, 2, 2, 200_000),
+        ],
+        ids=["mu1e-9", "mu0.01", "mu1", "mu40"],
+    )
+    def test_z_score_against_exact_model(self, lambda0, m_t, m_r, trials, fading):
+        # mu = lambda0 / B spans nearly empty, sparse, mixed and saturated
+        # pairs (exp(-mu) underflows past ~37).  At mu = 1e-9 the budget buys
+        # ~100 occupied trials, enough for the normal approximation; z uses
+        # the exact standard deviation of the mean.
+        cfg = make_config(lambda0, m_t, m_r, fading, trials, 2718)
+        rho = snr_scale(cfg.link, cfg.grid).rho
+        b = m_t * m_r
+        mean = exact_multipath_se(lambda0, b, fading, rho)
+        second = exact_multipath_se(lambda0, b, fading, rho, moment=2)
+        sd = math.sqrt((second - mean * mean) / cfg.trials)
+        assert abs(estimate_se(cfg).mean - mean) <= 4.0 * sd
+
+    @pytest.mark.parametrize(
+        "lambda0, b",
+        [(1.9, 121), (4.096e-6, 4096), (16.0, 16), (625.0, 625), (23125.0, 625),
+         (1e5, 1), (3.0, 10**12)],
+    )
+    def test_occupancy_tables_match_reference_laws(self, lambda0, b):
+        mu = lambda0 / b
+        k0, pmf, cdf = _occupancy_tables(lambda0, b)
+        assert len(pmf) <= 2_000 and cdf[-1] == 1.0
+        ks = np.arange(k0, k0 + len(pmf))
+        # B - K ~ Binomial(B, exp(-mu)) keeps the reference exact where 1 - p rounds
+        if mu < 1.0:
+            ref = stats.binom.pmf(ks, b, -math.expm1(-mu))
+        else:
+            ref = stats.binom.pmf(b - ks, b, math.exp(-mu))
+        assert np.allclose(pmf, ref, rtol=1e-9, atol=1e-15)
+        assert ref.sum() > 1.0 - 1e-12     # the window holds all the mass
+        js = np.arange(1, len(cdf) + 1)
+        truncated = np.cumsum(stats.poisson.pmf(js, mu)) / -math.expm1(-mu)
+        assert np.allclose(cdf, truncated, rtol=1e-9, atol=1e-15)
+
+    def test_intensity_beyond_table_is_rejected(self):
+        link = LinkBudget.from_snr_coeff(0.01, 1e308)
+        with pytest.raises(ValueError, match="paths per beam pair"):
+            SimConfig(link=link, grid=BeamGrid.from_counts(11, 11),
+                      fading=FadingModel.rayleigh(), trials=10, seed=1)
+        ok = LinkBudget.from_snr_coeff(0.01, MAX_PATHS_PER_PAIR)
+        SimConfig(link=ok, grid=BeamGrid.from_counts(1, 1),
+                  fading=FadingModel.rayleigh(), trials=10, seed=1)
 
     def test_empty_channel_zero_rate(self):
         cfg = make_config(1e-9, 11, 11, FadingModel.rayleigh(), 5_000, 1)
@@ -153,7 +227,7 @@ class TestEmpiricalCdf:
 
 class TestEngineMatchesPerPairSampler:
     def test_distributional_agreement(self):
-        # the O(paths) superposition engine vs literal per-pair realizations
+        # the occupancy engine vs literal per-pair realizations
         lam0, b = 1.9, 121
         link = LinkBudget.from_snr_coeff(0.01, lam0)
         grid = BeamGrid.from_counts(11, 11)
@@ -183,3 +257,31 @@ class TestEngineMatchesPerPairSampler:
         p_empty = math.exp(-lam0)
         for frac in ((direct == 0).mean(), ecdf.discard_fraction):
             assert abs(frac - p_empty) <= 4 * math.sqrt(p_empty * (1 - p_empty) / 4_000)
+
+    @pytest.mark.parametrize(
+        "fading", [FadingModel.nakagami(3.2), FadingModel.rician(2.0)], ids=["nakagami", "rician"]
+    )
+    def test_agreement_with_multipath_pairs(self, fading):
+        # mu = 1 path per pair: 42% of the occupied pairs hold two or
+        # more paths, so the multiplicity table and summed draws are in play
+        lam0 = 16.0
+        link = LinkBudget.from_snr_coeff(0.01, lam0)
+        grid = BeamGrid.from_counts(4, 4)
+        coeff = link.path_gain / lam0 * grid.gain_t * grid.gain_r
+
+        rng = substream(557, 0)
+        direct = np.array([
+            select_optimal_pair(realize_channel(lam0, grid.b, fading, rng), link, grid).opt_power
+            / coeff
+            for _ in range(4_000)
+        ])
+
+        cfg = SimConfig(link=link, grid=grid, fading=fading, trials=4_000, seed=558)
+        grid_pts = np.linspace(0.0, 12.0, 121)
+        ecdf = empirical_opt_power_cdf(cfg, grid_pts)
+
+        pos = np.sort(direct[direct > 0])
+        direct_cdf = np.searchsorted(pos, grid_pts, side="right") / len(pos)
+        n_eff = min(len(pos), ecdf.trials_kept)
+        band = math.sqrt(math.log(2.0 / 0.01) / (2.0 * n_eff)) * 2.0
+        assert np.max(np.abs(direct_cdf - ecdf.cdf)) <= band
