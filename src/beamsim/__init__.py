@@ -8,7 +8,6 @@ planner that trades training overhead against beamforming gain.
 __version__ = "0.1.0"
 
 from .analytic import (
-    NakagamiBoundEval,
     SnrScale,
     SparseModel,
     bernoulli_p,
@@ -18,7 +17,6 @@ from .analytic import (
     se_lower,
     se_sparse_approx,
     se_upper_nakagami,
-    se_upper_nakagami_eval,
     se_upper_rayleigh,
     snr_scale,
 )
@@ -48,7 +46,6 @@ from .errors import (
     DegenerateSampleError,
     InfeasibleConfigError,
     NumericalError,
-    SeriesCancellationError,
 )
 from .montecarlo import (
     EmpiricalCdf,

@@ -10,8 +10,8 @@ CDF approximation (1 - e^{-a x})^m of the Gamma CDF, and four
 spectral-efficiency expressions:
 
 * an upper bound for Nakagami-m fading (integer-shape surrogate, evaluated
-  either by a binomial series of exponential order statistics or by direct
-  quadrature),
+  by adaptive quadrature; the closed binomial mixture of exponential
+  order statistics is kept only as a small-B oracle in ``validation``),
 * a simplified large-B upper bound for Rayleigh fading,
 * a no-fading lower bound,
 * and the common small-lambda0 limit of both, lambda0 * ln(1 + rho).
@@ -22,7 +22,6 @@ contributes zero rate) and in nats per channel use.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -30,20 +29,8 @@ from scipy import integrate
 
 from .beam import BeamGrid
 from .channel import LinkBudget
-from .errors import NumericalError, SeriesCancellationError
+from .errors import NumericalError
 from .specfun import exp_e1_scaled, ln_gamma
-
-logger = logging.getLogger(__name__)
-
-# Above this many exponential terms the alternating inner sum cannot reach
-# certification accuracy in double precision (binomial coefficients near
-# 2^n swamp the 1e-8 target), so the series path bails out immediately.
-_SERIES_TERM_CAP = 34
-# Relative agreement demanded between the compensated inner sum and its
-# quadrature cross-check before a series term counts as certified.
-_CERTIFY_RTOL = 1e-8
-# Neglected outer-sum tail, as a fraction of the accumulated value.
-_TAIL_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -250,139 +237,19 @@ def se_upper_rayleigh(model: SparseModel, rho: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class NakagamiBoundEval:
-    """Diagnostics of one upper-bound evaluation."""
-
-    value: float
-    method: str  # "series" or "quadrature"
-    terms: int   # outer terms summed (series path only)
-
-
-def se_upper_nakagami(model: SparseModel, rho: float, method: str = "auto") -> float:
+def se_upper_nakagami(model: SparseModel, rho: float) -> float:
     """Upper bound on SE under Nakagami-m fading (nats per channel use).
 
-    The Gamma power of an occupied pair is replaced by the max of
-    mhat = floor(m) unit-rate exponentials scaled by 1/a, which
-    stochastically dominates it; conditioning on i occupied pairs, the
-    optimal power is then the max of mhat*i exponentials, whose
-    log-moment has a closed alternating form in the scaled exponential
-    integral.  ``method`` picks the evaluation path:
-
-    * ``"series"``     -- binomial mixture of those closed forms; every
-      inner alternating sum is certified against quadrature and
-      :class:`SeriesCancellationError` is raised when that fails;
-    * ``"quadrature"`` -- adaptive quadrature of the surrogate-density
-      integrand (the only path offered for m < 1);
-    * ``"auto"``       -- series first, quadrature fallback.
+    The Gamma power of an occupied pair is replaced by the surrogate CDF
+    (1 - e^{-a P})^shape with shape = floor(m) for m >= 1 (the max of
+    floor(m) exponentials, which stochastically dominates the Gamma power)
+    and shape = m for m < 1.  The bound is the SE of that surrogate model,
+    evaluated by adaptive quadrature.
     """
-    return se_upper_nakagami_eval(model, rho, method=method).value
-
-
-def se_upper_nakagami_eval(
-    model: SparseModel, rho: float, method: str = "auto"
-) -> NakagamiBoundEval:
     if not rho > 0.0:
         raise ValueError(f"rho must be > 0, got {rho!r}")
-    if method not in ("auto", "series", "quadrature"):
-        raise ValueError(f"unknown method {method!r}")
-    m = model.m
-    if m < 1.0:
-        if method == "series":
-            raise ValueError("series evaluation requires shape m >= 1")
-        value = _upper_bound_quadrature(model.p, model.b, m, surrogate_rate(m), rho)
-        logger.debug("se_upper_nakagami: quadrature path (m < 1), value=%g", value)
-        return NakagamiBoundEval(value=value, method="quadrature", terms=0)
-    mhat = math.floor(m)
-    ahat = surrogate_rate(float(mhat))
-    if method in ("auto", "series"):
-        try:
-            value, terms = _upper_bound_series(model.p, model.b, mhat, ahat, rho)
-            logger.debug(
-                "se_upper_nakagami: series path certified with %d terms, value=%g",
-                terms,
-                value,
-            )
-            return NakagamiBoundEval(value=value, method="series", terms=terms)
-        except SeriesCancellationError:
-            if method == "series":
-                raise
-            logger.debug("se_upper_nakagami: series not certifiable, falling back")
-    value = _upper_bound_quadrature(model.p, model.b, float(mhat), ahat, rho)
-    logger.debug("se_upper_nakagami: quadrature path, value=%g", value)
-    return NakagamiBoundEval(value=value, method="quadrature", terms=0)
-
-
-def max_exp_log_moment(n: int, a: float, rho: float) -> float:
-    """E[ln(1 + rho M)] for M the max of n i.i.d. Exp(a) variables.
-
-    Closed alternating form; loses precision catastrophically for large n
-    (binomial coefficients ~2^n), so callers must certify the result.
-    """
-    terms = [
-        (-1.0) ** j
-        * math.comb(n - 1, j)
-        * exp_e1_scaled(a * (1 + j) / rho)
-        / (1 + j)
-        for j in range(n)
-    ]
-    return n * math.fsum(terms)
-
-
-def max_exp_log_moment_quad(n: int, a: float, rho: float) -> float:
-    """Quadrature cross-check of :func:`max_exp_log_moment`.
-
-    Integrates the survival form E[h(M)] = int h'(P) (1 - F(P)) dP, which
-    is monotone and cancellation-free.
-    """
-    def integrand(P: float) -> float:
-        return rho / (1.0 + rho * P) * (-math.expm1(n * math.log1p(-math.exp(-a * P))))
-
-    value, _ = integrate.quad(
-        integrand, 0.0, math.inf, epsabs=1e-13, epsrel=1e-11, limit=300
-    )
-    return value
-
-
-def _upper_bound_series(
-    p: float, b: int, mhat: int, ahat: float, rho: float
-) -> tuple[float, int]:
-    log_p = math.log(p)
-    log_1mp = math.log1p(-p)
-    log_b_fact = ln_gamma(b + 1.0)
-
-    # Upper envelope of any remaining term value, used for the tail cut.
-    value_cap = math.log1p(rho * (1.0 + math.log(max(2.0, mhat * float(b)))) / ahat)
-
-    total = 0.0
-    cum_mass = math.exp(b * log_1mp)  # i = 0 term carries zero rate
-    for i in range(1, b + 1):
-        rem_mass = 1.0 - cum_mass
-        if rem_mass * value_cap <= _TAIL_RTOL * max(abs(total), 1e-300):
-            return total, i - 1
-        n = mhat * i
-        if n > _SERIES_TERM_CAP:
-            raise SeriesCancellationError(
-                f"inner sum with {n} exponential terms exceeds the certification cap"
-            )
-        log_w = (
-            log_b_fact
-            - ln_gamma(i + 1.0)
-            - ln_gamma(b - i + 1.0)
-            + i * log_p
-            + (b - i) * log_1mp
-        )
-        w = math.exp(log_w)
-        v = max_exp_log_moment(n, ahat, rho)
-        v_quad = max_exp_log_moment_quad(n, ahat, rho)
-        if abs(v - v_quad) > _CERTIFY_RTOL * max(abs(v_quad), 1e-300):
-            raise SeriesCancellationError(
-                f"inner sum for {n} exponential terms failed certification "
-                f"(series {v!r} vs quadrature {v_quad!r})"
-            )
-        total += w * v
-        cum_mass += w
-    return total, b
+    shape = float(math.floor(model.m)) if model.m >= 1.0 else model.m
+    return _upper_bound_quadrature(model.p, model.b, shape, surrogate_rate(shape), rho)
 
 
 def _upper_bound_quadrature(

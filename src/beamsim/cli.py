@@ -111,17 +111,6 @@ class SectionView:
         except ValueError:
             raise ConfigError(f"[{self.name}] key '{key}': expected an integer, got {val!r}") from None
 
-    def get_bool(self, key: str, default: bool = False) -> bool:
-        val = self._fetch(key, None, False)
-        if val is None:
-            return default
-        low = str(val).strip().lower()
-        if low in ("1", "true", "yes", "on"):
-            return True
-        if low in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"[{self.name}] key '{key}': expected a boolean, got {val!r}")
-
     def get_float_list(self, key: str, required: bool = False) -> list[float] | None:
         val = self._fetch(key, None, required)
         if val is None:
@@ -195,18 +184,25 @@ def _fading_from(section: SectionView) -> FadingModel:
 
 
 def _snr_coeff_from(section: SectionView) -> float:
-    if section.has("snr_coeff"):
-        val = section.get_float("snr_coeff")
-        if not (math.isfinite(val) and val > 0.0):
-            raise ConfigError(f"[{section.name}] snr_coeff must be finite and > 0, got {val!r}")
-        return val
     needed = ("intercept_c", "distance_d", "alpha", "noise_power")
-    if all(section.has(k) for k in needed):
-        c, d, a, n = (section.get_float(k) for k in needed)
-        return c * d ** (-a) / n
-    raise ConfigError(
-        f"[{section.name}] needs 'snr_coeff' or all of {', '.join(needed)}"
-    )
+    if section.has("snr_coeff"):
+        what = "snr_coeff"
+        val = section.get_float("snr_coeff")
+    elif all(section.has(k) for k in needed):
+        c, d, a, n = values = [section.get_float(k) for k in needed]
+        what = "snr_coeff from " + ", ".join(f"{k} = {v!r}" for k, v in zip(needed, values))
+        try:
+            val = c * d ** (-a) / n
+        except (ZeroDivisionError, OverflowError):
+            val = math.nan
+    else:
+        raise ConfigError(
+            f"[{section.name}] needs 'snr_coeff' or all of {', '.join(needed)}"
+        )
+    # A negative distance with a fractional exponent yields a complex power.
+    if not (isinstance(val, float) and math.isfinite(val) and val > 0.0):
+        raise ConfigError(f"[{section.name}] {what} must be finite and > 0, got {val!r}")
+    return val
 
 
 def _sweep_values(section: SectionView) -> list[float]:
@@ -248,16 +244,6 @@ def _unit_scale(units: str) -> float:
     return 1.0 / LN2 if units == "bits" else 1.0
 
 
-def _grid_for_b(b: int) -> BeamGrid:
-    root = math.isqrt(b)
-    if root * root == b:
-        return BeamGrid.from_counts(root, root)
-    for m_t in range(root, 0, -1):
-        if b % m_t == 0:
-            return BeamGrid.from_counts(m_t, b // m_t)
-    raise ConfigError(f"beam count {b} cannot be factored into a grid")
-
-
 class PointSpec:
     """Fully resolved parameters of one sweep point."""
 
@@ -297,7 +283,7 @@ class PointSpec:
     def sim_config(self, trials: int, seed: int, units: str) -> SimConfig:
         return SimConfig(
             link=LinkBudget.from_snr_coeff(self.snr_coeff, self.lambda0),
-            grid=_grid_for_b(self.b),
+            grid=BeamGrid.from_pair_count(self.b),
             fading=self.fading,
             trials=trials,
             seed=seed,
@@ -431,16 +417,16 @@ def _version_string() -> str:
 
 
 class Manifest:
+    """JSON-lines run log; the file is created by the first entry, so a run
+    rejected before it records anything leaves no manifest behind."""
+
     def __init__(self, out_dir: Path):
         self.path = out_dir / "run_manifest.jsonl"
-        self._fh = open(self.path, "a", encoding="utf-8")
 
     def record(self, **fields: Any) -> None:
         entry = {"version": _version_string(), **fields}
-        self._fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
-    def close(self) -> None:
-        self._fh.close()
+        with open(self.path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
 # =====================================================================
@@ -550,7 +536,6 @@ def _cmd_point(kind: str, args: argparse.Namespace) -> int:
         units=run.units, config_resolved=section.resolved(run.defaults_dict()),
         wall_time_s=round(time.monotonic() - t0, 6), **stream,
     )
-    manifest.close()
     return 0
 
 
@@ -659,7 +644,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             wall_time_s=round(time.monotonic() - t0, 6),
         )
         print(f"sweep '{stem}': {len(values)} points -> {', '.join(written)}")
-    manifest.close()
     return 0
 
 

@@ -21,10 +21,6 @@ class ConvergenceError(NumericalError):
     """An iterative kernel hit its iteration cap before converging."""
 
 
-class SeriesCancellationError(NumericalError):
-    """An alternating series lost too much precision to be certified."""
-
-
 class InfeasibleConfigError(BeamsimError):
     """No beam count yields positive throughput under the given overheads."""
 

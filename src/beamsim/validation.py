@@ -48,21 +48,10 @@ class CriterionResult:
     detail: str
 
 
-def _grid_for_b(b: int) -> BeamGrid:
-    root = math.isqrt(b)
-    if root * root == b:
-        return BeamGrid.from_counts(root, root)
-    # split as evenly as possible while keeping m_t * m_r == b
-    for m_t in range(root, 0, -1):
-        if b % m_t == 0:
-            return BeamGrid.from_counts(m_t, b // m_t)
-    raise ValueError(f"cannot factor beam count {b}")
-
-
 def _sim_se(lambda0: float, b: int, fading: FadingModel, trials: int, seed: int) -> SEEstimate:
     cfg = SimConfig(
         link=LinkBudget.from_snr_coeff(SNR_COEFF, lambda0),
-        grid=_grid_for_b(b),
+        grid=BeamGrid.from_pair_count(b),
         fading=fading,
         trials=trials,
         seed=seed,
@@ -155,7 +144,7 @@ def _c04_cdf_exactness(seed: int, trials: int) -> CriterionResult:
     lam0, b = 1.9, 121
     cfg = SimConfig(
         link=LinkBudget.from_snr_coeff(SNR_COEFF, lam0),
-        grid=_grid_for_b(b),
+        grid=BeamGrid.from_pair_count(b),
         fading=FadingModel.rayleigh(),
         trials=trials,
         seed=child_seed(seed, 4),
@@ -217,16 +206,58 @@ def _density_se(p: float, b: int, rho: float) -> float:
     return model.prob_any() * val
 
 
+def _max_exp_log_moment(n: int, a: float, rho: float) -> float:
+    """E[ln(1 + rho M)] for M the max of n i.i.d. Exp(a) variables.
+
+    Closed alternating form; its binomial coefficients (~2^n) cancel
+    catastrophically as n grows, so it serves only as an oracle at small n.
+    """
+    terms = [
+        (-1.0) ** j
+        * math.comb(n - 1, j)
+        * specfun.exp_e1_scaled(a * (1 + j) / rho)
+        / (1 + j)
+        for j in range(n)
+    ]
+    return n * math.fsum(terms)
+
+
+def _mixture_upper_se(model: SparseModel, rho: float) -> float:
+    """Nakagami upper bound (integer m) as a binomial mixture over occupied pairs.
+
+    Given i occupied pairs the surrogate optimal power is the max of i*m
+    Exp(a) variables, so the bound is sum_i C(B,i) p^i (1-p)^(B-i) times
+    the closed log-moment of that max.
+    """
+    mhat = int(model.m)
+    a = analytic.surrogate_rate(float(mhat))
+    p, b = model.p, model.b
+    return math.fsum(
+        math.comb(b, i) * p**i * (1.0 - p) ** (b - i) * _max_exp_log_moment(i * mhat, a, rho)
+        for i in range(1, b + 1)
+    )
+
+
 def _c06_small_instance_oracle(seed: int, trials: int) -> CriterionResult:
-    """Pattern-enumeration SE equals density-quadrature SE to 1e-6."""
+    """Pattern-enumeration SE equals density-quadrature SE to 1e-6, and the
+    Nakagami upper bound equals its closed binomial mixture to 1e-6 (m = 1, 2, 3)."""
     worst = 0.0
+    worst_upper = 0.0
     for b in (1, 2, 3):
         for p in (0.2, 0.5):
             for rho in (1.0, 5.0):
                 gap = abs(_pattern_se(p, b, rho) - _density_se(p, b, rho))
                 worst = max(worst, gap)
-    detail = f"max |pattern - density| = {worst:.2e} (limit 1e-06)"
-    return CriterionResult(6, "small-instance-oracle", worst <= 1e-6, detail)
+                for m in (1.0, 2.0, 3.0):
+                    model = SparseModel.from_p(p, b, m)
+                    gap = abs(analytic.se_upper_nakagami(model, rho) - _mixture_upper_se(model, rho))
+                    worst_upper = max(worst_upper, gap)
+    detail = (
+        f"max |pattern - density| = {worst:.2e}, "
+        f"max |upper - mixture| = {worst_upper:.2e} (limit 1e-06)"
+    )
+    passed = worst <= 1e-6 and worst_upper <= 1e-6
+    return CriterionResult(6, "small-instance-oracle", passed, detail)
 
 
 def _c07_bound_sandwich(seed: int, trials: int) -> CriterionResult:

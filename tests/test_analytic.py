@@ -15,23 +15,20 @@ from scipy import integrate
 from beamsim.analytic import (
     SparseModel,
     bernoulli_p,
-    max_exp_log_moment,
-    max_exp_log_moment_quad,
     opt_power_cdf,
     opt_power_pdf_bound,
     opt_power_pdf_exact,
     se_lower,
     se_sparse_approx,
     se_upper_nakagami,
-    se_upper_nakagami_eval,
     se_upper_rayleigh,
     snr_scale,
     surrogate_rate,
 )
 from beamsim.beam import BeamGrid
 from beamsim.channel import LinkBudget
-from beamsim.errors import SeriesCancellationError
 from beamsim.specfun import EULER_GAMMA
+from beamsim.validation import _max_exp_log_moment, _mixture_upper_se
 
 
 class TestBernoulliP:
@@ -213,29 +210,20 @@ class TestSeUpperRayleigh:
 
 class TestSeUpperNakagami:
     def test_series_matches_quadrature_m1(self):
-        model = SparseModel.from_occupancy(1.25, 625, 1.0)
-        ev_s = se_upper_nakagami_eval(model, 5.0, method="series")
-        ev_q = se_upper_nakagami_eval(model, 5.0, method="quadrature")
-        assert ev_s.method == "series"
-        assert ev_s.value == pytest.approx(ev_q.value, rel=1e-6)
+        # closed binomial mixture of exponential maxima vs the quadrature
+        for b in (1, 2, 3):
+            model = SparseModel.from_occupancy(1.25, b, 1.0)
+            assert se_upper_nakagami(model, 5.0) == pytest.approx(
+                _mixture_upper_se(model, 5.0), rel=1e-9
+            )
 
     def test_series_matches_quadrature_integer_shapes(self):
-        # certified series points across shapes with shallow outer tails
-        for lam0, b, m in ((0.6, 625, 2.0), (0.3, 400, 3.0), (1.0, 121, 2.4)):
+        # floor(m) sets the surrogate shape, so m = 2.4 uses the m = 2 mixture
+        for lam0, b, m, rho in ((0.6, 3, 2.0, 1.5), (0.3, 2, 3.0, 4.0), (1.0, 3, 2.4, 1.0)):
             model = SparseModel.from_occupancy(lam0, b, m)
-            rho = b * 0.01 / lam0
-            ev_s = se_upper_nakagami_eval(model, rho, method="series")
-            ev_q = se_upper_nakagami_eval(model, rho, method="quadrature")
-            assert ev_s.value == pytest.approx(ev_q.value, rel=1e-6)
-
-    def test_auto_falls_back_when_uncertifiable(self):
-        # deep outer tail at mhat = 3 needs ~40-term alternating sums
-        model = SparseModel.from_occupancy(3.5, 625, 3.2)
-        with pytest.raises(SeriesCancellationError):
-            se_upper_nakagami_eval(model, 1.7857, method="series")
-        ev = se_upper_nakagami_eval(model, 1.7857, method="auto")
-        assert ev.method == "quadrature"
-        assert ev.value > 0.0
+            assert se_upper_nakagami(model, rho) == pytest.approx(
+                _mixture_upper_se(model, rho), rel=1e-9
+            )
 
     def test_m1_equals_exact_bernoulli_se(self):
         # at m = 1 the surrogate is exact, so the "bound" is the model SE
@@ -249,22 +237,32 @@ class TestSeUpperNakagami:
         )
         assert se_upper_nakagami(model, rho) == pytest.approx(exact, rel=1e-8)
 
-    def test_shape_below_one_uses_quadrature(self):
-        model = SparseModel.from_occupancy(1.9, 121, 0.7)
-        ev = se_upper_nakagami_eval(model, 0.6368, method="auto")
-        assert ev.method == "quadrature"
-        with pytest.raises(ValueError):
-            se_upper_nakagami(model, 0.6368, method="series")
+    @pytest.mark.parametrize(
+        "lam0, b, m, rho",
+        [(3.5, 625, 3.2, 1.7857), (1.9, 121, 0.7, 0.6368)],
+        ids=["deep_outer_tail", "shape_below_one"],
+    )
+    def test_finite_and_positive(self, lam0, b, m, rho):
+        value = se_upper_nakagami(SparseModel.from_occupancy(lam0, b, m), rho)
+        assert math.isfinite(value) and value > 0.0
 
     def test_vanishes_at_zero_snr(self):
         model = SparseModel.from_occupancy(1.9, 121, 3.2)
         assert se_upper_nakagami(model, 1e-9) == pytest.approx(0.0, abs=1e-8)
 
     def test_inner_sum_certification_helpers(self):
+        # survival form E[h(M)] = int h'(P) (1 - F(P)) dP, cancellation-free
+        a, rho = 1.6509636, 2.0
         for n in (1, 2, 5, 12):
-            s = max_exp_log_moment(n, 1.6509636, 2.0)
-            q = max_exp_log_moment_quad(n, 1.6509636, 2.0)
-            assert s == pytest.approx(q, rel=1e-9)
+            q, _ = integrate.quad(
+                lambda P: rho / (1.0 + rho * P) * -math.expm1(n * math.log1p(-math.exp(-a * P))),
+                0.0,
+                math.inf,
+                epsabs=1e-13,
+                epsrel=1e-11,
+                limit=300,
+            )
+            assert _max_exp_log_moment(n, a, rho) == pytest.approx(q, rel=1e-9)
 
     def test_monotone_in_rho(self):
         model = SparseModel.from_occupancy(1.9, 121, 3.2)

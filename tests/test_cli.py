@@ -61,6 +61,9 @@ b_values = 16, 121, 400
 outputs = tp, b_star_numeric, hpbw_star
 """
 
+# Link budget given by its parts instead of snr_coeff; {d} is the distance.
+DERIVED_LINK = "intercept_c = 1e-6\ndistance_d = {d}\nalpha = 2.0\nnoise_power = 1e-10"
+
 
 def run_cli(*args, env_extra=None, cwd=None):
     """Run ``python -m beamsim.cli`` in a child process.
@@ -263,8 +266,13 @@ class TestExitCodes:
             ("simulate", "m = 3.2", "m = 0.3"),
             ("simulate", "lambda0 = 1.9", "lambda0 = 1e308"),
             ("bounds", "lambda0 = 1.9", "lambda0 = 1e308"),
+            ("simulate", "snr_coeff = 0.01", DERIVED_LINK.format(d="0")),
+            ("simulate", "snr_coeff = 0.01", DERIVED_LINK.format(d="1e-200")),
         ],
-        ids=["snr_coeff_inf", "k_db_nan", "m_below_half", "lambda0_huge", "bounds_lambda0_huge"],
+        ids=[
+            "snr_coeff_inf", "k_db_nan", "m_below_half", "lambda0_huge", "bounds_lambda0_huge",
+            "distance_d_zero", "distance_d_tiny",
+        ],
     )
     def test_bad_point_value_is_2(self, tmp_path, kind, old, new):
         head, section, rest = BASE_CONFIG.partition(f"[{kind}]")
@@ -275,7 +283,11 @@ class TestExitCodes:
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith(f"config error: [{kind}] ")
         assert len(res.stderr.splitlines()) == 1, res.stderr
+        if new.startswith("intercept_c"):
+            for key in ("intercept_c", "distance_d", "alpha", "noise_power"):
+                assert f"{key} = " in res.stderr, res.stderr
         assert not (out / f"{kind}.csv").exists()
+        assert not (out / "run_manifest.jsonl").exists()
 
     def test_bad_swept_value_is_2(self, tmp_path):
         cfg = tmp_path / "bad.ini"
