@@ -10,8 +10,9 @@ CDF approximation (1 - e^{-a x})^m of the Gamma CDF, and four
 spectral-efficiency expressions:
 
 * an upper bound for Nakagami-m fading (integer-shape surrogate, evaluated
-  by adaptive quadrature; the closed binomial mixture of exponential
-  order statistics is kept only as a small-B oracle in ``validation``),
+  by double-exponential (tanh-sinh) quadrature, ``specfun.de_quad``; the
+  closed binomial mixture of exponential order statistics is kept only as
+  a small-B oracle in ``validation``),
 * a simplified large-B upper bound for Rayleigh fading,
 * a no-fading lower bound,
 * and the common small-lambda0 limit of both, lambda0 * ln(1 + rho).
@@ -25,12 +26,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy import integrate
+import numpy as np
 
 from .beam import BeamGrid
 from .channel import LinkBudget
 from .errors import NumericalError
-from .specfun import exp_e1_scaled, ln_gamma
+from .specfun import de_quad, exp_e1_scaled, ln_gamma
 
 
 @dataclass(frozen=True)
@@ -244,7 +245,8 @@ def se_upper_nakagami(model: SparseModel, rho: float) -> float:
     (1 - e^{-a P})^shape with shape = floor(m) for m >= 1 (the max of
     floor(m) exponentials, which stochastically dominates the Gamma power)
     and shape = m for m < 1.  The bound is the SE of that surrogate model,
-    evaluated by adaptive quadrature.
+    evaluated by tanh-sinh quadrature (``specfun.de_quad``); raises
+    :class:`NumericalError` when its error estimate exceeds 1e-7 relative.
     """
     if not rho > 0.0:
         raise ValueError(f"rho must be > 0, got {rho!r}")
@@ -258,21 +260,26 @@ def _upper_bound_quadrature(
     """Quadrature of the surrogate-density SE integrand.
 
     Substituting y = (1 - e^{-aP})^shape turns the integrand into
-    p B ln(1 + rho P(y)) (1 - p(1-y))^{B-1} on (0, 1), which is smooth and
-    free of the endpoint singularity the raw form has for shape < 1.
+    p B ln(1 + rho P(y)) (1 - p(1-y))^{B-1} on (0, 1), which is smooth up
+    to a log singularity of P at y = 1 and free of the endpoint singularity
+    the raw form has for shape < 1.  The quadrature supplies c = 1 - y
+    beside y; near y = 1, 1 - y^(1/shape) is formed as
+    -expm1(log1p(-c)/shape), so the log never sees a y rounded to 1.
     """
     inv_shape = 1.0 / shape
 
-    def integrand(y: float) -> float:
-        P = -math.log1p(-(y**inv_shape)) / a
-        return p * b * math.log1p(rho * P) * math.exp((b - 1) * math.log1p(-p * (1.0 - y)))
+    def integrand(y: np.ndarray, c: np.ndarray) -> np.ndarray:
+        # P(y) = -ln(1 - y^(1/shape)) / a, from whichever of y, c is small;
+        # the clamps keep the branch np.where discards finite.
+        near_one = -np.log(-np.expm1(np.log1p(-np.minimum(c, 0.5)) * inv_shape))
+        near_zero = -np.log1p(-(np.minimum(y, 0.5) ** inv_shape))
+        power = np.where(c < 0.5, near_one, near_zero) / a
+        return p * b * np.log1p(rho * power) * np.exp((b - 1) * np.log1p(-p * c))
 
-    value, abserr = integrate.quad(
-        integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=400
-    )
-    if abserr > 1e-7 * max(abs(value), 1e-12):
+    value, err = de_quad(integrand, 0.0, 1.0, rtol=1e-11, atol=1e-13)
+    if not (math.isfinite(err) and err <= 1e-7 * max(abs(value), 1e-12)):
         raise NumericalError(
             f"se_upper_nakagami: quadrature failed to converge (estimate {value!r}, "
-            f"error {abserr!r})"
+            f"error {err!r})"
         )
     return value

@@ -9,6 +9,7 @@ while remaining bit-reproducible for any worker count.
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # numpy loads its random package lazily; load it at import
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import optimize
 
 from .errors import ApproximationInvalidError, InfeasibleConfigError, NumericalError
+from .specfun import brent_root
 
 SPEED_OF_LIGHT = 299_792_458.0
 
@@ -44,14 +44,10 @@ class ThroughputConfig:
     n_b: int = 4
 
     def __post_init__(self) -> None:
-        if not self.t_f > 0.0:
-            raise ValueError(f"t_f must be > 0, got {self.t_f!r}")
-        if not self.t_total > 0.0:
-            raise ValueError(f"t_total must be > 0, got {self.t_total!r}")
-        if not self.k > 0.0:
-            raise ValueError(f"k must be > 0, got {self.k!r}")
-        if not self.lambda0 > 0.0:
-            raise ValueError(f"lambda0 must be > 0, got {self.lambda0!r}")
+        for key in ("t_f", "t_total", "k", "lambda0"):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"{key} must be finite and > 0, got {value!r}")
         if self.n_b < 1:
             raise ValueError(f"n_b must be >= 1, got {self.n_b!r}")
 
@@ -124,8 +120,9 @@ def optimal_b_numeric(cfg: ThroughputConfig) -> float:
     """Continuous throughput-maximizing beam count via bracketed root finding.
 
     Raises :class:`InfeasibleConfigError` when no beam count achieves
-    positive throughput.  The root of the stationarity equation is refined
-    to ~1e-12 relative tolerance and then verified to be a local maximum.
+    positive throughput.  The root of the stationarity equation is found
+    on [1, F_t^-2] by Brent's method (``specfun.brent_root``), refined to
+    ~1e-12 relative tolerance, and then verified to be a local maximum.
     """
     if feasible_region(cfg) is None:
         raise InfeasibleConfigError(
@@ -136,11 +133,9 @@ def optimal_b_numeric(cfg: ThroughputConfig) -> float:
         return 1.0
     hi = (1.0 / cfg.f_t) ** 2
     try:
-        b_star = optimize.brentq(
-            _stationarity_gap, 1.0, hi, args=(cfg,), rtol=1e-12, maxiter=200
-        )
-    except ValueError as exc:
-        raise NumericalError(f"optimal_b_numeric: root bracketing failed: {exc}") from exc
+        b_star = brent_root(lambda b: _stationarity_gap(b, cfg), 1.0, hi, rtol=1e-12, maxiter=200)
+    except NumericalError as exc:
+        raise NumericalError(f"optimal_b_numeric: {exc}") from exc
     tp_star = throughput_continuous(b_star, cfg)
     for probe in (b_star * (1.0 - 1e-3), b_star * (1.0 + 1e-3)):
         if probe >= 1.0 and throughput_continuous(probe, cfg) > tp_star * (1.0 + 1e-9) + 1e-15:
@@ -156,8 +151,10 @@ def optimal_b_closed_form(cfg: ThroughputConfig) -> float:
     Applies (1+x) ln(1+x) ~ x sqrt(x) to the stationarity equation, giving
     F_t sqrt(K) B + 2 F_t sqrt(B) + N_b^2 F_t - 1 = 0.  Raises
     :class:`ApproximationInvalidError` when the discriminant is not
-    positive.  Accuracy degrades as B*K grows; prefer
-    :func:`optimal_b_numeric` outside the moderate-B*K regime.
+    positive or the root is B* < 1 (less than one beam pair, as happens
+    where training barely or no longer fits the coherence interval).
+    Accuracy degrades as B*K grows; prefer :func:`optimal_b_numeric`
+    outside the moderate-B*K regime.
     """
     ft = cfg.f_t
     sqrt_k = math.sqrt(cfg.k)
@@ -168,9 +165,10 @@ def optimal_b_closed_form(cfg: ThroughputConfig) -> float:
             "the quadratic approximation does not apply"
         )
     sqrt_b = (-ft + math.sqrt(disc)) / (ft * sqrt_k)
-    if sqrt_b <= 0.0:
+    if not sqrt_b >= 1.0:
         raise ApproximationInvalidError(
-            "closed-form root is nonpositive; the approximation does not apply"
+            f"closed-form root sqrt(B*) = {sqrt_b!r} is below 1 (no beam grid); "
+            "the approximation does not apply"
         )
     return sqrt_b * sqrt_b
 

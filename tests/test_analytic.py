@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from beamsim import specfun
 from beamsim.analytic import (
     SparseModel,
     bernoulli_p,
@@ -27,6 +28,7 @@ from beamsim.analytic import (
 )
 from beamsim.beam import BeamGrid
 from beamsim.channel import LinkBudget
+from beamsim.errors import NumericalError
 from beamsim.specfun import EULER_GAMMA
 from beamsim.validation import _max_exp_log_moment, _mixture_upper_se
 
@@ -263,6 +265,57 @@ class TestSeUpperNakagami:
                 limit=300,
             )
             assert _max_exp_log_moment(n, a, rho) == pytest.approx(q, rel=1e-9)
+
+    @staticmethod
+    def scipy_upper(model, rho):
+        """The bound by scipy's adaptive quadrature of the same y-integrand."""
+        shape = float(math.floor(model.m)) if model.m >= 1.0 else model.m
+        a, p, b = surrogate_rate(shape), model.p, model.b
+
+        def integrand(y):
+            power = -math.log1p(-(y ** (1.0 / shape))) / a
+            return p * b * math.log1p(rho * power) * math.exp((b - 1) * math.log1p(-p * (1.0 - y)))
+
+        value, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=400)
+        return value
+
+    def test_matches_scipy_quad_on_sweep_grids(self):
+        # the m, B and rho sections of the bounds benchmark sweep
+        points = [(1.9, 121, float(m), 121 * 0.01 / 1.9) for m in np.linspace(0.6, 4.0, 69)]
+        points += [
+            (1.9, int(round(b)), 3.2, int(round(b)) * 0.01 / 1.9) for b in np.linspace(16, 1024, 127)
+        ]
+        points += [(1.9, 121, 1.5, float(rho)) for rho in np.linspace(0.5, 50.0, 100)]
+        for lam0, b, m, rho in points:
+            model = SparseModel.from_occupancy(lam0, b, m)
+            assert se_upper_nakagami(model, rho) == pytest.approx(self.scipy_upper(model, rho), rel=1e-10)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    def test_matches_scipy_quad_on_stress_grid(self):
+        checked = 0
+        for lam0 in (1e-6, 1e-4, 1e-2, 1.0, 10.0, 100.0, 1e3):
+            for b in (1, 10, 100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000):
+                for m in (0.5, 0.7, 1.0, 3.2, 20.0):
+                    try:
+                        model = SparseModel.from_occupancy(lam0, b, m)
+                    except ValueError:
+                        continue        # p = 1 - exp(-lam0/B) rounds to 1
+                    for rho in (1e-4, 1.0, 1e4):
+                        assert se_upper_nakagami(model, rho) == pytest.approx(
+                            self.scipy_upper(model, rho), rel=1e-10, abs=1e-13
+                        )
+                        checked += 1
+        assert checked >= 780
+
+    def test_unconverged_quadrature_raises(self, monkeypatch):
+        # one step-halving is far from converged on this integrand
+        monkeypatch.setattr(specfun, "DE_MAX_LEVEL", 1)
+        with pytest.raises(NumericalError, match="failed to converge"):
+            se_upper_nakagami(SparseModel.from_occupancy(1.9, 121, 3.2), 0.6)
+
+    def test_non_finite_integral_raises(self):
+        with pytest.raises(NumericalError, match="failed to converge"):
+            se_upper_nakagami(SparseModel.from_occupancy(1.9, 121, 3.2), math.inf)
 
     def test_monotone_in_rho(self):
         model = SparseModel.from_occupancy(1.9, 121, 3.2)

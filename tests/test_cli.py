@@ -154,6 +154,27 @@ class TestSubcommands:
         v111 = [r for r in plan_tp[1:] if r[0] == "11.1"]
         assert v111 and all(float(r[2]) == 0.0 and float(r[3]) < 0.0 for r in v111)
 
+    def test_plan_sweep_where_closed_form_has_no_grid(self, tmp_path):
+        # between ~4.96 and ~5.59 m/s at 60 GHz the closed form's root is
+        # B* < 1 while the numeric planner reports infeasible: blank cells, exit 0
+        cfg = tmp_path / "plan.ini"
+        cfg.write_text(
+            "[run]\nschema_version = 1\n"
+            "[sweep:plan]\nvariable = velocity\nvalues = 4.5, 5.0, 5.5, 6.0\n"
+            "lambda0 = 1.9\nb = 121\nsnr_coeff = 0.01\nt_f = 5e-6\nn_b = 4\ncarrier_freq = 60e9\n"
+            "outputs = b_star_numeric, b_star_closed, hpbw_star\n"
+        )
+        out = tmp_path / "out"
+        res = run_cli("sweep", "--config", str(cfg), "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        rows = read_csv(out / "plan.csv")
+        assert rows[0] == [
+            "velocity", "b_star_numeric", "b_star_closed", "hpbw_star_numeric", "hpbw_star_closed", "units",
+        ]
+        assert all(float(cell) > 0 for cell in rows[1][1:5])
+        for row in rows[2:]:
+            assert row[1:5] == ["", "", "", ""], row
+
     @pytest.mark.parametrize(
         "variable, values, extra",
         [
@@ -268,10 +289,12 @@ class TestExitCodes:
             ("bounds", "lambda0 = 1.9", "lambda0 = 1e308"),
             ("simulate", "snr_coeff = 0.01", DERIVED_LINK.format(d="0")),
             ("simulate", "snr_coeff = 0.01", DERIVED_LINK.format(d="1e-200")),
+            ("throughput", "t_total = 0.01", "t_total = inf"),
+            ("throughput", "t_f = 5e-6", "t_f = inf"),
         ],
         ids=[
             "snr_coeff_inf", "k_db_nan", "m_below_half", "lambda0_huge", "bounds_lambda0_huge",
-            "distance_d_zero", "distance_d_tiny",
+            "distance_d_zero", "distance_d_tiny", "t_total_inf", "t_f_inf",
         ],
     )
     def test_bad_point_value_is_2(self, tmp_path, kind, old, new):
@@ -286,6 +309,8 @@ class TestExitCodes:
         if new.startswith("intercept_c"):
             for key in ("intercept_c", "distance_d", "alpha", "noise_power"):
                 assert f"{key} = " in res.stderr, res.stderr
+        if kind == "throughput":
+            assert new.split(" = ")[0] in res.stderr, res.stderr
         assert not (out / f"{kind}.csv").exists()
         assert not (out / "run_manifest.jsonl").exists()
 
@@ -334,3 +359,34 @@ class TestValidateCommand:
     def test_unknown_criterion_is_2(self, tmp_path):
         res = run_cli("validate", "--criteria", "99", cwd=tmp_path)
         assert res.returncode == 2, res.stderr
+
+
+class TestImportHygiene:
+    def test_no_scipy_at_runtime(self, tmp_path):
+        # scipy is a test-only dependency: a bounds-and-plan sweep and the
+        # quadrature/planner criteria must run without importing any of it
+        cfg = tmp_path / "bp.ini"
+        cfg.write_text(
+            "[run]\nschema_version = 1\n"
+            "[sweep:b]\nvariable = lambda0\nvalues = 1.0, 1.9\nb = 121\nm = 3.2\n"
+            "snr_coeff = 0.01\noutputs = upper_nakagami, upper_rayleigh, lower, sparse\n"
+            "[sweep:plan]\nvariable = velocity\nvalues = 1.0, 5.0, 11.1\nlambda0 = 1.9\nb = 121\n"
+            "snr_coeff = 0.01\nt_f = 5e-6\nn_b = 4\ncarrier_freq = 60e9\nb_values = 16, 121\n"
+            "outputs = tp, b_star_numeric, b_star_closed, hpbw_star\n"
+        )
+        script = (
+            "import sys\n"
+            "import beamsim.cli\n"
+            f"assert beamsim.cli.main(['sweep', '--config', {str(cfg)!r}, '--out-dir', {str(tmp_path / 'out')!r}]) == 0\n"
+            "assert beamsim.cli.main(['validate', '--criteria', '5,6,9,10', '--trials', '2000']) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "print('scipy modules:', loaded)\n"
+            "sys.exit(1 if loaded else 0)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        env.pop("BEAMSIM_FAULT_INJECT", None)
+        res = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
+        )
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert "scipy modules: []" in res.stdout

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 import beamsim.throughput as tp
 from beamsim.errors import ApproximationInvalidError, InfeasibleConfigError
@@ -13,6 +14,16 @@ def make_cfg(k=0.0052632, f_t=0.001, n_b=4, lambda0=1.9, t_f=5e-6):
     return tp.ThroughputConfig(
         t_f=t_f, t_total=2.0 * t_f / f_t, k=k, lambda0=lambda0, n_b=n_b
     )
+
+
+class TestThroughputConfig:
+    @pytest.mark.parametrize("key", ["t_f", "t_total", "k", "lambda0"])
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_non_finite_or_nonpositive(self, key, bad):
+        fields = dict(t_f=5e-6, t_total=1e-3, k=0.005, lambda0=1.9)
+        fields[key] = bad
+        with pytest.raises(ValueError, match=f"^{key} must be finite and > 0"):
+            tp.ThroughputConfig(**fields)
 
 
 class TestTrainingOverhead:
@@ -103,6 +114,22 @@ class TestOptimalBNumeric:
         with pytest.raises(InfeasibleConfigError):
             tp.optimal_b_numeric(make_cfg(f_t=0.1))
 
+    def test_matches_scipy_brentq_on_planner_grid(self):
+        # the in-house Brent root against scipy's over the K x F_t planes of
+        # criterion 8 and the planner sweeps, wider on both axes
+        checked = 0
+        for k in np.logspace(-4, 1, 11):
+            for f_t in np.logspace(-5, -1.5, 11):
+                cfg = make_cfg(k=float(k), f_t=float(f_t))
+                if tp.feasible_region(cfg) is None or tp._stationarity_gap(1.0, cfg) >= 0.0:
+                    continue
+                ref = optimize.brentq(
+                    tp._stationarity_gap, 1.0, (1.0 / cfg.f_t) ** 2, args=(cfg,), rtol=1e-12, maxiter=200
+                )
+                assert tp.optimal_b_numeric(cfg) == pytest.approx(ref, rel=1e-12)
+                checked += 1
+        assert checked >= 100
+
     def test_unimodal_on_grid(self):
         for k in (1e-3, 1e-2, 1e-1):
             for f_t in (1e-4, 1e-3, 1e-2):
@@ -139,6 +166,17 @@ class TestOptimalBClosedForm:
             b_num = tp.optimal_b_numeric(cfg)
             b_cf = tp.optimal_b_closed_form(cfg)
             assert abs(b_cf - b_num) / b_num <= 0.35
+
+    def test_root_below_one_is_invalid(self):
+        # planner point of a 5 m/s velocity sweep at 60 GHz: training no longer
+        # fits, and the quadratic's root is B* ~ 0.84, i.e. no beam grid
+        cfg = tp.ThroughputConfig(
+            t_f=5e-6, t_total=tp.coherence_time(5.0, 60e9), k=0.01 / 1.9, lambda0=1.9, n_b=4
+        )
+        with pytest.raises(InfeasibleConfigError):
+            tp.optimal_b_numeric(cfg)
+        with pytest.raises(ApproximationInvalidError, match="below 1"):
+            tp.optimal_b_closed_form(cfg)
 
     def test_invalid_discriminant(self):
         # F_t sqrt(K) Nb^2 term dominating makes the approximation unusable
