@@ -9,10 +9,17 @@ Subcommands::
     beamsim validate   [--seed N --trials N --criteria 1,2,...]
 
 Configs are flat key-value INI text with one ``[sweep:NAME]`` section per
-sweep (schema documented in the README).  Every run writes RFC-4180 CSV
-files plus a JSON-lines manifest recording the seed, trial count, units,
-version, wall time, and the fully resolved configuration including
-defaults.  CSV bytes depend only on config + seed, never on timing.
+sweep (schema documented in the README).  There is one evaluation path: a
+section becomes a point (``_point_from``, with the swept value substituted
+in a sweep) and ``_evaluate`` computes that point's named cells.  A sweep
+writes one row per value; ``simulate``, ``bounds`` and ``throughput`` are
+one-row evaluations with a fixed column tuple each (``POINT_COMMANDS``).
+A value the library rejects is a config error naming its section.
+
+Every run writes RFC-4180 CSV files plus a JSON-lines manifest recording
+the seed, trial count, units, version, wall time, and the fully resolved
+configuration including defaults.  CSV bytes depend only on config + seed,
+never on timing.
 
 Exit codes: 0 success, 1 numerical failure, 2 config error, 3 infeasible
 throughput configuration.  The ``BEAMSIM_THREADS`` environment variable
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import functools
 import json
@@ -79,11 +87,9 @@ class SectionView:
     def __init__(self, name: str, raw: dict[str, str]):
         self.name = name
         self.raw = dict(raw)
-        self.used: set[str] = set()
 
     def _fetch(self, key: str, default: Any, required: bool) -> str | None:
         if key in self.raw:
-            self.used.add(key)
             return self.raw[key]
         if required:
             raise ConfigError(f"[{self.name}] missing required key '{key}'")
@@ -244,8 +250,17 @@ def _unit_scale(units: str) -> float:
     return 1.0 / LN2 if units == "bits" else 1.0
 
 
+@contextlib.contextmanager
+def _config_errors(section: SectionView):
+    """Report a value the library rejects as a config error of ``section``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"[{section.name}] {exc}") from None
+
+
 class PointSpec:
-    """Fully resolved parameters of one sweep point."""
+    """Fully resolved parameters of one evaluation point."""
 
     def __init__(
         self,
@@ -253,19 +268,23 @@ class PointSpec:
         b: int,
         fading: FadingModel,
         snr_coeff: float,
+        velocity: float | None = None,
         rho_override: float | None = None,
     ):
         if not (math.isfinite(lambda0) and lambda0 > 0.0):
-            raise ConfigError(f"lambda0 must be finite and > 0, got {lambda0}")
+            raise ValueError(f"lambda0 must be finite and > 0, got {lambda0}")
         if b < 1:
-            raise ConfigError(f"b must be >= 1, got {b}")
+            raise ValueError(f"b must be >= 1, got {b}")
         self.lambda0 = lambda0
         self.b = b
         self.fading = fading
+        self.velocity = velocity
         # A direct rho request is honored by rescaling the link coefficient.
-        self.snr_coeff = (
-            rho_override * lambda0 / b if rho_override is not None else snr_coeff
-        )
+        if rho_override is not None:
+            if not (math.isfinite(rho_override) and rho_override > 0.0):
+                raise ValueError(f"rho must be finite and > 0, got {rho_override}")
+            snr_coeff = rho_override * lambda0 / b
+        self.snr_coeff = snr_coeff
 
     @property
     def rho(self) -> float:
@@ -291,84 +310,150 @@ class PointSpec:
         )
 
 
-def _tp_config(section: SectionView, point: PointSpec, velocity: float | None) -> throughput.ThroughputConfig:
+def _point_from(
+    section: SectionView, variable: str | None = None, value: float = math.nan
+) -> PointSpec:
+    """The point ``section`` describes, with the sweep ``variable`` (if any)
+    set to ``value``."""
+    with _config_errors(section):
+        lambda0 = value if variable == "lambda0" else section.get_float("lambda0", required=True)
+        if variable == "b":
+            if not (math.isfinite(value) and value >= 1 and abs(value - round(value)) <= 1e-9):
+                raise ValueError(f"swept beam counts must be positive integers, got {value}")
+            b = int(round(value))
+        elif section.name == "throughput":
+            b = section.get_int("b", 1)  # the planner does not depend on b
+        else:
+            b = section.get_int("b", required=True)
+        fading = _fading_from(section)
+        if variable == "m":
+            fading = FadingModel.nakagami(value)
+        elif variable == "k_db":
+            fading = FadingModel.rician(10.0 ** (value / 10.0))
+        # A swept rho replaces the link coefficient, so it may be left out.
+        if variable == "rho" and not section.has("snr_coeff"):
+            snr_coeff = 1.0
+        else:
+            snr_coeff = _snr_coeff_from(section)
+        velocity = value if variable == "velocity" else section.get_float("velocity")
+        return PointSpec(
+            lambda0, b, fading, snr_coeff, velocity, value if variable == "rho" else None
+        )
+
+
+def _tp_config(section: SectionView, point: PointSpec) -> throughput.ThroughputConfig:
     t_f = section.get_float("t_f", required=True)
     n_b = section.get_int("n_b", 4)
-    if velocity is None and section.has("velocity"):
-        velocity = section.get_float("velocity")
-    if section.has("t_total"):
-        t_total = section.get_float("t_total")
-    elif velocity is not None:
-        carrier = section.get_float("carrier_freq", required=True)
-        model_tag = section.get_str("tc_model", "clarke")
-        t_total = throughput.coherence_time(velocity, carrier, model_tag)
-    else:
-        raise ConfigError(
-            f"[{section.name}] needs 't_total' or 'velocity' (+ carrier_freq) for throughput outputs"
-        )
-    try:
+    with _config_errors(section):
+        if section.has("t_total"):
+            t_total = section.get_float("t_total")
+        elif point.velocity is not None:
+            carrier = section.get_float("carrier_freq", required=True)
+            model_tag = section.get_str("tc_model", "clarke")
+            if model_tag not in throughput.coherence_time_models():
+                raise ConfigError(
+                    f"[{section.name}] unknown tc_model {model_tag!r}; "
+                    f"registered: {', '.join(throughput.coherence_time_models())}"
+                )
+            t_total = throughput.coherence_time(point.velocity, carrier, model_tag)
+        else:
+            raise ConfigError(
+                f"[{section.name}] needs 't_total' or 'velocity' (+ carrier_freq) for throughput outputs"
+            )
         return throughput.ThroughputConfig(
             t_f=t_f, t_total=t_total, k=point.k, lambda0=point.lambda0, n_b=n_b
         )
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {exc}") from None
 
 
-def _evaluate_scalars(
-    tags: Sequence[str],
+TP_CURVE_COLUMNS = ["b", "tp", "tp_raw", "units"]
+
+
+def _tp_rows(cfg: throughput.ThroughputConfig, section: SectionView, run: RunParams) -> list[list[Any]]:
+    """Throughput-curve rows (``TP_CURVE_COLUMNS``) over the section's
+    ``b_values``, none without them; ``tp`` clamps ``tp_raw`` at zero."""
+    scale = _unit_scale(run.units)
+    rows = []
+    for b in section.get_float_list("b_values") or []:
+        if not (math.isfinite(b) and b >= 1.0):
+            raise ConfigError(f"[{section.name}] b_values entries must be finite and >= 1, got {b!r}")
+        raw = throughput.throughput_continuous(b, cfg) * scale
+        rows.append([b, max(raw, 0.0), raw, run.units])
+    return rows
+
+
+def _evaluate(
+    columns: Sequence[str],
     point: PointSpec,
     section: SectionView,
     run: RunParams,
     seed: int,
-    velocity: float | None,
 ) -> dict[str, Any]:
+    """Named cells of one point: its ``lambda0``, ``b``, ``m_eff``, ``rho``
+    and ``units``, plus every cell ``columns`` names.
+
+    ``sim_se`` comes with ``sim_ci95`` and ``trials``; any planner column
+    brings every planner optimum plus ``f_t`` and ``n_b``.  ``tp`` holds the
+    throughput-curve rows of :func:`_tp_rows`.  Planner cells of an
+    infeasible point are None, as are the closed-form cells wherever that
+    approximation does not apply.
+    """
     scale = _unit_scale(run.units)
-    row: dict[str, Any] = {}
-    model = None
-    for tag in tags:
-        if tag == "tp":
+    m_eff = point.fading.effective_nakagami_m()
+    cells: dict[str, Any] = {
+        "lambda0": point.lambda0, "b": point.b, "m_eff": m_eff, "rho": point.rho, "units": run.units,
+    }
+    model = cfg = None
+    for column in columns:
+        if column in cells:
             continue
         try:
-            if tag == "sim_se":
-                try:
+            if column in ("sim_se", "sim_ci95", "trials"):
+                with _config_errors(section):
                     sim = point.sim_config(run.trials, seed, run.units)
-                except ValueError as exc:
-                    raise ConfigError(f"[{section.name}] {exc}") from None
                 est = estimate_se(sim)
-                row["sim_se"] = est.mean
-                row["sim_ci95"] = est.ci95
-            elif tag in ("upper_nakagami", "upper_rayleigh", "lower"):
-                model = model or point.sparse_model()
-                fn = {
+                cells.update(sim_se=est.mean, sim_ci95=est.ci95, trials=est.trials)
+            elif column in ("upper_nakagami", "upper_rayleigh", "lower"):
+                if model is None:
+                    with _config_errors(section):
+                        model = point.sparse_model()
+                # Looked up per call, so wrappers put on the analytic module
+                # (perfbench's tracer) see these calls.
+                bound = {
                     "upper_nakagami": analytic.se_upper_nakagami,
                     "upper_rayleigh": analytic.se_upper_rayleigh,
                     "lower": analytic.se_lower,
-                }[tag]
-                row[tag] = fn(model, point.rho) * scale
-            elif tag == "sparse":
-                row["sparse"] = analytic.se_sparse_approx(point.lambda0, point.rho) * scale
-            elif tag in ("b_star_numeric", "b_star_closed", "hpbw_star"):
-                cfg = _tp_config(section, point, velocity)
-                if tag == "b_star_numeric":
-                    row[tag] = _maybe_infeasible(lambda: throughput.optimal_b_numeric(cfg))
-                elif tag == "b_star_closed":
-                    row[tag] = _maybe_infeasible(lambda: throughput.optimal_b_closed_form(cfg))
+                }[column]
+                cells[column] = bound(model, point.rho) * scale
+            elif column == "sparse":
+                cells[column] = analytic.se_sparse_approx(point.lambda0, point.rho) * scale
+            else:
+                cfg = cfg or _tp_config(section, point)
+                if column == "tp":
+                    cells[column] = _tp_rows(cfg, section, run)
+                elif column == "best_square_b":
+                    cells[column] = _maybe_infeasible(lambda: throughput.best_square_b(cfg))
                 else:
+                    region = throughput.feasible_region(cfg)
                     b_num = _maybe_infeasible(lambda: throughput.optimal_b_numeric(cfg))
                     b_cf = _maybe_infeasible(lambda: throughput.optimal_b_closed_form(cfg))
-                    row["hpbw_star_numeric"] = (
-                        throughput.optimal_hpbw(b_num) if b_num is not None else None
-                    )
-                    row["hpbw_star_closed"] = (
-                        throughput.optimal_hpbw(b_cf) if b_cf is not None else None
+                    cells.update(
+                        f_t=cfg.f_t,
+                        n_b=cfg.n_b,
+                        b_max_feasible=region[1] if region else None,
+                        b_star_numeric=b_num,
+                        b_star_closed=b_cf,
+                        hpbw_star_numeric=None if b_num is None else throughput.optimal_hpbw(b_num),
+                        hpbw_star_closed=None if b_cf is None else throughput.optimal_hpbw(b_cf),
+                        tp_at_optimum=(
+                            None if b_num is None
+                            else throughput.throughput_continuous(b_num, cfg) * scale
+                        ),
                     )
         except (ConfigError, InfeasibleConfigError, NumericalError):
             raise
-        except BeamsimError as exc:
-            raise NumericalError(f"{tag}: {exc}") from exc
-        except ValueError as exc:
-            raise NumericalError(f"{tag}: {exc}") from exc
-    return row
+        except (BeamsimError, ValueError) as exc:
+            raise NumericalError(f"{column}: {exc}") from exc
+    return cells
 
 
 def _maybe_infeasible(fn):
@@ -433,6 +518,28 @@ class Manifest:
 #  Subcommands
 # =====================================================================
 
+# Each point command is a one-row evaluation: its CSV columns (``tp``, the
+# throughput curve, goes to its own file) and its stdout line.
+POINT_COMMANDS = {
+    "simulate": (
+        ("lambda0", "b", "m_eff", "sim_se", "sim_ci95", "trials", "units"),
+        "SE = {sim_se!r} +- {sim_ci95!r} ({units}, {trials} trials)",
+    ),
+    "bounds": (
+        ("lambda0", "b", "m_eff", "rho", "upper_nakagami", "upper_rayleigh", "lower", "sparse", "units"),
+        "bounds written for lambda0={lambda0}, B={b}, rho={rho!r}",
+    ),
+    "throughput": (
+        (
+            "b_star_numeric", "b_star_closed", "hpbw_star_numeric", "hpbw_star_closed",
+            "best_square_b", "b_max_feasible", "tp_at_optimum", "units", "tp",
+        ),
+        "B* numeric = {b_star_numeric!r} (hpbw {hpbw_star_numeric!r} deg), "
+        "closed form = {b_star_closed!r}",
+    ),
+}
+
+
 def _cmd_point(kind: str, args: argparse.Namespace) -> int:
     sections = load_config(args.config)
     run = RunParams(sections, args)
@@ -444,147 +551,38 @@ def _cmd_point(kind: str, args: argparse.Namespace) -> int:
     manifest = Manifest(out_dir)
     t0 = time.monotonic()
 
-    try:
-        point = PointSpec(
-            lambda0=section.get_float("lambda0", required=True),
-            b=section.get_int("b", required=True) if kind != "throughput" else section.get_int("b", 1),
-            fading=_fading_from(section),
-            snr_coeff=_snr_coeff_from(section),
+    columns, line = POINT_COMMANDS[kind]
+    cells = _evaluate(columns, _point_from(section), section, run, run.seed)
+    if "b_max_feasible" in cells and cells["b_max_feasible"] is None:
+        raise InfeasibleConfigError(
+            "no beam count achieves positive throughput "
+            f"(F_t={cells['f_t']!r} with N_b={cells['n_b']})"
         )
-        if kind == "simulate":
-            sim = point.sim_config(run.trials, run.seed, run.units)
-        elif kind == "bounds":
-            model = point.sparse_model()
-    except ValueError as exc:
-        raise ConfigError(f"[{kind}] {exc}") from None
-
-    if kind == "simulate":
-        est = estimate_se(sim)
-        header = ["lambda0", "b", "m_eff", "sim_se", "sim_ci95", "trials", "units"]
-        rows = [[
-            point.lambda0, point.b, point.fading.effective_nakagami_m(),
-            est.mean, est.ci95, est.trials, run.units,
-        ]]
-        csv_path = out_dir / "simulate.csv"
-        print(f"SE = {est.mean!r} +- {est.ci95!r} ({run.units}, {est.trials} trials)")
-    elif kind == "bounds":
-        scale = _unit_scale(run.units)
-        header = [
-            "lambda0", "b", "m_eff", "rho",
-            "upper_nakagami", "upper_rayleigh", "lower", "sparse", "units",
-        ]
-        rows = [[
-            point.lambda0, point.b, model.m, point.rho,
-            analytic.se_upper_nakagami(model, point.rho) * scale,
-            analytic.se_upper_rayleigh(model, point.rho) * scale,
-            analytic.se_lower(model, point.rho) * scale,
-            analytic.se_sparse_approx(point.lambda0, point.rho) * scale,
-            run.units,
-        ]]
-        csv_path = out_dir / "bounds.csv"
-        print(f"bounds written for lambda0={point.lambda0}, B={point.b}, rho={point.rho!r}")
-    else:  # throughput
-        cfg = _tp_config(section, point, None)
-        region = throughput.feasible_region(cfg)
-        if region is None:
-            raise InfeasibleConfigError(
-                "no beam count achieves positive throughput "
-                f"(F_t={cfg.f_t!r} with N_b={cfg.n_b})"
-            )
-        scale = _unit_scale(run.units)
-        b_num = throughput.optimal_b_numeric(cfg)
-        try:
-            b_cf = throughput.optimal_b_closed_form(cfg)
-        except BeamsimError:
-            b_cf = None
-        header = [
-            "b_star_numeric", "b_star_closed", "hpbw_star_numeric", "hpbw_star_closed",
-            "best_square_b", "b_max_feasible", "tp_at_optimum", "units",
-        ]
-        rows = [[
-            b_num, b_cf,
-            throughput.optimal_hpbw(b_num),
-            throughput.optimal_hpbw(b_cf) if b_cf is not None else None,
-            throughput.best_square_b(cfg),
-            region[1],
-            throughput.throughput_continuous(b_num, cfg) * scale,
-            run.units,
-        ]]
-        csv_path = out_dir / "throughput.csv"
-        b_values = section.get_float_list("b_values")
-        if b_values:
-            curve_rows = []
-            for b in b_values:
-                raw = throughput.throughput_continuous(float(b), cfg) * scale
-                curve_rows.append([b, max(raw, 0.0), raw, run.units])
-            _write_csv(out_dir / "throughput_curve.csv", ["b", "tp", "tp_raw", "units"], curve_rows)
-            manifest.record(
-                kind="throughput_curve", csv="throughput_curve.csv",
-                seed=run.seed, trials=run.trials, units=run.units,
-                config_resolved=section.resolved(run.defaults_dict()),
-                wall_time_s=round(time.monotonic() - t0, 6),
-            )
-        print(
-            f"B* numeric = {b_num!r} (hpbw {throughput.optimal_hpbw(b_num)!r} deg), "
-            f"closed form = {b_cf!r}"
+    provenance = dict(
+        seed=run.seed, trials=run.trials, units=run.units,
+        config_resolved=section.resolved(run.defaults_dict()),
+    )
+    if cells.get("tp"):
+        _write_csv(out_dir / "throughput_curve.csv", TP_CURVE_COLUMNS, cells["tp"])
+        manifest.record(
+            kind="throughput_curve", csv="throughput_curve.csv", **provenance,
+            wall_time_s=round(time.monotonic() - t0, 6),
         )
-
-    _write_csv(csv_path, header, rows)
-    stream = {"stream": STREAM_VERSION} if kind == "simulate" else {}
+    header = [c for c in columns if c != "tp"]
+    _write_csv(out_dir / f"{kind}.csv", header, [[cells[c] for c in header]])
+    print(line.format(**cells))
+    stream = {"stream": STREAM_VERSION} if "sim_se" in cells else {}
     manifest.record(
-        kind=kind, csv=csv_path.name, seed=run.seed, trials=run.trials,
-        units=run.units, config_resolved=section.resolved(run.defaults_dict()),
+        kind=kind, csv=f"{kind}.csv", **provenance,
         wall_time_s=round(time.monotonic() - t0, 6), **stream,
     )
     return 0
 
 
-def _apply_sweep_variable(
-    variable: str, value: float, section: SectionView
-) -> tuple[PointSpec, float | None]:
-    """Point parameters with the swept variable substituted in."""
-    velocity = section.get_float("velocity") if section.has("velocity") else None
-    lambda0 = section.get_float("lambda0", required=(variable != "lambda0"))
-    b = section.get_int("b", required=(variable != "b")) if variable != "b" else None
-    fading = _fading_from(section)
-    snr_coeff = (
-        _snr_coeff_from(section)
-        if variable != "rho" or section.has("snr_coeff")
-        else 1.0
-    )
-    rho_override = None
-    if variable == "lambda0":
-        lambda0 = value
-    elif variable == "b":
-        if abs(value - round(value)) > 1e-9 or value < 1:
-            raise ConfigError(f"swept beam counts must be positive integers, got {value}")
-        b = int(round(value))
-    elif variable == "m":
-        fading = FadingModel.nakagami(value)
-    elif variable == "k_db":
-        fading = FadingModel.rician(10.0 ** (value / 10.0))
-    elif variable == "velocity":
-        velocity = value
-    elif variable == "rho":
-        rho_override = value
-    point = PointSpec(
-        lambda0=lambda0, b=b, fading=fading, snr_coeff=snr_coeff, rho_override=rho_override
-    )
-    return point, velocity
-
-
-def _scalar_columns(tags: Sequence[str]) -> list[str]:
-    cols: list[str] = []
-    for tag in tags:
-        if tag == "tp":
-            continue
-        if tag == "sim_se":
-            cols += ["sim_se", "sim_ci95"]
-        elif tag == "hpbw_star":
-            cols += ["hpbw_star_numeric", "hpbw_star_closed"]
-        else:
-            cols.append(tag)
-    return cols
+def _columns(tags: Sequence[str]) -> list[str]:
+    """The cells a sweep's output tags ask for, in CSV order, then units."""
+    expand = {"sim_se": ["sim_se", "sim_ci95"], "hpbw_star": ["hpbw_star_numeric", "hpbw_star_closed"]}
+    return [col for tag in tags for col in expand.get(tag, [tag])] + ["units"]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -607,35 +605,26 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             )
         values = _sweep_values(section)
         tags = _outputs_from(section)
+        if "tp" in tags and not section.has("b_values"):
+            raise ConfigError(f"[{name}] 'tp' output needs a 'b_values' list")
         stem = name.split(":", 1)[1] or "sweep"
 
-        scalar_cols = _scalar_columns(tags)
+        columns = _columns(tags)
+        header = [variable] + [c for c in columns if c != "tp"]
         rows = []
         tp_rows = []
         for idx, value in enumerate(values):
-            try:
-                point, velocity = _apply_sweep_variable(variable, value, section)
-            except ValueError as exc:
-                raise ConfigError(f"[{name}] {exc}") from None
             seed_point = child_seed(run.seed, zlib.crc32(stem.encode()), idx)
-            row_map = _evaluate_scalars(tags, point, section, run, seed_point, velocity)
-            rows.append([value] + [row_map.get(c) for c in scalar_cols] + [run.units])
-            if "tp" in tags:
-                cfg = _tp_config(section, point, velocity)
-                b_values = section.get_float_list("b_values")
-                if not b_values:
-                    raise ConfigError(f"[{name}] 'tp' output needs a 'b_values' list")
-                scale = _unit_scale(run.units)
-                for b in b_values:
-                    raw = throughput.throughput_continuous(float(b), cfg) * scale
-                    tp_rows.append([value, b, max(raw, 0.0), raw, run.units])
+            cells = _evaluate(columns, _point_from(section, variable, value), section, run, seed_point)
+            rows.append([value] + [cells[c] for c in header[1:]])
+            tp_rows += [[value, *row] for row in cells.get("tp", [])]
 
         csv_path = out_dir / f"{stem}.csv"
-        _write_csv(csv_path, [variable] + scalar_cols + ["units"], rows)
+        _write_csv(csv_path, header, rows)
         written = [csv_path.name]
         if tp_rows:
             tp_path = out_dir / f"{stem}_tp.csv"
-            _write_csv(tp_path, [variable, "b", "tp", "tp_raw", "units"], tp_rows)
+            _write_csv(tp_path, [variable] + TP_CURVE_COLUMNS, tp_rows)
             written.append(tp_path.name)
         manifest.record(
             kind="sweep", name=stem, variable=variable, csv=written,

@@ -16,6 +16,7 @@ moderate B*K but degrades badly when B*K is large.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,6 +26,8 @@ from .errors import ApproximationInvalidError, InfeasibleConfigError, NumericalE
 from .specfun import brent_root
 
 SPEED_OF_LIGHT = 299_792_458.0
+# Largest 1/F_t whose square, the planner's upper bracket, is a finite float.
+_MAX_INV_F_T = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,12 @@ class ThroughputConfig:
                 raise ValueError(f"{key} must be finite and > 0, got {value!r}")
         if self.n_b < 1:
             raise ValueError(f"n_b must be >= 1, got {self.n_b!r}")
+        # The planner searches B on [1, (1/F_t)^2]; that bracket must be finite.
+        if not (self.f_t > 0.0 and 1.0 / self.f_t < _MAX_INV_F_T):
+            raise ValueError(
+                f"t_total must be < {2.0 * _MAX_INV_F_T:.4g} * t_f so that the planner "
+                f"bracket (1/F_t)^2 is finite, got t_total={self.t_total!r}, t_f={self.t_f!r}"
+            )
 
     @property
     def f_t(self) -> float:
@@ -217,10 +226,10 @@ def coherence_time(velocity: float, carrier_freq: float, model_tag: str = "clark
     outdoor beam-level channel dynamics are not settled, so alternative
     models can be registered and selected by tag.
     """
-    if not velocity > 0.0:
-        raise ValueError(f"velocity must be > 0, got {velocity!r}")
-    if not carrier_freq > 0.0:
-        raise ValueError(f"carrier_freq must be > 0, got {carrier_freq!r}")
+    if not (math.isfinite(velocity) and velocity > 0.0):
+        raise ValueError(f"velocity must be finite and > 0, got {velocity!r}")
+    if not (math.isfinite(carrier_freq) and carrier_freq > 0.0):
+        raise ValueError(f"carrier_freq must be finite and > 0, got {carrier_freq!r}")
     try:
         model = _COHERENCE_MODELS[model_tag]
     except KeyError:

@@ -231,6 +231,51 @@ class TestSubcommands:
             assert "seed" in entry["config_resolved"]
 
 
+class TestOnePath:
+    """A point command is a one-row evaluation of the sweep's cells."""
+
+    @staticmethod
+    def _one_value_sweep(tmp_path, kind, outputs, extra=""):
+        keys = BASE_CONFIG.partition(f"[{kind}]")[2].split("\n[", 1)[0].replace("lambda0 = 1.9\n", "")
+        cfg = tmp_path / "one.ini"
+        cfg.write_text(
+            BASE_CONFIG.replace("[sweep:", "[unused:")
+            + f"[sweep:one]\nvariable = lambda0\nvalues = 1.9\n{keys}{extra}outputs = {outputs}\n"
+        )
+        out = tmp_path / "sweep"
+        res = run_cli("sweep", "--config", str(cfg), "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        header, row = read_csv(out / "one.csv")
+        return dict(zip(header, row)), out
+
+    @staticmethod
+    def _point(config_path, tmp_path, kind):
+        out = tmp_path / kind
+        res = run_cli(kind, "--config", str(config_path), "--out-dir", str(out))
+        assert res.returncode == 0, res.stderr
+        header, row = read_csv(out / f"{kind}.csv")
+        return dict(zip(header, row)), out
+
+    def test_bounds_point_is_a_one_value_sweep(self, config_path, tmp_path):
+        point, _ = self._point(config_path, tmp_path, "bounds")
+        swept, _ = self._one_value_sweep(
+            tmp_path, "bounds", "upper_nakagami, upper_rayleigh, lower, sparse"
+        )
+        for col in ("upper_nakagami", "upper_rayleigh", "lower", "sparse", "units"):
+            assert point[col] == swept[col], col
+
+    def test_throughput_point_is_a_one_value_sweep(self, config_path, tmp_path):
+        point, point_out = self._point(config_path, tmp_path, "throughput")
+        swept, sweep_out = self._one_value_sweep(
+            tmp_path, "throughput", "b_star_numeric, b_star_closed, hpbw_star, tp", extra="b = 1\n"
+        )
+        for col in ("b_star_numeric", "b_star_closed", "hpbw_star_numeric", "hpbw_star_closed", "units"):
+            assert point[col] == swept[col], col
+        curve = read_csv(point_out / "throughput_curve.csv")
+        swept_curve = read_csv(sweep_out / "one_tp.csv")
+        assert [row[1:] for row in swept_curve] == [["b", "tp", "tp_raw", "units"]] + curve[1:]
+
+
 class TestDeterminism:
     def test_sweep_csv_bytes(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -289,12 +334,24 @@ class TestExitCodes:
             ("bounds", "lambda0 = 1.9", "lambda0 = 1e308"),
             ("simulate", "snr_coeff = 0.01", DERIVED_LINK.format(d="0")),
             ("simulate", "snr_coeff = 0.01", DERIVED_LINK.format(d="1e-200")),
+            ("bounds", "lambda0 = 1.9", "lambda0 = 0"),
+            ("bounds", "b = 121", "b = 0"),
             ("throughput", "t_total = 0.01", "t_total = inf"),
             ("throughput", "t_f = 5e-6", "t_f = inf"),
+            ("throughput", "t_total = 0.01", "t_total = 1e308"),
+            # t_total takes precedence over velocity, so these replace it
+            ("throughput", "t_total = 0.01", "velocity = -1\ncarrier_freq = 60e9"),
+            ("throughput", "t_total = 0.01", "velocity = inf\ncarrier_freq = 60e9"),
+            ("throughput", "t_total = 0.01", "carrier_freq = nan\nvelocity = 1"),
+            ("throughput", "t_total = 0.01", "tc_model = bogus\nvelocity = 1\ncarrier_freq = 60e9"),
+            ("throughput", "b_values = 16, 121, 400", "b_values = 16, 0.5"),
+            ("throughput", "b_values = 16, 121, 400", "b_values = nan"),
         ],
         ids=[
             "snr_coeff_inf", "k_db_nan", "m_below_half", "lambda0_huge", "bounds_lambda0_huge",
-            "distance_d_zero", "distance_d_tiny", "t_total_inf", "t_f_inf",
+            "distance_d_zero", "distance_d_tiny", "bounds_lambda0_zero", "bounds_b_zero",
+            "t_total_inf", "t_f_inf", "t_total_huge", "velocity_negative", "velocity_inf",
+            "carrier_freq_nan", "tc_model_unknown", "b_values_below_one", "b_values_nan",
         ],
     )
     def test_bad_point_value_is_2(self, tmp_path, kind, old, new):
@@ -309,22 +366,37 @@ class TestExitCodes:
         if new.startswith("intercept_c"):
             for key in ("intercept_c", "distance_d", "alpha", "noise_power"):
                 assert f"{key} = " in res.stderr, res.stderr
-        if kind == "throughput":
+        if kind == "throughput" or new.startswith(("lambda0 = 0", "b = 0")):
             assert new.split(" = ")[0] in res.stderr, res.stderr
-        assert not (out / f"{kind}.csv").exists()
+        assert not list(out.glob("*.csv"))
         assert not (out / "run_manifest.jsonl").exists()
 
-    def test_bad_swept_value_is_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "body, key",
+        [
+            ("variable = m\nvalues = 0.3, 1.0\nlambda0 = 1.9\nb = 121\nsnr_coeff = 0.01\n"
+             "outputs = sim_se\n", "Nakagami shape"),
+            ("variable = lambda0\nvalues = 1.9, 1e308\nb = 121\nsnr_coeff = 0.01\n"
+             "outputs = lower\n", "occupancy probability"),
+            ("variable = rho\nvalues = 1, inf\nlambda0 = 1.9\nb = 121\n"
+             "outputs = lower, upper_nakagami, sparse\n", "rho"),
+            ("variable = rho\nvalues = -1, 1\nlambda0 = 1.9\nb = 121\noutputs = lower\n", "rho"),
+            ("variable = velocity\nvalues = 1, 2\nlambda0 = 1.9\nb = 121\nsnr_coeff = 0.01\n"
+             "t_f = 5e-6\ncarrier_freq = 60e9\nb_values = 16, 0.5\noutputs = tp\n", "b_values"),
+        ],
+        ids=["m_below_half", "lambda0_huge", "rho_inf", "rho_negative", "b_values_below_one"],
+    )
+    def test_bad_swept_value_is_2(self, tmp_path, body, key):
         cfg = tmp_path / "bad.ini"
-        cfg.write_text(
-            "[run]\nschema_version = 1\n"
-            "[sweep:x]\nvariable = m\nvalues = 0.3, 1.0\nlambda0 = 1.9\nb = 121\n"
-            "snr_coeff = 0.01\noutputs = sim_se\n"
-        )
-        res = run_cli("sweep", "--config", str(cfg), "--out-dir", str(tmp_path))
+        cfg.write_text("[run]\nschema_version = 1\n[sweep:x]\n" + body)
+        out = tmp_path / "out"
+        res = run_cli("sweep", "--config", str(cfg), "--out-dir", str(out))
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("config error: [sweep:x] ")
+        assert key in res.stderr, res.stderr
         assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert not list(out.glob("*.csv"))
+        assert not (out / "run_manifest.jsonl").exists()
 
     def test_infeasible_is_3(self, tmp_path):
         cfg = tmp_path / "infeasible.ini"

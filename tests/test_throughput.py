@@ -25,6 +25,18 @@ class TestThroughputConfig:
         with pytest.raises(ValueError, match=f"^{key} must be finite and > 0"):
             tp.ThroughputConfig(**fields)
 
+    @pytest.mark.parametrize("t_f, t_total", [(5e-6, 1e308), (5e-6, 1e150), (1e-320, 1e300)])
+    def test_rejects_planner_bracket_overflow(self, t_f, t_total):
+        # 1/F_t = t_total / (2 t_f) squared is the planner's upper bracket;
+        # past sqrt(float max) it overflows (or F_t underflows to zero)
+        with pytest.raises(ValueError, match="^t_total must be <"):
+            tp.ThroughputConfig(t_f=t_f, t_total=t_total, k=0.005, lambda0=1.9)
+
+    def test_largest_bracket_still_plans(self):
+        cfg = tp.ThroughputConfig(t_f=5e-6, t_total=1e148, k=0.005, lambda0=1.9)
+        b_star = tp.optimal_b_numeric(cfg)
+        assert 1.0 < b_star < (1.0 / cfg.f_t) ** 2
+
 
 class TestTrainingOverhead:
     def test_reference_value(self):
@@ -215,10 +227,11 @@ class TestCoherenceTime:
             tp.coherence_time(1.0, 60e9, "absent-model")
 
     def test_domain(self):
-        with pytest.raises(ValueError):
-            tp.coherence_time(0.0, 60e9)
-        with pytest.raises(ValueError):
-            tp.coherence_time(1.0, -1.0)
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="^velocity must be finite and > 0"):
+                tp.coherence_time(bad, 60e9)
+            with pytest.raises(ValueError, match="^carrier_freq must be finite and > 0"):
+                tp.coherence_time(1.0, bad)
 
 
 class TestBestSquare:
