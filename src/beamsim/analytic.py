@@ -53,15 +53,15 @@ class SparseModel:
             raise ValueError(f"occupancy probability must be in (0,1), got {self.p!r}")
         if self.b < 1:
             raise ValueError(f"pair count must be >= 1, got {self.b!r}")
-        if self.m < 0.5:
-            raise ValueError(f"Nakagami shape must be >= 0.5, got {self.m!r}")
-        if not self.lambda0 > 0.0:
-            raise ValueError(f"lambda0 must be > 0, got {self.lambda0!r}")
+        if not (math.isfinite(self.m) and self.m >= 0.5):
+            raise ValueError(f"Nakagami shape must be finite and >= 0.5, got {self.m!r}")
+        if not (math.isfinite(self.lambda0) and self.lambda0 > 0.0):
+            raise ValueError(f"lambda0 must be finite and > 0, got {self.lambda0!r}")
 
     @classmethod
     def from_occupancy(cls, lambda0: float, b: int, m: float) -> "SparseModel":
-        if not lambda0 > 0.0:
-            raise ValueError(f"lambda0 must be > 0, got {lambda0!r}")
+        if not (math.isfinite(lambda0) and lambda0 > 0.0):
+            raise ValueError(f"lambda0 must be finite and > 0, got {lambda0!r}")
         if b < 1:
             raise ValueError(f"pair count must be >= 1, got {b!r}")
         return cls(p=bernoulli_p(lambda0, b), b=int(b), m=float(m), lambda0=float(lambda0))

@@ -52,6 +52,7 @@ class FadingModel:
                 raise ValueError(
                     f"Rician K factor must be finite and >= 0, got {self.parameter!r}"
                 )
+            rician_k_to_nakagami_m(self.parameter)  # the analytic bounds need it finite
 
     @classmethod
     def nakagami(cls, m: float) -> "FadingModel":
@@ -160,7 +161,12 @@ def rician_k_to_nakagami_m(k_linear: float) -> float:
     """Moment-matched Nakagami shape for a Rician factor K: (K+1)^2/(2K+1)."""
     if k_linear < 0.0:
         raise ValueError(f"K must be >= 0, got {k_linear!r}")
-    return (k_linear + 1.0) ** 2 / (2.0 * k_linear + 1.0)
+    try:
+        return (k_linear + 1.0) ** 2 / (2.0 * k_linear + 1.0)
+    except OverflowError:
+        raise ValueError(
+            f"Rician K factor {k_linear!r} is too large: its moment-matched Nakagami shape overflows"
+        ) from None
 
 
 def sample_path_powers(model: FadingModel, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -17,9 +17,10 @@ one-row evaluations with a fixed column tuple each (``POINT_COMMANDS``).
 A value the library rejects is a config error naming its section.
 
 Every run writes RFC-4180 CSV files plus a JSON-lines manifest recording
-the seed, trial count, units, version, wall time, and the fully resolved
-configuration including defaults.  CSV bytes depend only on config + seed,
-never on timing.
+the seed, trial count, units, version, wall time, the fully resolved
+configuration including defaults, and the Python and numpy versions and
+worker and OpenBLAS thread settings the run had.  CSV bytes depend only on
+config + seed, never on timing.
 
 Exit codes: 0 success, 1 numerical failure, 2 config error, 3 infeasible
 throughput configuration.  The ``BEAMSIM_THREADS`` environment variable
@@ -35,7 +36,7 @@ import csv
 import functools
 import json
 import math
-import subprocess
+import os
 import sys
 import time
 import zlib
@@ -46,7 +47,7 @@ import numpy as np
 
 import beamsim.throughput as throughput
 
-from . import __version__, analytic, validation
+from . import _BLAS_THREAD_VARS, __version__, analytic, validation
 from .analytic import SparseModel
 from .beam import BeamGrid
 from .channel import FadingModel, LinkBudget
@@ -57,7 +58,7 @@ from .errors import (
     InfeasibleConfigError,
     NumericalError,
 )
-from .montecarlo import STREAM_VERSION, SimConfig, estimate_se
+from .montecarlo import STREAM_VERSION, THREADS_ENV_VAR, SimConfig, estimate_se
 from .rng import child_seed
 
 SCHEMA_VERSION = 1
@@ -177,15 +178,30 @@ class RunParams:
         return {"seed": self.seed, "trials": self.trials, "units": self.units}
 
 
+def _fading_for(section: SectionView, key: str, value: float) -> FadingModel:
+    """The fading model that ``key`` (``m``, or ``k_db`` in dB) = ``value``
+    sets; a value the model rejects is a config error naming the key."""
+    try:
+        if key == "m":
+            return FadingModel.nakagami(value)
+        try:
+            k_linear = 10.0 ** (value / 10.0)
+        except OverflowError:
+            k_linear = math.inf
+        return FadingModel.rician(k_linear)
+    except ValueError as exc:
+        raise ConfigError(f"[{section.name}] {key} = {value!r}: {exc}") from None
+
+
 def _fading_from(section: SectionView) -> FadingModel:
     has_m = section.has("m")
     has_k = section.has("k_db")
     if has_m and has_k:
         raise ConfigError(f"[{section.name}] give either 'm' or 'k_db', not both")
     if has_m:
-        return FadingModel.nakagami(section.get_float("m"))
+        return _fading_for(section, "m", section.get_float("m"))
     if has_k:
-        return FadingModel.rician(10.0 ** (section.get_float("k_db") / 10.0))
+        return _fading_for(section, "k_db", section.get_float("k_db"))
     return FadingModel.rayleigh()
 
 
@@ -326,10 +342,8 @@ def _point_from(
         else:
             b = section.get_int("b", required=True)
         fading = _fading_from(section)
-        if variable == "m":
-            fading = FadingModel.nakagami(value)
-        elif variable == "k_db":
-            fading = FadingModel.rician(10.0 ** (value / 10.0))
+        if variable in ("m", "k_db"):
+            fading = _fading_for(section, variable, value)
         # A swept rho replaces the link coefficient, so it may be left out.
         if variable == "rho" and not section.has("snr_coeff"):
             snr_coeff = 1.0
@@ -368,14 +382,21 @@ def _tp_config(section: SectionView, point: PointSpec) -> throughput.ThroughputC
 TP_CURVE_COLUMNS = ["b", "tp", "tp_raw", "units"]
 
 
+def _b_values(section: SectionView) -> list[float]:
+    """The section's ``b_values`` grid, empty without one."""
+    b_values = section.get_float_list("b_values") or []
+    for b in b_values:
+        if not (math.isfinite(b) and b >= 1.0):
+            raise ConfigError(f"[{section.name}] b_values entries must be finite and >= 1, got {b!r}")
+    return b_values
+
+
 def _tp_rows(cfg: throughput.ThroughputConfig, section: SectionView, run: RunParams) -> list[list[Any]]:
     """Throughput-curve rows (``TP_CURVE_COLUMNS``) over the section's
     ``b_values``, none without them; ``tp`` clamps ``tp_raw`` at zero."""
     scale = _unit_scale(run.units)
     rows = []
-    for b in section.get_float_list("b_values") or []:
-        if not (math.isfinite(b) and b >= 1.0):
-            raise ConfigError(f"[{section.name}] b_values entries must be finite and >= 1, got {b!r}")
+    for b in _b_values(section):
         raw = throughput.throughput_continuous(b, cfg) * scale
         rows.append([b, max(raw, 0.0), raw, run.units])
     return rows
@@ -486,6 +507,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
 
 @functools.cache
 def _version_string() -> str:
+    import subprocess  # only manifests need it; importing it costs every process
+
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty", "--tags"],
@@ -501,6 +524,20 @@ def _version_string() -> str:
     return f"beamsim-{__version__}"
 
 
+def _runtime() -> dict[str, Any]:
+    """What a run's speed depends on beyond its config: the interpreter and
+    numpy versions, the worker-count variable and the OpenBLAS thread count,
+    i.e. the first variable OpenBLAS reads that is set (None: one per core)."""
+    return {
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        THREADS_ENV_VAR: os.environ.get(THREADS_ENV_VAR),
+        "OPENBLAS_NUM_THREADS": next(
+            (os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ), None
+        ),
+    }
+
+
 class Manifest:
     """JSON-lines run log; the file is created by the first entry, so a run
     rejected before it records anything leaves no manifest behind."""
@@ -509,7 +546,7 @@ class Manifest:
         self.path = out_dir / "run_manifest.jsonl"
 
     def record(self, **fields: Any) -> None:
-        entry = {"version": _version_string(), **fields}
+        entry = {"version": _version_string(), **_runtime(), **fields}
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
@@ -585,37 +622,46 @@ def _columns(tags: Sequence[str]) -> list[str]:
     return [col for tag in tags for col in expand.get(tag, [tag])] + ["units"]
 
 
+def _sweep_plan(section: SectionView) -> tuple[str, list[str], list[tuple[float, PointSpec]]]:
+    """A sweep section's variable, cell columns and (value, point) pairs,
+    after every check that needs no evaluation."""
+    variable = section.get_str("variable", required=True)
+    if variable not in SWEEP_VARIABLES:
+        raise ConfigError(
+            f"[{section.name}] unknown sweep variable {variable!r}; known: {', '.join(SWEEP_VARIABLES)}"
+        )
+    values = _sweep_values(section)
+    tags = _outputs_from(section)
+    if "tp" in tags:
+        if not section.has("b_values"):
+            raise ConfigError(f"[{section.name}] 'tp' output needs a 'b_values' list")
+        _b_values(section)
+    return variable, _columns(tags), [(value, _point_from(section, variable, value)) for value in values]
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     sections = load_config(args.config)
     run = RunParams(sections, args)
     sweep_names = [name for name in sections if name.startswith("sweep:")]
     if not sweep_names:
         raise ConfigError("config contains no [sweep:NAME] sections")
+    # Every section is checked before any is evaluated, so a bad later
+    # section leaves no output of the earlier ones behind.
+    plans = {name: _sweep_plan(sections[name]) for name in sweep_names}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(out_dir)
 
-    for name in sweep_names:
+    for name, (variable, columns, points) in plans.items():
         section = sections[name]
         t0 = time.monotonic()
-        variable = section.get_str("variable", required=True)
-        if variable not in SWEEP_VARIABLES:
-            raise ConfigError(
-                f"[{name}] unknown sweep variable {variable!r}; known: {', '.join(SWEEP_VARIABLES)}"
-            )
-        values = _sweep_values(section)
-        tags = _outputs_from(section)
-        if "tp" in tags and not section.has("b_values"):
-            raise ConfigError(f"[{name}] 'tp' output needs a 'b_values' list")
         stem = name.split(":", 1)[1] or "sweep"
-
-        columns = _columns(tags)
         header = [variable] + [c for c in columns if c != "tp"]
         rows = []
         tp_rows = []
-        for idx, value in enumerate(values):
+        for idx, (value, point) in enumerate(points):
             seed_point = child_seed(run.seed, zlib.crc32(stem.encode()), idx)
-            cells = _evaluate(columns, _point_from(section, variable, value), section, run, seed_point)
+            cells = _evaluate(columns, point, section, run, seed_point)
             rows.append([value] + [cells[c] for c in header[1:]])
             tp_rows += [[value, *row] for row in cells.get("tp", [])]
 
@@ -632,7 +678,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             config_resolved=section.resolved(run.defaults_dict()),
             wall_time_s=round(time.monotonic() - t0, 6),
         )
-        print(f"sweep '{stem}': {len(values)} points -> {', '.join(written)}")
+        print(f"sweep '{stem}': {len(points)} points -> {', '.join(written)}")
     return 0
 
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,6 +208,10 @@ def _trial_maxima(
 def _map_chunks(fn, n_chunks: int, workers: int) -> list:
     if workers <= 1 or n_chunks <= 1:
         return [fn(i) for i in range(n_chunks)]
+    # Imported here, not at the top: with the logging it pulls in it costs
+    # several ms of import that a single-worker process would pay for nothing.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, range(n_chunks)))
 

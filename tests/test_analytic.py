@@ -50,6 +50,23 @@ class TestBernoulliP:
             bernoulli_p(1.0, 0)
 
 
+class TestSparseModelDomain:
+    @pytest.mark.parametrize(
+        "build, match",
+        [
+            (lambda: SparseModel.from_occupancy(1.9, 121, math.inf), "Nakagami shape"),
+            (lambda: SparseModel.from_occupancy(1.9, 121, math.nan), "Nakagami shape"),
+            (lambda: SparseModel.from_p(0.1, 9, math.inf), "Nakagami shape"),
+            (lambda: SparseModel.from_occupancy(math.inf, 121, 1.0), "lambda0"),
+            (lambda: SparseModel(p=0.1, b=9, m=1.0, lambda0=math.inf), "lambda0"),
+        ],
+        ids=["m_inf", "m_nan", "from_p_m_inf", "lambda0_inf", "direct_lambda0_inf"],
+    )
+    def test_rejects_non_finite(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
+
 class TestSnrScale:
     def test_reference_point(self):
         link = LinkBudget(intercept_c=0.01, distance_d=1.0, alpha=2.0, noise_power=1.0, lambda0=1.9)

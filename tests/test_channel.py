@@ -137,6 +137,10 @@ class TestRicianMapping:
     def test_domain(self):
         with pytest.raises(ValueError):
             rician_k_to_nakagami_m(-0.1)
+        # (K+1)^2 overflows past K ~ 1.3e154: a ValueError, at construction too
+        for fn in (rician_k_to_nakagami_m, FadingModel.rician):
+            with pytest.raises(ValueError, match="too large"):
+                fn(1e200)
 
 
 class TestRealizeChannel:

@@ -227,6 +227,10 @@ class TestSubcommands:
             assert entry["units"] == "nats"
             assert "version" in entry and "wall_time_s" in entry
             assert entry["stream"] == 2
+            assert entry["python"] == sys.version.split()[0]
+            assert "numpy" in entry and "BEAMSIM_THREADS" in entry
+            # set by the package import unless the environment sets a count
+            assert entry["OPENBLAS_NUM_THREADS"] is not None
             # defaults the user did not set are recorded
             assert "seed" in entry["config_resolved"]
 
@@ -330,6 +334,9 @@ class TestExitCodes:
             ("simulate", "snr_coeff = 0.01", "snr_coeff = inf"),
             ("simulate", "m = 3.2", "k_db = nan"),
             ("simulate", "m = 3.2", "m = 0.3"),
+            ("bounds", "m = 3.2", "m = inf"),
+            ("bounds", "m = 3.2", "k_db = 1e308"),
+            ("bounds", "m = 3.2", "k_db = 2000"),
             ("simulate", "lambda0 = 1.9", "lambda0 = 1e308"),
             ("bounds", "lambda0 = 1.9", "lambda0 = 1e308"),
             ("simulate", "snr_coeff = 0.01", DERIVED_LINK.format(d="0")),
@@ -348,7 +355,8 @@ class TestExitCodes:
             ("throughput", "b_values = 16, 121, 400", "b_values = nan"),
         ],
         ids=[
-            "snr_coeff_inf", "k_db_nan", "m_below_half", "lambda0_huge", "bounds_lambda0_huge",
+            "snr_coeff_inf", "k_db_nan", "m_below_half", "bounds_m_inf", "bounds_k_db_overflow",
+            "bounds_k_db_shape_overflow", "lambda0_huge", "bounds_lambda0_huge",
             "distance_d_zero", "distance_d_tiny", "bounds_lambda0_zero", "bounds_b_zero",
             "t_total_inf", "t_f_inf", "t_total_huge", "velocity_negative", "velocity_inf",
             "carrier_freq_nan", "tc_model_unknown", "b_values_below_one", "b_values_nan",
@@ -366,7 +374,7 @@ class TestExitCodes:
         if new.startswith("intercept_c"):
             for key in ("intercept_c", "distance_d", "alpha", "noise_power"):
                 assert f"{key} = " in res.stderr, res.stderr
-        if kind == "throughput" or new.startswith(("lambda0 = 0", "b = 0")):
+        if kind == "throughput" or new.startswith(("lambda0 = 0", "b = 0", "m = ", "k_db = ")):
             assert new.split(" = ")[0] in res.stderr, res.stderr
         assert not list(out.glob("*.csv"))
         assert not (out / "run_manifest.jsonl").exists()
@@ -375,7 +383,9 @@ class TestExitCodes:
         "body, key",
         [
             ("variable = m\nvalues = 0.3, 1.0\nlambda0 = 1.9\nb = 121\nsnr_coeff = 0.01\n"
-             "outputs = sim_se\n", "Nakagami shape"),
+             "outputs = sim_se\n", "m = 0.3: Nakagami shape"),
+            ("variable = k_db\nvalues = 1, 1e308\nlambda0 = 1.9\nb = 121\nsnr_coeff = 0.01\n"
+             "outputs = lower\n", "k_db = 1e+308"),
             ("variable = lambda0\nvalues = 1.9, 1e308\nb = 121\nsnr_coeff = 0.01\n"
              "outputs = lower\n", "occupancy probability"),
             ("variable = rho\nvalues = 1, inf\nlambda0 = 1.9\nb = 121\n"
@@ -384,7 +394,8 @@ class TestExitCodes:
             ("variable = velocity\nvalues = 1, 2\nlambda0 = 1.9\nb = 121\nsnr_coeff = 0.01\n"
              "t_f = 5e-6\ncarrier_freq = 60e9\nb_values = 16, 0.5\noutputs = tp\n", "b_values"),
         ],
-        ids=["m_below_half", "lambda0_huge", "rho_inf", "rho_negative", "b_values_below_one"],
+        ids=["m_below_half", "k_db_overflow", "lambda0_huge", "rho_inf", "rho_negative",
+             "b_values_below_one"],
     )
     def test_bad_swept_value_is_2(self, tmp_path, body, key):
         cfg = tmp_path / "bad.ini"
@@ -395,6 +406,22 @@ class TestExitCodes:
         assert res.stderr.startswith("config error: [sweep:x] ")
         assert key in res.stderr, res.stderr
         assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert not list(out.glob("*.csv"))
+        assert not (out / "run_manifest.jsonl").exists()
+
+    def test_bad_later_section_leaves_no_output(self, tmp_path):
+        # every section is checked before the first one writes
+        cfg = tmp_path / "two.ini"
+        cfg.write_text(
+            "[run]\nschema_version = 1\n"
+            "[sweep:a]\nvariable = lambda0\nvalues = 1.0, 1.9\nb = 121\nm = 3.2\n"
+            "snr_coeff = 0.01\noutputs = lower\n"
+            "[sweep:b]\nvariable = rho\nvalues = -1, 1\nlambda0 = 1.9\nb = 121\noutputs = lower\n"
+        )
+        out = tmp_path / "out"
+        res = run_cli("sweep", "--config", str(cfg), "--out-dir", str(out))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith("config error: [sweep:b] "), res.stderr
         assert not list(out.glob("*.csv"))
         assert not (out / "run_manifest.jsonl").exists()
 
@@ -462,3 +489,26 @@ class TestImportHygiene:
         )
         assert res.returncode == 0, res.stdout + res.stderr
         assert "scipy modules: []" in res.stdout
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", None)], ids=["unset", "omp_set"])
+    def test_import_caps_blas_threads_and_defers_stdlib(self, tmp_path, preset, expected):
+        # The package caps OpenBLAS at one thread before numpy loads unless a
+        # thread variable is set, and `import beamsim.cli` leaves the stdlib
+        # modules only a manifest or a multi-worker run needs unloaded.
+        script = (
+            "import os, sys\n"
+            "import beamsim.cli\n"
+            "print(repr(os.environ.get('OPENBLAS_NUM_THREADS')))\n"
+            "print(sorted(m for m in ('subprocess', 'concurrent.futures') if m in sys.modules))\n"
+            "print('beamsim.validation' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            env.pop(var, None)
+        if preset is not None:
+            env["OMP_NUM_THREADS"] = preset
+        res = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines() == [repr(expected), "[]", "True"]

@@ -1,10 +1,11 @@
 """The demos run end to end: each sweep config through ``beamsim sweep``,
-and the channel-model walk-through script."""
+the channel-model walk-through script, and the README's config example."""
 
 import configparser
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -69,3 +70,17 @@ def test_channel_statistics_script_runs(tmp_path):
     res = run_python(str(DEMOS / "channel_statistics.py"), cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     assert "optimal pair index" in res.stdout
+
+
+def test_readme_config_block_runs_verbatim(tmp_path):
+    blocks = re.findall(r"^```ini\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"),
+                        re.DOTALL | re.MULTILINE)
+    assert len(blocks) == 1
+    config = tmp_path / "readme.ini"
+    config.write_text(blocks[0], encoding="utf-8")
+    for command in ("simulate", "bounds", "throughput", "sweep"):
+        res = run_python(
+            "-m", "beamsim.cli", command, "--config", str(config), "--trials", "2000",
+            "--out-dir", str(tmp_path / command), cwd=tmp_path,
+        )
+        assert res.returncode == 0, (command, res.stderr)
