@@ -46,8 +46,6 @@ from .channel import (
     FadingFamily,
     FadingModel,
     LinkBudget,
-    draw_fading_power,
-    draw_path_count,
     per_beam_intensity,
     realize_channel,
     rician_k_to_nakagami_m,
@@ -77,12 +75,10 @@ from .throughput import (
     ThroughputConfig,
     best_square_b,
     coherence_time,
-    coherence_time_models,
     feasible_region,
     optimal_b_closed_form,
     optimal_b_numeric,
     optimal_hpbw,
-    register_coherence_time_model,
     throughput_continuous,
     throughput_curve,
     training_overhead,

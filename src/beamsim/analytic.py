@@ -64,7 +64,13 @@ class SparseModel:
             raise ValueError(f"lambda0 must be finite and > 0, got {lambda0!r}")
         if b < 1:
             raise ValueError(f"pair count must be >= 1, got {b!r}")
-        return cls(p=bernoulli_p(lambda0, b), b=int(b), m=float(m), lambda0=float(lambda0))
+        p = bernoulli_p(lambda0, b)
+        if not 0.0 < p < 1.0:
+            raise ValueError(
+                f"lambda0 = {lambda0!r} over b = {b!r} beam pairs makes the occupancy "
+                f"probability 1 - exp(-lambda0/b) round to {p!r}; it must lie in (0, 1)"
+            )
+        return cls(p=p, b=int(b), m=float(m), lambda0=float(lambda0))
 
     @classmethod
     def from_p(cls, p: float, b: int, m: float) -> "SparseModel":
@@ -95,8 +101,10 @@ class SnrScale:
     k: float
 
     def __post_init__(self) -> None:
-        if not self.rho > 0.0 or not self.k > 0.0:
-            raise ValueError("SNR scales must be positive")
+        for name in ("rho", "k"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"SNR scale {name} must be finite and > 0, got {value!r}")
 
 
 def bernoulli_p(lambda0: float, b: int) -> float:
@@ -270,11 +278,15 @@ def _upper_bound_quadrature(
 
     def integrand(y: np.ndarray, c: np.ndarray) -> np.ndarray:
         # P(y) = -ln(1 - y^(1/shape)) / a, from whichever of y, c is small;
-        # the clamps keep the branch np.where discards finite.
-        near_one = -np.log(-np.expm1(np.log1p(-np.minimum(c, 0.5)) * inv_shape))
-        near_zero = -np.log1p(-(np.minimum(y, 0.5) ** inv_shape))
-        power = np.where(c < 0.5, near_one, near_zero) / a
-        return p * b * np.log1p(rho * power) * np.exp((b - 1) * np.log1p(-p * c))
+        # the clamps keep the branch np.where discards finite.  Inputs near
+        # the float range overflow here; the non-finite result fails the
+        # convergence check below, which reports it once, so numpy's
+        # per-operation warnings are silenced.
+        with np.errstate(all="ignore"):
+            near_one = -np.log(-np.expm1(np.log1p(-np.minimum(c, 0.5)) * inv_shape))
+            near_zero = -np.log1p(-(np.minimum(y, 0.5) ** inv_shape))
+            power = np.where(c < 0.5, near_one, near_zero) / a
+            return p * b * np.log1p(rho * power) * np.exp((b - 1) * np.log1p(-p * c))
 
     value, err = de_quad(integrand, 0.0, 1.0, rtol=1e-11, atol=1e-13)
     if not (math.isfinite(err) and err <= 1e-7 * max(abs(value), 1e-12)):

@@ -18,37 +18,47 @@ from .channel import ChannelRealization, LinkBudget
 
 @dataclass(frozen=True)
 class BeamGrid:
-    """Beam counts, effective beamwidths, and sectored main-lobe gains.
+    """Beam counts per node; beamwidths and sectored gains follow from them.
 
     ``requested_hpbw_*`` records the beamwidth the caller asked for when
     the grid was built from hardware HPBW values; the effective values are
-    recomputed from the rounded beam counts so that the grid invariants
+    computed from the rounded beam counts, so the grid invariants
     (b = m_t * m_r, gain = 360/hpbw = beam count) hold exactly.
     """
 
     m_t: int
     m_r: int
-    b: int
-    hpbw_t: float
-    hpbw_r: float
-    gain_t: float
-    gain_r: float
     requested_hpbw_t: float | None = None
     requested_hpbw_r: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.m_t < 1 or self.m_r < 1:
+            raise ValueError(f"beam counts must be >= 1, got {self.m_t!r}, {self.m_r!r}")
+
+    @property
+    def b(self) -> int:
+        """Number of transmit/receive beam pairs."""
+        return self.m_t * self.m_r
+
+    @property
+    def hpbw_t(self) -> float:
+        return 360.0 / self.m_t
+
+    @property
+    def hpbw_r(self) -> float:
+        return 360.0 / self.m_r
+
+    @property
+    def gain_t(self) -> float:
+        return float(self.m_t)
+
+    @property
+    def gain_r(self) -> float:
+        return float(self.m_r)
+
     @classmethod
     def from_counts(cls, m_t: int, m_r: int) -> "BeamGrid":
-        if m_t < 1 or m_r < 1:
-            raise ValueError(f"beam counts must be >= 1, got {m_t!r}, {m_r!r}")
-        return cls(
-            m_t=int(m_t),
-            m_r=int(m_r),
-            b=int(m_t) * int(m_r),
-            hpbw_t=360.0 / m_t,
-            hpbw_r=360.0 / m_r,
-            gain_t=float(m_t),
-            gain_r=float(m_r),
-        )
+        return cls(m_t=int(m_t), m_r=int(m_r))
 
     @classmethod
     def from_pair_count(cls, b: int) -> "BeamGrid":
@@ -84,17 +94,9 @@ def beam_grid(hpbw_t: float, hpbw_r: float) -> BeamGrid:
     inspection (e.g. a 33 degree antenna maps to 11 beams of 32.73
     degrees).
     """
-    m_t = _count_from_hpbw(hpbw_t)
-    m_r = _count_from_hpbw(hpbw_r)
-    base = BeamGrid.from_counts(m_t, m_r)
     return BeamGrid(
-        m_t=base.m_t,
-        m_r=base.m_r,
-        b=base.b,
-        hpbw_t=base.hpbw_t,
-        hpbw_r=base.hpbw_r,
-        gain_t=base.gain_t,
-        gain_r=base.gain_r,
+        m_t=_count_from_hpbw(hpbw_t),
+        m_r=_count_from_hpbw(hpbw_r),
         requested_hpbw_t=float(hpbw_t),
         requested_hpbw_r=float(hpbw_r),
     )

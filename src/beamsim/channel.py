@@ -150,13 +150,6 @@ def per_beam_intensity(lambda0: float, b: int) -> float:
     return lambda0 / b
 
 
-def draw_path_count(lambda_d: float, rng: np.random.Generator) -> int:
-    """Poisson path count for one beam pair."""
-    if not lambda_d > 0.0:
-        raise ValueError(f"lambda_d must be > 0, got {lambda_d!r}")
-    return int(rng.poisson(lambda_d))
-
-
 def rician_k_to_nakagami_m(k_linear: float) -> float:
     """Moment-matched Nakagami shape for a Rician factor K: (K+1)^2/(2K+1)."""
     if k_linear < 0.0:
@@ -216,11 +209,6 @@ def sample_pair_power_sums(
         k = float(model.parameter)  # type: ignore[arg-type]
         out[nz] = rng.noncentral_chisquare(2.0 * n, 2.0 * k * n) / (2.0 * (1.0 + k))
     return out
-
-
-def draw_fading_power(model: FadingModel, rng: np.random.Generator) -> float:
-    """One normalized path power |g|^2 (mean 1) under the given family."""
-    return float(sample_path_powers(model, 1, rng)[0])
 
 
 def realize_channel(

@@ -24,7 +24,7 @@ config + seed, never on timing.
 
 Exit codes: 0 success, 1 numerical failure, 2 config error, 3 infeasible
 throughput configuration.  The ``BEAMSIM_THREADS`` environment variable
-overrides the Monte Carlo worker count (0 = auto).
+sets the Monte Carlo worker count (0 = auto).
 """
 
 from __future__ import annotations
@@ -76,6 +76,9 @@ OUTPUT_TAGS = (
     "b_star_closed",
     "hpbw_star",
 )
+# The beam-count planner's cells; a point that asks for one needs a ThroughputConfig.
+PLANNER_COLUMNS = ("tp", "best_square_b", "f_t", "n_b", "b_max_feasible", "b_star_numeric",
+                   "b_star_closed", "hpbw_star_numeric", "hpbw_star_closed", "tp_at_optimum")
 
 
 # =====================================================================
@@ -301,6 +304,11 @@ class PointSpec:
                 raise ValueError(f"rho must be finite and > 0, got {rho_override}")
             snr_coeff = rho_override * lambda0 / b
         self.snr_coeff = snr_coeff
+        if not (math.isfinite(self.rho) and self.rho > 0.0):
+            raise ValueError(
+                f"rho = b * snr_coeff / lambda0 = {self.rho!r} must be finite and > 0 "
+                f"(b = {b}, snr_coeff = {snr_coeff!r}, lambda0 = {lambda0!r})"
+            )
 
     @property
     def rho(self) -> float:
@@ -327,10 +335,14 @@ class PointSpec:
 
 
 def _point_from(
-    section: SectionView, variable: str | None = None, value: float = math.nan
-) -> PointSpec:
+    section: SectionView,
+    columns: Sequence[str],
+    variable: str | None = None,
+    value: float = math.nan,
+) -> tuple[PointSpec, throughput.ThroughputConfig | None]:
     """The point ``section`` describes, with the sweep ``variable`` (if any)
-    set to ``value``."""
+    set to ``value``, and its planner config, None unless ``columns`` name
+    a planner cell."""
     with _config_errors(section):
         lambda0 = value if variable == "lambda0" else section.get_float("lambda0", required=True)
         if variable == "b":
@@ -350,9 +362,11 @@ def _point_from(
         else:
             snr_coeff = _snr_coeff_from(section)
         velocity = value if variable == "velocity" else section.get_float("velocity")
-        return PointSpec(
+        point = PointSpec(
             lambda0, b, fading, snr_coeff, velocity, value if variable == "rho" else None
         )
+    planner = any(column in PLANNER_COLUMNS for column in columns)
+    return point, _tp_config(section, point) if planner else None
 
 
 def _tp_config(section: SectionView, point: PointSpec) -> throughput.ThroughputConfig:
@@ -364,12 +378,11 @@ def _tp_config(section: SectionView, point: PointSpec) -> throughput.ThroughputC
         elif point.velocity is not None:
             carrier = section.get_float("carrier_freq", required=True)
             model_tag = section.get_str("tc_model", "clarke")
-            if model_tag not in throughput.coherence_time_models():
+            if model_tag != "clarke":
                 raise ConfigError(
-                    f"[{section.name}] unknown tc_model {model_tag!r}; "
-                    f"registered: {', '.join(throughput.coherence_time_models())}"
+                    f"[{section.name}] unknown tc_model {model_tag!r}; registered: clarke"
                 )
-            t_total = throughput.coherence_time(point.velocity, carrier, model_tag)
+            t_total = throughput.coherence_time(point.velocity, carrier)
         else:
             raise ConfigError(
                 f"[{section.name}] needs 't_total' or 'velocity' (+ carrier_freq) for throughput outputs"
@@ -405,25 +418,28 @@ def _tp_rows(cfg: throughput.ThroughputConfig, section: SectionView, run: RunPar
 def _evaluate(
     columns: Sequence[str],
     point: PointSpec,
+    cfg: throughput.ThroughputConfig | None,
     section: SectionView,
     run: RunParams,
-    seed: int,
+    seed: int | None,
 ) -> dict[str, Any]:
     """Named cells of one point: its ``lambda0``, ``b``, ``m_eff``, ``rho``
     and ``units``, plus every cell ``columns`` names.
 
-    ``sim_se`` comes with ``sim_ci95`` and ``trials``; any planner column
-    brings every planner optimum plus ``f_t`` and ``n_b``.  ``tp`` holds the
-    throughput-curve rows of :func:`_tp_rows`.  Planner cells of an
-    infeasible point are None, as are the closed-form cells wherever that
-    approximation does not apply.
+    ``cfg`` is the point's planner config and ``seed`` its Monte Carlo
+    seed; each is None when no column needs it.  ``sim_se`` comes with
+    ``sim_ci95`` and ``trials``; any planner column brings every planner
+    optimum plus ``f_t`` and ``n_b``.  ``tp`` holds the throughput-curve
+    rows of :func:`_tp_rows`.  Planner cells of an infeasible point are
+    None, as are the closed-form cells wherever that approximation does not
+    apply.
     """
     scale = _unit_scale(run.units)
     m_eff = point.fading.effective_nakagami_m()
     cells: dict[str, Any] = {
         "lambda0": point.lambda0, "b": point.b, "m_eff": m_eff, "rho": point.rho, "units": run.units,
     }
-    model = cfg = None
+    model = None
     for column in columns:
         if column in cells:
             continue
@@ -448,7 +464,6 @@ def _evaluate(
             elif column == "sparse":
                 cells[column] = analytic.se_sparse_approx(point.lambda0, point.rho) * scale
             else:
-                cfg = cfg or _tp_config(section, point)
                 if column == "tp":
                     cells[column] = _tp_rows(cfg, section, run)
                 elif column == "best_square_b":
@@ -589,7 +604,8 @@ def _cmd_point(kind: str, args: argparse.Namespace) -> int:
     t0 = time.monotonic()
 
     columns, line = POINT_COMMANDS[kind]
-    cells = _evaluate(columns, _point_from(section), section, run, run.seed)
+    point, cfg = _point_from(section, columns)
+    cells = _evaluate(columns, point, cfg, section, run, run.seed)
     if "b_max_feasible" in cells and cells["b_max_feasible"] is None:
         raise InfeasibleConfigError(
             "no beam count achieves positive throughput "
@@ -622,9 +638,11 @@ def _columns(tags: Sequence[str]) -> list[str]:
     return [col for tag in tags for col in expand.get(tag, [tag])] + ["units"]
 
 
-def _sweep_plan(section: SectionView) -> tuple[str, list[str], list[tuple[float, PointSpec]]]:
-    """A sweep section's variable, cell columns and (value, point) pairs,
-    after every check that needs no evaluation."""
+def _sweep_plan(
+    section: SectionView,
+) -> tuple[str, list[str], list[tuple[float, PointSpec, throughput.ThroughputConfig | None]]]:
+    """A sweep section's variable, cell columns and (value, point, planner
+    config) triples, after every check that needs no evaluation."""
     variable = section.get_str("variable", required=True)
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(
@@ -636,7 +654,8 @@ def _sweep_plan(section: SectionView) -> tuple[str, list[str], list[tuple[float,
         if not section.has("b_values"):
             raise ConfigError(f"[{section.name}] 'tp' output needs a 'b_values' list")
         _b_values(section)
-    return variable, _columns(tags), [(value, _point_from(section, variable, value)) for value in values]
+    columns = _columns(tags)
+    return variable, columns, [(value, *_point_from(section, columns, variable, value)) for value in values]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -659,9 +678,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         header = [variable] + [c for c in columns if c != "tp"]
         rows = []
         tp_rows = []
-        for idx, (value, point) in enumerate(points):
-            seed_point = child_seed(run.seed, zlib.crc32(stem.encode()), idx)
-            cells = _evaluate(columns, point, section, run, seed_point)
+        stem_key = zlib.crc32(stem.encode())
+        for idx, (value, point, cfg) in enumerate(points):
+            # Only the Monte Carlo cells read a point's seed.
+            seed_point = child_seed(run.seed, stem_key, idx) if "sim_se" in columns else None
+            cells = _evaluate(columns, point, cfg, section, run, seed_point)
             rows.append([value] + [cells[c] for c in header[1:]])
             tp_rows += [[value, *row] for row in cells.get("tp", [])]
 

@@ -39,7 +39,7 @@ import numpy as np
 from .analytic import snr_scale
 from .beam import BeamGrid
 from .channel import FadingModel, LinkBudget, sample_pair_power_sums, sample_path_powers
-from .errors import ConfigError, DegenerateSampleError
+from .errors import ConfigError, DegenerateSampleError, NumericalError
 from .rng import substream
 
 CHUNK_TRIALS = 16_384
@@ -79,6 +79,13 @@ class SimConfig:
                 f"lambda0 / B = {mu!r} paths per beam pair exceeds the Monte Carlo "
                 f"limit of {MAX_PATHS_PER_PAIR:g}"
             )
+        # A Nakagami pair's n extra paths are one Gamma(n m, 1/m) draw, n < 2 MAX_PATHS_PER_PAIR.
+        m = self.fading.effective_nakagami_m()
+        if not math.isfinite(m * 2.0 * MAX_PATHS_PER_PAIR):
+            raise ValueError(
+                f"Nakagami shape m = {m!r} is too large for the Monte Carlo engine: "
+                "it draws a pair's summed power as Gamma(n m, 1/m), and n m overflows"
+            )
 
 
 @dataclass(frozen=True)
@@ -88,8 +95,12 @@ class SEEstimate:
     mean: float
     std_error: float
     trials: int
-    ci95: float
     units: str = "nats"
+
+    @property
+    def ci95(self) -> float:
+        """Half-width of the normal-approximation 95% confidence interval."""
+        return 1.96 * self.std_error
 
 
 @dataclass(frozen=True)
@@ -109,20 +120,18 @@ class EmpiricalCdf:
     def discard_fraction(self) -> float:
         return 1.0 - self.trials_kept / self.trials_total
 
-    def pairs(self) -> list[tuple[float, float]]:
-        return list(zip(self.grid.tolist(), self.cdf.tolist()))
-
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: the BEAMSIM_THREADS env var wins, 0 means auto."""
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env is not None:
+    """Worker count: an explicit ``requested`` wins, else the BEAMSIM_THREADS
+    env var, else 1; 0 means one per CPU."""
+    if requested is None:
+        env = os.environ.get(THREADS_ENV_VAR)
+        if env is None:
+            return 1
         try:
             requested = int(env)
         except ValueError as exc:
             raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from exc
-    if requested is None:
-        return 1
     if requested < 0:
         raise ConfigError(f"worker count must be >= 0, got {requested!r}")
     if requested == 0:
@@ -244,14 +253,19 @@ def estimate_se(config: SimConfig, workers: int | None = None) -> SEEstimate:
 
     def run_chunk(i: int) -> tuple[int, float, float]:
         z, _ = _trial_maxima(config.seed, i, sizes[i], tables, config.fading)
-        rates = np.log1p(rho * z)
-        mean = float(rates.mean())
-        m2 = float(((rates - mean) ** 2).sum())
+        # rho z overflows for rho near the float range; the estimate is then
+        # not finite and rejected below, once, so numpy's warnings are silenced.
+        with np.errstate(over="ignore", invalid="ignore"):
+            rates = np.log1p(rho * z)
+            mean = float(rates.mean())
+            m2 = float(((rates - mean) ** 2).sum())
         return len(rates), mean, m2
 
     n, mean, m2 = _merge_moments(_map_chunks(run_chunk, len(sizes), nworkers))
     var = m2 / (n - 1) if n > 1 else 0.0
     std_error = math.sqrt(var / n)
+    if not (math.isfinite(mean) and math.isfinite(std_error)):
+        raise NumericalError(f"estimate_se: ln(1 + rho z) overflows at rho = {rho!r}")
     if config.units == "bits":
         mean /= math.log(2.0)
         std_error /= math.log(2.0)
@@ -259,7 +273,6 @@ def estimate_se(config: SimConfig, workers: int | None = None) -> SEEstimate:
         mean=mean,
         std_error=std_error,
         trials=n,
-        ci95=1.96 * std_error,
         units=config.units,
     )
 

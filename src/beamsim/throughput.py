@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -200,52 +199,18 @@ def best_square_b(cfg: ThroughputConfig) -> int:
     )
 
 
-# =====================================================================
-#  Coherence-time models
-# =====================================================================
+def coherence_time(velocity: float, carrier_freq: float) -> float:
+    """Channel coherence time T_c = 9 / (16 pi f_D), Doppler f_D = v f_c / c.
 
-CoherenceTimeModel = Callable[[float, float], float]
-
-_COHERENCE_MODELS: dict[str, CoherenceTimeModel] = {}
-
-
-def register_coherence_time_model(tag: str, fn: CoherenceTimeModel) -> None:
-    """Register ``fn(velocity, carrier_freq) -> seconds`` under ``tag``."""
-    _COHERENCE_MODELS[tag] = fn
-
-
-def coherence_time_models() -> tuple[str, ...]:
-    return tuple(sorted(_COHERENCE_MODELS))
-
-
-def coherence_time(velocity: float, carrier_freq: float, model_tag: str = "clarke") -> float:
-    """Channel coherence time under a registered mobility model.
-
-    The default "clarke" model is the usual rule of thumb
-    T_c = 9 / (16 pi f_D) with Doppler f_D = v f_c / c.  It is a stand-in:
-    outdoor beam-level channel dynamics are not settled, so alternative
-    models can be registered and selected by tag.
+    Clarke's rule of thumb, the one mobility model the planner uses.  It is
+    a stand-in: outdoor beam-level channel dynamics are not settled.
     """
     if not (math.isfinite(velocity) and velocity > 0.0):
         raise ValueError(f"velocity must be finite and > 0, got {velocity!r}")
     if not (math.isfinite(carrier_freq) and carrier_freq > 0.0):
         raise ValueError(f"carrier_freq must be finite and > 0, got {carrier_freq!r}")
-    try:
-        model = _COHERENCE_MODELS[model_tag]
-    except KeyError:
-        raise ValueError(
-            f"unknown coherence-time model {model_tag!r}; "
-            f"registered: {coherence_time_models()}"
-        ) from None
-    return model(velocity, carrier_freq)
-
-
-def _clarke(velocity: float, carrier_freq: float) -> float:
     doppler = velocity * carrier_freq / SPEED_OF_LIGHT
     return 9.0 / (16.0 * math.pi * doppler)
-
-
-register_coherence_time_model("clarke", _clarke)
 
 
 def throughput_curve(

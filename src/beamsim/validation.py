@@ -7,16 +7,16 @@ oracles, each at a pinned tolerance.  ``run_validation`` executes them and
 content), so two runs with the same seed and trial budget are
 byte-identical.
 
-Setting the environment variable ``BEAMSIM_FAULT_INJECT=specfun`` poisons
-the special-function comparison on purpose; it exists so the failure path
-of the report (nonzero exit, criterion named) can itself be tested.
+The library functions a check exercises are looked up on their modules at
+call time (``specfun.reg_lower_gamma``, ``throughput.coherence_time``), so a
+wrapper or a deliberately perturbed kernel put on the module is what the
+check sees.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -31,8 +31,6 @@ from .channel import FadingModel, LinkBudget
 from .errors import ConfigError
 from .montecarlo import SEEstimate, SimConfig, empirical_opt_power_cdf, estimate_se
 from .rng import child_seed
-
-FAULT_ENV_VAR = "BEAMSIM_FAULT_INJECT"
 
 # Simulation parameters shared by the sweep-style checks.
 SNR_COEFF = 0.01          # c d^-alpha / sigma^2
@@ -334,8 +332,8 @@ def _c09_throughput_planning_shape(seed: int, trials: int) -> CriterionResult:
             t_f=CONTROL_FRAME_S, t_total=t_total, k=k, lambda0=1.9, n_b=4
         )
 
-    # (a) rise then fall over the feasible region (default mobility model, v=1)
-    cfg1 = cfg_for(throughput.coherence_time(1.0, carrier, "clarke"))
+    # (a) rise then fall over the feasible region (Clarke coherence time, v=1)
+    cfg1 = cfg_for(throughput.coherence_time(1.0, carrier))
     lo, hi = throughput.feasible_region(cfg1)
     roots = np.arange(1, int(math.sqrt(hi)) + 1)
     tp_vals = throughput.throughput_curve((roots**2).astype(float), cfg1)
@@ -347,7 +345,7 @@ def _c09_throughput_planning_shape(seed: int, trials: int) -> CriterionResult:
     # (b), (c): max throughput falls and optimal beamwidth widens with velocity
     tps, thetas = [], []
     for v in (1.0, 1.5, 2.0):
-        cfg = cfg_for(throughput.coherence_time(v, carrier, "clarke"))
+        cfg = cfg_for(throughput.coherence_time(v, carrier))
         b_star = throughput.optimal_b_numeric(cfg)
         tps.append(throughput.throughput_continuous(b_star, cfg))
         thetas.append(throughput.optimal_hpbw(b_star))
@@ -357,19 +355,16 @@ def _c09_throughput_planning_shape(seed: int, trials: int) -> CriterionResult:
         problems.append(f"optimal beamwidth not increasing with velocity: {thetas}")
 
     # (d) fast mobility leaves no feasible beam count
-    cfg_fast = cfg_for(throughput.coherence_time(11.1, carrier, "clarke"))
+    cfg_fast = cfg_for(throughput.coherence_time(11.1, carrier))
     if throughput.feasible_region(cfg_fast) is not None:
         problems.append("v=11.1 m/s unexpectedly leaves a feasible region")
 
     # (e) calibrated 1/v coherence scaling reproduces the beamwidth windows
     ft1 = _calibrated_overhead_ratio(13.16, k, 4)
     t1 = 2.0 * CONTROL_FRAME_S / ft1
-    throughput.register_coherence_time_model(
-        "calibrated-inverse-v", lambda v, f, t1=t1: t1 / v
-    )
     cal_thetas = {}
     for v in (1.0, 1.5, 2.0):
-        cfg = cfg_for(throughput.coherence_time(v, carrier, "calibrated-inverse-v"))
+        cfg = cfg_for(t1 / v)
         cal_thetas[v] = throughput.optimal_hpbw(throughput.optimal_b_numeric(cfg))
     if abs(cal_thetas[1.0] - 13.16) > 0.05:
         problems.append(f"calibration anchor off: theta*(1)={cal_thetas[1.0]:.2f}")
@@ -411,24 +406,21 @@ def _gamma_quad_oracle(m: float, x: float) -> float:
 
 def _c10_special_function_kernel(seed: int, trials: int) -> CriterionResult:
     """Kernels match quadrature oracles; scaled-E1 log inequality holds."""
-    fault = os.environ.get(FAULT_ENV_VAR) == "specfun"
-    poison = 1e-6 if fault else 0.0
-
     worst_gamma = 0.0
     for m in (0.5, 1.0, 2.5, 3.2, 8.0, 20.0, 50.0):
         for x in (1e-6, 0.01, 0.3, 1.0, 2.24, 5.0, 17.0, 80.0, 200.0, 500.0):
-            mine = specfun.reg_lower_gamma(m, x) + poison
+            mine = specfun.reg_lower_gamma(m, x)
             worst_gamma = max(worst_gamma, abs(mine - _gamma_quad_oracle(m, x)))
 
     worst_e1 = 0.0
     for x in np.logspace(-8, math.log10(5.0), 25):
         x = float(x)
         ref = _e1_quad_oracle(x)
-        worst_e1 = max(worst_e1, abs(specfun.exp_integral_e1(x) + poison - ref) / ref)
+        worst_e1 = max(worst_e1, abs(specfun.exp_integral_e1(x) - ref) / ref)
     for x in np.logspace(math.log10(5.0), math.log10(700.0), 15):
         x = float(x)
         ref = _e1_scaled_quad_oracle(x)
-        worst_e1 = max(worst_e1, abs(specfun.exp_e1_scaled(x) + poison - ref) / ref)
+        worst_e1 = max(worst_e1, abs(specfun.exp_e1_scaled(x) - ref) / ref)
 
     inequality_ok = True
     for x in np.logspace(-6, 2, 81):
@@ -443,8 +435,6 @@ def _c10_special_function_kernel(seed: int, trials: int) -> CriterionResult:
         f"E1 max rel err {worst_e1:.2e} (<=1e-10), "
         f"scaled-E1 log inequality {'holds' if inequality_ok else 'VIOLATED'}"
     )
-    if fault:
-        detail += " [fault injected via BEAMSIM_FAULT_INJECT]"
     return CriterionResult(10, "specfun-kernel", passed, detail)
 
 

@@ -14,6 +14,7 @@ from scipy import integrate
 
 from beamsim import specfun
 from beamsim.analytic import (
+    SnrScale,
     SparseModel,
     bernoulli_p,
     opt_power_cdf,
@@ -66,6 +67,13 @@ class TestSparseModelDomain:
         with pytest.raises(ValueError, match=match):
             build()
 
+    @pytest.mark.parametrize("lambda0, p", [(1e308, "1.0"), (5e-324, "0.0")])
+    def test_rounded_occupancy_names_lambda0_and_b(self, lambda0, p):
+        with pytest.raises(ValueError) as exc:
+            SparseModel.from_occupancy(lambda0, 121, 1.0)
+        assert str(exc.value).startswith(f"lambda0 = {lambda0!r} over b = 121 ")
+        assert f"round to {p}" in str(exc.value)
+
 
 class TestSnrScale:
     def test_reference_point(self):
@@ -87,6 +95,11 @@ class TestSnrScale:
         s2 = snr_scale(link, BeamGrid.from_counts(20, 10))
         assert s2.rho == pytest.approx(2 * s1.rho, rel=1e-14)
         assert s2.k == s1.k
+
+    @pytest.mark.parametrize("rho, k", [(math.inf, 1.0), (1.0, math.nan), (0.0, 1.0)])
+    def test_rejects_non_finite_or_nonpositive(self, rho, k):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            SnrScale(rho=rho, k=k)
 
 
 class TestOptPowerCdf:

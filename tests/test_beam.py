@@ -1,5 +1,7 @@
 """Beam grid construction and optimal pair selection."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,17 @@ class TestBeamGrid:
         g = BeamGrid.from_counts(25, 40)
         assert g.b == 1000
         assert g.gain_t * g.gain_r == 1000.0
+
+    def test_only_counts_are_stored(self):
+        # pair count, beamwidths and gains follow from the counts, so no
+        # constructor can make them disagree
+        names = [f.name for f in dataclasses.fields(BeamGrid)]
+        assert names == ["m_t", "m_r", "requested_hpbw_t", "requested_hpbw_r"]
+        g = BeamGrid(m_t=4, m_r=9)
+        assert (g.b, g.hpbw_t, g.hpbw_r, g.gain_t, g.gain_r) == (36, 90.0, 40.0, 4.0, 9.0)
+        for bad in ((0, 3), (3, -1)):
+            with pytest.raises(ValueError, match="beam counts must be >= 1"):
+                BeamGrid(*bad)
 
     @pytest.mark.parametrize("bad", [0.0, -10.0, 361.0])
     def test_domain(self, bad):

@@ -9,8 +9,6 @@ from scipy import stats
 from beamsim.channel import (
     FadingModel,
     LinkBudget,
-    draw_fading_power,
-    draw_path_count,
     per_beam_intensity,
     realize_channel,
     rician_k_to_nakagami_m,
@@ -31,33 +29,6 @@ class TestPerBeamIntensity:
             per_beam_intensity(0.0, 10)
         with pytest.raises(ValueError):
             per_beam_intensity(1.0, 0)
-
-
-class TestDrawPathCount:
-    def test_mean(self):
-        rng = substream(123, 0)
-        n = 1_000_000
-        draws = rng.poisson(0.5, size=n)  # bulk draw from the same generator family
-        assert abs(draws.mean() - 0.5) <= 3.0 * math.sqrt(0.5 / n)
-        rng2 = substream(123, 1)
-        scalar = np.array([draw_path_count(0.5, rng2) for _ in range(20_000)])
-        assert abs(scalar.mean() - 0.5) <= 4.0 * math.sqrt(0.5 / 20_000)
-
-    def test_zero_class(self):
-        lam = 0.0157
-        rng = substream(7, 0)
-        n = 200_000
-        zeros = sum(draw_path_count(lam, rng) == 0 for _ in range(n)) / n
-        p0 = math.exp(-lam)
-        assert abs(zeros - p0) <= 3.0 * math.sqrt(p0 * (1 - p0) / n)
-
-    def test_degenerate_limit(self):
-        rng = substream(9, 0)
-        assert all(draw_path_count(1e-12, rng) == 0 for _ in range(2000))
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            draw_path_count(0.0, substream(0))
 
 
 class TestFadingPowers:
@@ -99,11 +70,6 @@ class TestFadingPowers:
             assert abs(w.mean() - 1.0) <= 4.0 * w.std() / math.sqrt(n)
             se_var = math.sqrt(((w - w.mean()) ** 2).var() / n)
             assert abs(w.var() - (1.0 + 2.0 * k) / (1.0 + k) ** 2) <= 4.0 * se_var
-
-    def test_scalar_draw(self):
-        rng = substream(5, 0)
-        vals = [draw_fading_power(FadingModel.rayleigh(), rng) for _ in range(100)]
-        assert all(v >= 0.0 for v in vals)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -1,14 +1,22 @@
 """CLI surface: subcommands, config schema, CSV/manifest output, exit codes."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from beamsim import cli, specfun
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -65,21 +73,17 @@ outputs = tp, b_star_numeric, hpbw_star
 DERIVED_LINK = "intercept_c = 1e-6\ndistance_d = {d}\nalpha = 2.0\nnoise_power = 1e-10"
 
 
-def run_cli(*args, env_extra=None, cwd=None):
+def run_cli(*args, cwd=None):
     """Run ``python -m beamsim.cli`` in a child process.
 
     The absolute ``src`` directory goes first on the child's ``PYTHONPATH`` so
     the package imports from any ``cwd``, installed or not; inherited entries
-    are kept after it. An inherited ``BEAMSIM_FAULT_INJECT`` is dropped unless
-    ``env_extra`` sets it.
+    are kept after it.
     """
     env = dict(os.environ)
-    env.pop("BEAMSIM_FAULT_INJECT", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC_DIR)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "beamsim.cli", *args],
         capture_output=True,
@@ -87,6 +91,21 @@ def run_cli(*args, env_extra=None, cwd=None):
         env=env,
         cwd=cwd,
     )
+
+
+def run_main(*args):
+    """Run ``beamsim.cli.main`` in this process; return (exit code, stdout, stderr).
+
+    A warning the run emits is appended to stderr as one more line, as a
+    fresh process would print it there.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(list(args))
+    lines = [f"{w.category.__name__}: {w.message}\n" for w in caught]
+    return rc, out.getvalue(), err.getvalue() + "".join(lines)
 
 
 @pytest.fixture()
@@ -332,6 +351,9 @@ class TestExitCodes:
         "kind, old, new",
         [
             ("simulate", "snr_coeff = 0.01", "snr_coeff = inf"),
+            # finite, but rho = b * snr_coeff / lambda0 overflows
+            ("simulate", "snr_coeff = 0.01", "snr_coeff = 1e308"),
+            ("bounds", "snr_coeff = 0.01", "snr_coeff = 1e308"),
             ("simulate", "m = 3.2", "k_db = nan"),
             ("simulate", "m = 3.2", "m = 0.3"),
             ("bounds", "m = 3.2", "m = inf"),
@@ -355,7 +377,8 @@ class TestExitCodes:
             ("throughput", "b_values = 16, 121, 400", "b_values = nan"),
         ],
         ids=[
-            "snr_coeff_inf", "k_db_nan", "m_below_half", "bounds_m_inf", "bounds_k_db_overflow",
+            "snr_coeff_inf", "simulate_rho_overflow", "bounds_rho_overflow", "k_db_nan",
+            "m_below_half", "bounds_m_inf", "bounds_k_db_overflow",
             "bounds_k_db_shape_overflow", "lambda0_huge", "bounds_lambda0_huge",
             "distance_d_zero", "distance_d_tiny", "bounds_lambda0_zero", "bounds_b_zero",
             "t_total_inf", "t_f_inf", "t_total_huge", "velocity_negative", "velocity_inf",
@@ -374,8 +397,7 @@ class TestExitCodes:
         if new.startswith("intercept_c"):
             for key in ("intercept_c", "distance_d", "alpha", "noise_power"):
                 assert f"{key} = " in res.stderr, res.stderr
-        if kind == "throughput" or new.startswith(("lambda0 = 0", "b = 0", "m = ", "k_db = ")):
-            assert new.split(" = ")[0] in res.stderr, res.stderr
+        assert new.split(" = ")[0] in res.stderr, res.stderr
         assert not list(out.glob("*.csv"))
         assert not (out / "run_manifest.jsonl").exists()
 
@@ -387,7 +409,7 @@ class TestExitCodes:
             ("variable = k_db\nvalues = 1, 1e308\nlambda0 = 1.9\nb = 121\nsnr_coeff = 0.01\n"
              "outputs = lower\n", "k_db = 1e+308"),
             ("variable = lambda0\nvalues = 1.9, 1e308\nb = 121\nsnr_coeff = 0.01\n"
-             "outputs = lower\n", "occupancy probability"),
+             "outputs = lower\n", "lambda0 = 1e+308 over b = 121 beam pairs makes the occupancy probability"),
             ("variable = rho\nvalues = 1, inf\nlambda0 = 1.9\nb = 121\n"
              "outputs = lower, upper_nakagami, sparse\n", "rho"),
             ("variable = rho\nvalues = -1, 1\nlambda0 = 1.9\nb = 121\noutputs = lower\n", "rho"),
@@ -410,19 +432,63 @@ class TestExitCodes:
         assert not (out / "run_manifest.jsonl").exists()
 
     def test_bad_later_section_leaves_no_output(self, tmp_path):
-        # every section is checked before the first one writes
-        cfg = tmp_path / "two.ini"
+        # every section, planner keys included, is checked before the first one writes
+        plan = "[sweep:b]\nvariable = velocity\nvalues = 1, 2\nlambda0 = 1.9\nb = 121\nsnr_coeff = 0.01\n"
+        later = {
+            "rho": "[sweep:b]\nvariable = rho\nvalues = -1, 1\nlambda0 = 1.9\nb = 121\noutputs = lower\n",
+            "'t_f'": plan + "carrier_freq = 60e9\noutputs = b_star_numeric\n",
+            "tc_model": plan + "t_f = 5e-6\ncarrier_freq = 60e9\ntc_model = bogus\noutputs = lower, hpbw_star\n",
+        }
+        for i, (key, section) in enumerate(later.items()):
+            cfg = tmp_path / "two.ini"
+            cfg.write_text(
+                "[run]\nschema_version = 1\n"
+                "[sweep:a]\nvariable = lambda0\nvalues = 1.0, 1.9\nb = 121\nm = 3.2\n"
+                "snr_coeff = 0.01\noutputs = lower\n" + section
+            )
+            out = tmp_path / f"out{i}"
+            res = run_cli("sweep", "--config", str(cfg), "--out-dir", str(out))
+            assert res.returncode == 2, res.stderr
+            assert res.stderr.startswith("config error: [sweep:b] "), res.stderr
+            assert key in res.stderr, res.stderr
+            assert not list(out.glob("*.csv")), key
+            assert not (out / "run_manifest.jsonl").exists(), key
+
+    def test_validate_registers_no_coherence_model(self, tmp_path):
+        # criterion 9 uses its calibrated 1/v law inline, so the sweep after
+        # it in the same process rejects that model as a fresh process does
+        assert run_main("validate", "--criteria", "9", "--trials", "200")[0] == 0
+        cfg = tmp_path / "cal.ini"
         cfg.write_text(
             "[run]\nschema_version = 1\n"
-            "[sweep:a]\nvariable = lambda0\nvalues = 1.0, 1.9\nb = 121\nm = 3.2\n"
-            "snr_coeff = 0.01\noutputs = lower\n"
-            "[sweep:b]\nvariable = rho\nvalues = -1, 1\nlambda0 = 1.9\nb = 121\noutputs = lower\n"
+            "[sweep:plan]\nvariable = velocity\nvalues = 1, 2\nlambda0 = 1.9\nb = 121\n"
+            "snr_coeff = 0.01\nt_f = 5e-6\ncarrier_freq = 60e9\ntc_model = calibrated-inverse-v\n"
+            "outputs = b_star_numeric\n"
         )
+        rc, _, err = run_main("sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert rc == 2, err
+        assert err == "config error: [sweep:plan] unknown tc_model 'calibrated-inverse-v'; registered: clarke\n"
+
+    @pytest.mark.parametrize(
+        "kind, old, new, failing",
+        [
+            ("simulate", "snr_coeff = 0.01", "snr_coeff = 1e306", "estimate_se"),
+            ("bounds", "lambda0 = 1.9", "lambda0 = 1e-308", "se_upper_nakagami"),
+            ("bounds", "m = 3.2", "m = 1e308", "se_upper_nakagami"),
+        ],
+        ids=["simulate_rho_near_overflow", "bounds_rho_near_overflow", "bounds_shape_huge"],
+    )
+    def test_numerical_failure_is_one_line(self, tmp_path, kind, old, new, failing):
+        # rho is finite, but rho z or the Nakagami quadrature overflows: the
+        # failing operation reports that once, with no numpy warnings before it
+        head, section, rest = BASE_CONFIG.partition(f"[{kind}]")
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(head + section + rest.replace(old, new, 1))
         out = tmp_path / "out"
-        res = run_cli("sweep", "--config", str(cfg), "--out-dir", str(out))
-        assert res.returncode == 2, res.stderr
-        assert res.stderr.startswith("config error: [sweep:b] "), res.stderr
-        assert not list(out.glob("*.csv"))
+        res = run_cli(kind, "--config", str(cfg), "--out-dir", str(out))
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.startswith(f"numerical failure: {failing}: "), res.stderr
+        assert len(res.stderr.splitlines()) == 1, res.stderr
         assert not (out / "run_manifest.jsonl").exists()
 
     def test_infeasible_is_3(self, tmp_path):
@@ -437,6 +503,52 @@ class TestExitCodes:
         assert "infeasible" in res.stderr.lower()
 
 
+# Values at and beyond the float range, and not numbers at all; then ordinary ones.
+EXTREME_VALUES = ["0", "-0", "5e-324", "1e-308", "1e308", "inf", "-inf", "nan", "abc"]
+ORDINARY_VALUES = {
+    "lambda0": ["0.5", "3.5"], "b": ["1", "16"], "m": ["0.5", "1"], "snr_coeff": ["1", "1e-6"],
+}
+
+
+class TestBadInputProperty:
+    """Any value of a point key ends in exit 0 with finite cells, or in exit
+    1, 2 or 3 with one stderr line (the key named for 2) and no output."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        kind=st.sampled_from(["simulate", "bounds"]),
+        values=st.fixed_dictionaries({
+            key: st.none() | st.sampled_from(EXTREME_VALUES + ordinary)
+            for key, ordinary in ORDINARY_VALUES.items()
+        }),
+    )
+    def test_point_values(self, kind, values):
+        changed = {key: value for key, value in values.items() if value is not None}
+        head, section, rest = BASE_CONFIG.partition(f"[{kind}]")
+        body, tail = rest.split("\n[", 1)
+        for key, value in changed.items():
+            body = re.sub(rf"^{key} = .*$", f"{key} = {value}", body, flags=re.MULTILINE)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.ini"
+            cfg.write_text(head + section + body + "\n[" + tail)
+            out = Path(tmp) / "out"
+            rc, _, err = run_main(kind, "--config", str(cfg), "--out-dir", str(out), "--trials", "200")
+            if rc == 0:
+                assert err == ""
+                header, row = read_csv(out / f"{kind}.csv")
+                for col, cell in zip(header, row):
+                    if col != "units":
+                        assert math.isfinite(float(cell)), (col, cell, changed)
+                return
+            assert rc in (1, 2, 3), (rc, err)
+            assert len(err.splitlines()) == 1, err
+            if rc == 2:
+                assert err.startswith(f"config error: [{kind}] "), err
+                assert any(re.search(rf"\b{key}\b", err) for key in changed), (err, changed)
+            assert not (out / "run_manifest.jsonl").exists()
+            assert not list(out.glob("*.csv"))
+
+
 class TestValidateCommand:
     def test_report_shape(self, tmp_path):
         res = run_cli("validate", "--criteria", "5,6,10", "--seed", "1", "--trials", "2000", cwd=tmp_path)
@@ -446,14 +558,14 @@ class TestValidateCommand:
         assert lines[-1].startswith("RESULT: 3/3")
         assert all("PASS" in line for line in lines[1:-1])
 
-    def test_fault_injection_names_specfun(self, tmp_path):
-        res = run_cli(
-            "validate", "--criteria", "10", "--seed", "1", "--trials", "2000",
-            env_extra={"BEAMSIM_FAULT_INJECT": "specfun"},
-            cwd=tmp_path,
-        )
-        assert res.returncode != 0, res.stderr
-        assert "specfun" in res.stderr
+    def test_fault_injection_names_specfun(self, monkeypatch):
+        # a kernel 1e-6 off its quadrature oracle fails criterion 10 by name
+        exact = specfun.reg_lower_gamma
+        monkeypatch.setattr(specfun, "reg_lower_gamma", lambda m, x: exact(m, x) + 1e-6)
+        rc, out, err = run_main("validate", "--criteria", "10", "--seed", "1", "--trials", "2000")
+        assert rc == 1, err
+        assert "[10] specfun-kernel" in out and "FAIL" in out
+        assert "specfun" in err
 
     def test_unknown_criterion_is_2(self, tmp_path):
         res = run_cli("validate", "--criteria", "99", cwd=tmp_path)
@@ -483,7 +595,6 @@ class TestImportHygiene:
             "sys.exit(1 if loaded else 0)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-        env.pop("BEAMSIM_FAULT_INJECT", None)
         res = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
         )

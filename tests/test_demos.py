@@ -22,7 +22,6 @@ INFEASIBLE_VELOCITY = 11.1
 
 def run_python(*args, cwd):
     env = dict(os.environ)
-    env.pop("BEAMSIM_FAULT_INJECT", None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )

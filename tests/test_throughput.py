@@ -219,13 +219,6 @@ class TestCoherenceTime:
             tp.coherence_time(1.0, 60e9) / 2.0, rel=1e-12
         )
 
-    def test_registry(self):
-        tp.register_coherence_time_model("test-const", lambda v, f: 1e-3)
-        assert tp.coherence_time(5.0, 60e9, "test-const") == 1e-3
-        assert "clarke" in tp.coherence_time_models()
-        with pytest.raises(ValueError, match="unknown coherence-time model"):
-            tp.coherence_time(1.0, 60e9, "absent-model")
-
     def test_domain(self):
         for bad in (0.0, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError, match="^velocity must be finite and > 0"):
