@@ -178,10 +178,17 @@ def sample_path_powers(model: FadingModel, n: int, rng: np.random.Generator) -> 
     if model.family is FadingFamily.RAYLEIGH:
         return rng.standard_exponential(size=n)
     k = float(model.parameter)  # type: ignore[arg-type]
+    # The formula's float operations, in place in one buffer that holds both
+    # normals; the result is a view of its first row.  (Two buffers of n
+    # each made malloc hand their pages back and fault them in again on
+    # every call, ~200 minor page faults per 57k draws.)
     z = rng.standard_normal(size=(2, n))
-    z[0] += math.sqrt(2.0 * k)
+    power = z[0]
+    power += math.sqrt(2.0 * k)
     np.square(z, out=z)
-    return (z[0] + z[1]) / (2.0 * (1.0 + k))
+    power += z[1]
+    power /= 2.0 * (1.0 + k)
+    return power
 
 
 def sample_pair_power_sums(

@@ -304,10 +304,11 @@ class PointSpec:
                 raise ValueError(f"rho must be finite and > 0, got {rho_override}")
             snr_coeff = rho_override * lambda0 / b
         self.snr_coeff = snr_coeff
-        if not (math.isfinite(self.rho) and self.rho > 0.0):
+        # the bounds read 1/rho, so it must be finite too
+        if not (math.isfinite(self.rho) and self.rho > 0.0 and math.isfinite(1.0 / self.rho)):
             raise ValueError(
-                f"rho = b * snr_coeff / lambda0 = {self.rho!r} must be finite and > 0 "
-                f"(b = {b}, snr_coeff = {snr_coeff!r}, lambda0 = {lambda0!r})"
+                f"rho = b * snr_coeff / lambda0 = {self.rho!r} must be finite and > 0, with 1/rho "
+                f"finite (b = {b}, snr_coeff = {snr_coeff!r}, lambda0 = {lambda0!r})"
             )
 
     @property
@@ -337,12 +338,15 @@ class PointSpec:
 def _point_from(
     section: SectionView,
     columns: Sequence[str],
+    run: RunParams,
+    seed: int | None,
     variable: str | None = None,
     value: float = math.nan,
-) -> tuple[PointSpec, throughput.ThroughputConfig | None]:
+) -> tuple[PointSpec, throughput.ThroughputConfig | None, SimConfig | None]:
     """The point ``section`` describes, with the sweep ``variable`` (if any)
-    set to ``value``, and its planner config, None unless ``columns`` name
-    a planner cell."""
+    set to ``value``, its planner config, None unless ``columns`` name a
+    planner cell, and its Monte Carlo config on ``seed``, None unless
+    ``columns`` name ``sim_se``."""
     with _config_errors(section):
         lambda0 = value if variable == "lambda0" else section.get_float("lambda0", required=True)
         if variable == "b":
@@ -365,8 +369,9 @@ def _point_from(
         point = PointSpec(
             lambda0, b, fading, snr_coeff, velocity, value if variable == "rho" else None
         )
+        sim = point.sim_config(run.trials, seed, run.units) if "sim_se" in columns else None
     planner = any(column in PLANNER_COLUMNS for column in columns)
-    return point, _tp_config(section, point) if planner else None
+    return point, _tp_config(section, point) if planner else None, sim
 
 
 def _tp_config(section: SectionView, point: PointSpec) -> throughput.ThroughputConfig:
@@ -419,15 +424,15 @@ def _evaluate(
     columns: Sequence[str],
     point: PointSpec,
     cfg: throughput.ThroughputConfig | None,
+    sim: SimConfig | None,
     section: SectionView,
     run: RunParams,
-    seed: int | None,
 ) -> dict[str, Any]:
     """Named cells of one point: its ``lambda0``, ``b``, ``m_eff``, ``rho``
     and ``units``, plus every cell ``columns`` names.
 
-    ``cfg`` is the point's planner config and ``seed`` its Monte Carlo
-    seed; each is None when no column needs it.  ``sim_se`` comes with
+    ``cfg`` is the point's planner config and ``sim`` its Monte Carlo
+    config; each is None when no column needs it.  ``sim_se`` comes with
     ``sim_ci95`` and ``trials``; any planner column brings every planner
     optimum plus ``f_t`` and ``n_b``.  ``tp`` holds the throughput-curve
     rows of :func:`_tp_rows`.  Planner cells of an infeasible point are
@@ -445,8 +450,6 @@ def _evaluate(
             continue
         try:
             if column in ("sim_se", "sim_ci95", "trials"):
-                with _config_errors(section):
-                    sim = point.sim_config(run.trials, seed, run.units)
                 est = estimate_se(sim)
                 cells.update(sim_se=est.mean, sim_ci95=est.ci95, trials=est.trials)
             elif column in ("upper_nakagami", "upper_rayleigh", "lower"):
@@ -604,8 +607,8 @@ def _cmd_point(kind: str, args: argparse.Namespace) -> int:
     t0 = time.monotonic()
 
     columns, line = POINT_COMMANDS[kind]
-    point, cfg = _point_from(section, columns)
-    cells = _evaluate(columns, point, cfg, section, run, run.seed)
+    point, cfg, sim = _point_from(section, columns, run, run.seed)
+    cells = _evaluate(columns, point, cfg, sim, section, run)
     if "b_max_feasible" in cells and cells["b_max_feasible"] is None:
         raise InfeasibleConfigError(
             "no beam count achieves positive throughput "
@@ -638,11 +641,17 @@ def _columns(tags: Sequence[str]) -> list[str]:
     return [col for tag in tags for col in expand.get(tag, [tag])] + ["units"]
 
 
+def _sweep_stem(name: str) -> str:
+    """File stem of the ``[sweep:NAME]`` section ``name``."""
+    return name.split(":", 1)[1] or "sweep"
+
+
 def _sweep_plan(
-    section: SectionView,
-) -> tuple[str, list[str], list[tuple[float, PointSpec, throughput.ThroughputConfig | None]]]:
+    section: SectionView, run: RunParams
+) -> tuple[str, list[str], list[tuple[float, PointSpec, throughput.ThroughputConfig | None, SimConfig | None]]]:
     """A sweep section's variable, cell columns and (value, point, planner
-    config) triples, after every check that needs no evaluation."""
+    config, Monte Carlo config) quadruples, after every check that needs no
+    evaluation."""
     variable = section.get_str("variable", required=True)
     if variable not in SWEEP_VARIABLES:
         raise ConfigError(
@@ -655,7 +664,12 @@ def _sweep_plan(
             raise ConfigError(f"[{section.name}] 'tp' output needs a 'b_values' list")
         _b_values(section)
     columns = _columns(tags)
-    return variable, columns, [(value, *_point_from(section, columns, variable, value)) for value in values]
+    stem_key = zlib.crc32(_sweep_stem(section.name).encode())
+    # Only the Monte Carlo cells read a point's seed.
+    seeds = [child_seed(run.seed, stem_key, idx) if "sim_se" in columns else None for idx in range(len(values))]
+    return variable, columns, [
+        (value, *_point_from(section, columns, run, seed, variable, value)) for value, seed in zip(values, seeds)
+    ]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -666,7 +680,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError("config contains no [sweep:NAME] sections")
     # Every section is checked before any is evaluated, so a bad later
     # section leaves no output of the earlier ones behind.
-    plans = {name: _sweep_plan(sections[name]) for name in sweep_names}
+    plans = {name: _sweep_plan(sections[name], run) for name in sweep_names}
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = Manifest(out_dir)
@@ -674,15 +688,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for name, (variable, columns, points) in plans.items():
         section = sections[name]
         t0 = time.monotonic()
-        stem = name.split(":", 1)[1] or "sweep"
+        stem = _sweep_stem(name)
         header = [variable] + [c for c in columns if c != "tp"]
         rows = []
         tp_rows = []
-        stem_key = zlib.crc32(stem.encode())
-        for idx, (value, point, cfg) in enumerate(points):
-            # Only the Monte Carlo cells read a point's seed.
-            seed_point = child_seed(run.seed, stem_key, idx) if "sim_se" in columns else None
-            cells = _evaluate(columns, point, cfg, section, run, seed_point)
+        for value, point, cfg, sim in points:
+            cells = _evaluate(columns, point, cfg, sim, section, run)
             rows.append([value] + [cells[c] for c in header[1:]])
             tp_rows += [[value, *row] for row in cells.get("tp", [])]
 

@@ -13,14 +13,19 @@ occupied does not matter.  With mu = lambda0 / B, each chunk therefore
 1. draws, in one multinomial call, how many of its trials have K = 0, 1,
    ..., B occupied pairs, where K ~ Binomial(B, 1 - exp(-mu)) (over the
    window of K that holds all but ~1e-20 of the mass);
-2. draws one single-path power per occupied pair, and adds the remaining
-   paths only to pairs whose multiplicity, drawn by inverse CDF from the
-   zero-truncated Poisson(mu) law, is 2 or more (additivity of the power
-   laws, :func:`beamsim.channel.sample_pair_power_sums`);
+2. draws one single-path power per occupied pair, then the number of
+   pairs that hold two or more paths, one Binomial(pairs, q) draw with
+   q = P(J >= 2 | J >= 1) for the Poisson(mu) count J; picks those pairs
+   as a uniform subset of all pairs and draws their path counts by inverse
+   CDF from the law of J given J >= 2, adding the extra paths' power in
+   one draw each (additivity of the power laws,
+   :func:`beamsim.channel.sample_pair_power_sums`);
 3. lays the trials out by K, emptiest first, so the trials with more than
    c occupied pairs are a suffix of the chunk; their c-th pair sums are the
    next block of draws, folded into the suffix's running row maxima with
-   one vectorized ``np.maximum`` per c.
+   one vectorized ``np.maximum`` per c.  Only the occupied suffix is kept:
+   an empty trial's power is 0, so the moments count the empty trials
+   without storing them.
 
 Trials in a chunk are exchangeable and only order-free statistics (moments,
 empirical CDF) are kept, so this matches B independent Poisson(mu) pairs
@@ -45,8 +50,9 @@ from .rng import substream
 CHUNK_TRIALS = 16_384
 
 # Which numbers a given seed produces; recorded in run manifests.  Stream 1
-# was the Poisson-superposition sampler, stream 2 is the occupancy sampler.
-STREAM_VERSION = 2
+# was the Poisson-superposition sampler, stream 2 the occupancy sampler with
+# one uniform per pair, stream 3 draws the multi-path pairs by count.
+STREAM_VERSION = 3
 
 # Largest mean path count per beam pair the multiplicity table is built
 # for; the table holds about mu + 10 sqrt(mu) + 40 entries.
@@ -74,10 +80,12 @@ class SimConfig:
         if self.units not in _UNITS:
             raise ValueError(f"units must be one of {_UNITS}, got {self.units!r}")
         mu = self.link.lambda0 / self.grid.b
-        if not mu <= MAX_PATHS_PER_PAIR:
+        # mu rounds to 0 for a subnormal lambda0; the tables need ln(mu)
+        if not 0.0 < mu <= MAX_PATHS_PER_PAIR:
             raise ValueError(
-                f"lambda0 / B = {mu!r} paths per beam pair exceeds the Monte Carlo "
-                f"limit of {MAX_PATHS_PER_PAIR:g}"
+                f"lambda0 / b = {mu!r} paths per beam pair (lambda0 = {self.link.lambda0!r}, "
+                f"b = {self.grid.b}) must be > 0 and at most {MAX_PATHS_PER_PAIR:g}, "
+                "the Monte Carlo limit"
             )
         # A Nakagami pair's n extra paths are one Gamma(n m, 1/m) draw, n < 2 MAX_PATHS_PER_PAIR.
         m = self.fading.effective_nakagami_m()
@@ -151,15 +159,16 @@ def _normalized(log_ratios: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def _occupancy_tables(lambda0: float, b: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """(k0, occupied-pair pmf, pair-multiplicity CDF) for mu = lambda0 / b.
+def _occupancy_tables(lambda0: float, b: int) -> tuple[int, np.ndarray, float, np.ndarray]:
+    """(k0, occupied-pair pmf, multi-path share q, multiplicity CDF) for mu = lambda0 / b.
 
     ``pmf[i]`` is P(K = k0 + i) for K ~ Binomial(b, 1 - exp(-mu)) over the
     window of k outside which the pmf sums to below ~1e-20, so the table
-    stays short however large b is.  ``cdf[i]`` is P(J <= i + 1) for the
-    zero-truncated Poisson(mu) count J of an occupied pair, cut where its
-    tail falls below ~1e-20 and ending in exactly 1.  Both are formed in
-    log space, so they stay right where exp(-mu) underflows.
+    stays short however large b is.  For the Poisson(mu) path count J of a
+    pair, ``q`` is P(J >= 2 | J >= 1), summed over the j >= 2 terms so it
+    keeps its digits when it is tiny, and ``cdf[i]`` is P(J <= i + 2 | J >= 2),
+    cut where its tail falls below ~1e-20 and ending in exactly 1.  All are
+    formed in log space, so they stay right where exp(-mu) underflows.
     """
     mu = lambda0 / b
     # ln p for p = 1 - exp(-mu), accurate for small and large mu; ln(1 - p) = -mu
@@ -170,26 +179,45 @@ def _occupancy_tables(lambda0: float, b: int) -> tuple[int, np.ndarray, np.ndarr
     # ln pmf(k + 1) - ln pmf(k) = ln((b - k) / (k + 1)) + ln(p / (1 - p))
     k = np.arange(k0, min(b, math.ceil(mean + spread)), dtype=float)
     pmf = _normalized(np.log(b - k) - np.log(k + 1.0) + (log_p + mu))
-    # zero-truncated Poisson: ln q(j + 1) - ln q(j) = ln(mu / (j + 1)), j >= 1
-    j = np.arange(1.0, math.ceil(mu + 10.0 * math.sqrt(mu) + 40.0))
-    cdf = np.cumsum(_normalized(math.log(mu) - np.log(j + 1.0)))
+    # ln P(J = j) - ln P(J = j - 1) = ln(mu / j), for j = 2, 3, ...
+    log_ratios = math.log(mu) - np.log(np.arange(2.0, math.ceil(mu + 10.0 * math.sqrt(mu) + 41.0)))
+    q = min(1.0, float(_normalized(log_ratios)[1:].sum()))
+    cdf = np.cumsum(_normalized(log_ratios[1:]))
     cdf[-1] = 1.0
-    return k0, pmf, cdf
+    return k0, pmf, q, cdf
+
+
+def _multi_path_pairs(
+    rng: np.random.Generator, n_pairs: int, q: float, cdf: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(positions, extra path counts) of the occupied pairs with J >= 2 paths.
+
+    Their number is one Binomial(n_pairs, q) draw.  The pairs' sums are
+    i.i.d., so any subset of positions may hold the extra paths as long as
+    it is uniform: a position fixes which trial, by K, the pair belongs to.
+    The subset's order does not matter (the counts are i.i.d. too), so it
+    is not shuffled.  The counts J - 1 come by inverse CDF from ``cdf``,
+    the law of J given J >= 2: the first i with cdf[i] >= u is J - 2.
+    """
+    n_multi = int(rng.binomial(n_pairs, q))
+    positions = rng.choice(n_pairs, n_multi, replace=False, shuffle=False)
+    return positions, np.searchsorted(cdf, rng.random(n_multi)) + 1
 
 
 def _trial_maxima(
     seed: int,
     chunk_index: int,
     n_trials: int,
-    tables: tuple[int, np.ndarray, np.ndarray],
+    tables: tuple[int, np.ndarray, float, np.ndarray],
     fading: FadingModel,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-trial (max pair power sum, occupied mask) for one chunk.
+) -> np.ndarray:
+    """Max pair power sum of each occupied trial of one chunk.
 
-    Trials come out grouped by their occupied-pair count K, empty ones
-    first; see the module docstring.
+    The chunk's other ``n_trials - len(result)`` trials are empty (power
+    0).  Trials come out grouped by their occupied-pair count K, in
+    ascending order; see the module docstring.
     """
-    k0, pmf, cdf = tables
+    k0, pmf, q, cdf = tables
     rng = substream(seed, chunk_index)
     trials_with = rng.multinomial(n_trials, pmf)  # trials with K = k0, k0 + 1, ...
     # more[c]: how many trials hold more than c occupied pairs; being sorted
@@ -198,20 +226,18 @@ def _trial_maxima(
     more = more[: np.count_nonzero(more)]
     n_pairs = int(more.sum())
     sums = sample_path_powers(fading, n_pairs, rng)
-    u = rng.random(n_pairs)
-    multi = np.flatnonzero(u > cdf[0])
-    # inverse CDF: index i is the first with cdf[i] >= u, so J - 1 = i extra paths
-    extra = np.searchsorted(cdf, u[multi])
+    multi, extra = _multi_path_pairs(rng, n_pairs, q, cdf)
     sums[multi] += sample_pair_power_sums(fading, extra, rng)
-    # the next more[c] sums are the c-th pair of those trials
-    maxima = np.zeros(n_trials)
-    pos = 0
-    for count in more:
-        tail = maxima[n_trials - count:]
+    # The first more[0] sums are each occupied trial's first pair; the next
+    # more[c] sums are the c-th pair of the last more[c] of them.
+    n_occupied = int(more[0]) if len(more) else 0
+    maxima = sums[:n_occupied]
+    pos = n_occupied
+    for count in more[1:]:
+        tail = maxima[n_occupied - count:]
         np.maximum(tail, sums[pos:pos + count], out=tail)
         pos += count
-    n_occupied = int(more[0]) if len(more) else 0
-    return maxima, np.arange(n_trials) >= n_trials - n_occupied
+    return maxima
 
 
 def _map_chunks(fn, n_chunks: int, workers: int) -> list:
@@ -252,14 +278,19 @@ def estimate_se(config: SimConfig, workers: int | None = None) -> SEEstimate:
     tables = _occupancy_tables(config.link.lambda0, config.grid.b)
 
     def run_chunk(i: int) -> tuple[int, float, float]:
-        z, _ = _trial_maxima(config.seed, i, sizes[i], tables, config.fading)
+        n = sizes[i]
+        rates = _trial_maxima(config.seed, i, n, tables, config.fading)
         # rho z overflows for rho near the float range; the estimate is then
         # not finite and rejected below, once, so numpy's warnings are silenced.
         with np.errstate(over="ignore", invalid="ignore"):
-            rates = np.log1p(rho * z)
-            mean = float(rates.mean())
-            m2 = float(((rates - mean) ** 2).sum())
-        return len(rates), mean, m2
+            rates *= rho
+            np.log1p(rates, out=rates)
+            mean = float(rates.sum()) / n
+            rates -= mean
+            np.square(rates, out=rates)
+            # the n - len(rates) empty trials have rate 0: each adds mean^2 to M2
+            m2 = float(rates.sum()) + (n - len(rates)) * mean * mean
+        return n, mean, m2
 
     n, mean, m2 = _merge_moments(_map_chunks(run_chunk, len(sizes), nworkers))
     var = m2 / (n - 1) if n > 1 else 0.0
@@ -295,8 +326,8 @@ def empirical_opt_power_cdf(
     tables = _occupancy_tables(config.link.lambda0, config.grid.b)
 
     def run_chunk(i: int) -> tuple[np.ndarray, int]:
-        z, occupied = _trial_maxima(config.seed, i, sizes[i], tables, config.fading)
-        kept = np.sort(z[occupied])
+        kept = _trial_maxima(config.seed, i, sizes[i], tables, config.fading)
+        kept.sort()
         return np.searchsorted(kept, grid, side="right"), len(kept)
 
     below = np.zeros(len(grid), dtype=np.int64)

@@ -71,6 +71,14 @@ class TestFadingPowers:
             se_var = math.sqrt(((w - w.mean()) ** 2).var() / n)
             assert abs(w.var() - (1.0 + 2.0 * k) / (1.0 + k) ** 2) <= 4.0 * se_var
 
+    def test_rician_is_its_formula_bit_for_bit(self):
+        # the in-place draw does the formula's float operations on the same normals
+        for k in (0.0, 3.16, 1e6):
+            z = substream(7, 0).standard_normal(size=(2, 5_000))
+            reference = ((z[0] + math.sqrt(2.0 * k)) ** 2 + z[1] ** 2) / (2.0 * (1.0 + k))
+            w = sample_path_powers(FadingModel.rician(k), 5_000, substream(7, 0))
+            assert w.tobytes() == reference.tobytes()
+
     def test_domain(self):
         with pytest.raises(ValueError):
             FadingModel.nakagami(0.3)

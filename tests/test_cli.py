@@ -245,7 +245,7 @@ class TestSubcommands:
             assert entry["trials"] == 5000
             assert entry["units"] == "nats"
             assert "version" in entry and "wall_time_s" in entry
-            assert entry["stream"] == 2
+            assert entry["stream"] == 3
             assert entry["python"] == sys.version.split()[0]
             assert "numpy" in entry and "BEAMSIM_THREADS" in entry
             # set by the package import unless the environment sets a count
@@ -375,6 +375,11 @@ class TestExitCodes:
             ("throughput", "t_total = 0.01", "tc_model = bogus\nvelocity = 1\ncarrier_freq = 60e9"),
             ("throughput", "b_values = 16, 121, 400", "b_values = 16, 0.5"),
             ("throughput", "b_values = 16, 121, 400", "b_values = nan"),
+            # rho = 121 is fine, but lambda0 / b rounds to 0 paths per pair
+            ("simulate", "lambda0 = 1.9\nb = 121\nm = 3.2\nsnr_coeff = 0.01",
+             "lambda0 = 5e-324\nb = 121\nm = 3.2\nsnr_coeff = 5e-324"),
+            # rho is subnormal, so 1/rho overflows
+            ("bounds", "snr_coeff = 0.01", "snr_coeff = 5e-324"),
         ],
         ids=[
             "snr_coeff_inf", "simulate_rho_overflow", "bounds_rho_overflow", "k_db_nan",
@@ -383,6 +388,7 @@ class TestExitCodes:
             "distance_d_zero", "distance_d_tiny", "bounds_lambda0_zero", "bounds_b_zero",
             "t_total_inf", "t_f_inf", "t_total_huge", "velocity_negative", "velocity_inf",
             "carrier_freq_nan", "tc_model_unknown", "b_values_below_one", "b_values_nan",
+            "simulate_mu_underflow", "bounds_inverse_rho_overflow",
         ],
     )
     def test_bad_point_value_is_2(self, tmp_path, kind, old, new):
@@ -438,6 +444,9 @@ class TestExitCodes:
             "rho": "[sweep:b]\nvariable = rho\nvalues = -1, 1\nlambda0 = 1.9\nb = 121\noutputs = lower\n",
             "'t_f'": plan + "carrier_freq = 60e9\noutputs = b_star_numeric\n",
             "tc_model": plan + "t_f = 5e-6\ncarrier_freq = 60e9\ntc_model = bogus\noutputs = lower, hpbw_star\n",
+            # the Monte Carlo limit on lambda0 / b, checked when the section is planned
+            "lambda0 / b": "[sweep:b]\nvariable = lambda0\nvalues = 1.9, 1e308\nb = 121\nsnr_coeff = 0.01\n"
+                           "outputs = sim_se\n",
         }
         for i, (key, section) in enumerate(later.items()):
             cfg = tmp_path / "two.ini"

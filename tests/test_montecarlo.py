@@ -14,6 +14,7 @@ from beamsim.errors import DegenerateSampleError, NumericalError
 from beamsim.montecarlo import (
     MAX_PATHS_PER_PAIR,
     SimConfig,
+    _multi_path_pairs,
     _occupancy_tables,
     empirical_opt_power_cdf,
     estimate_se,
@@ -117,7 +118,7 @@ class TestEstimateSe:
     )
     def test_occupancy_tables_match_reference_laws(self, lambda0, b):
         mu = lambda0 / b
-        k0, pmf, cdf = _occupancy_tables(lambda0, b)
+        k0, pmf, q, cdf = _occupancy_tables(lambda0, b)
         assert len(pmf) <= 2_000 and cdf[-1] == 1.0
         ks = np.arange(k0, k0 + len(pmf))
         # B - K ~ Binomial(B, exp(-mu)) keeps the reference exact where 1 - p rounds
@@ -127,9 +128,12 @@ class TestEstimateSe:
             ref = stats.binom.pmf(b - ks, b, math.exp(-mu))
         assert np.allclose(pmf, ref, rtol=1e-9, atol=1e-15)
         assert ref.sum() > 1.0 - 1e-12     # the window holds all the mass
-        js = np.arange(1, len(cdf) + 1)
-        truncated = np.cumsum(stats.poisson.pmf(js, mu)) / -math.expm1(-mu)
-        assert np.allclose(cdf, truncated, rtol=1e-9, atol=1e-15)
+        # P(J >= 2 | J >= 1) and P(J <= j | J >= 2), j >= 2, for J ~ Poisson(mu)
+        assert q == pytest.approx(stats.poisson.sf(1, mu) / stats.poisson.sf(0, mu), rel=1e-9)
+        js = np.arange(2, len(cdf) + 2)
+        conditional = np.cumsum(stats.poisson.pmf(js, mu)) / stats.poisson.sf(1, mu)
+        assert np.allclose(cdf, conditional, rtol=1e-9, atol=1e-15)
+        assert stats.poisson.sf(js[-1], mu) / stats.poisson.sf(1, mu) < 1e-15   # the cut tail
 
     def test_intensity_beyond_table_is_rejected(self):
         link = LinkBudget.from_snr_coeff(0.01, 1e308)
@@ -139,6 +143,10 @@ class TestEstimateSe:
         ok = LinkBudget.from_snr_coeff(0.01, MAX_PATHS_PER_PAIR)
         SimConfig(link=ok, grid=BeamGrid.from_counts(1, 1),
                   fading=FadingModel.rayleigh(), trials=10, seed=1)
+        # a subnormal lambda0 over b pairs rounds to 0 paths per pair
+        with pytest.raises(ValueError, match="lambda0 / b = 0.0 paths per beam pair"):
+            SimConfig(link=LinkBudget.from_snr_coeff(0.01, 5e-324), grid=BeamGrid.from_counts(11, 11),
+                      fading=FadingModel.rayleigh(), trials=10, seed=1)
 
     def test_shape_whose_path_sum_overflows_is_rejected(self):
         # a pair's n paths are one Gamma(n m, 1/m) draw; n m = inf made SE = inf
@@ -237,6 +245,68 @@ class TestEmpiricalCdf:
             empirical_opt_power_cdf(cfg, np.array([2.0, 1.0]))
         with pytest.raises(ValueError):
             empirical_opt_power_cdf(cfg, np.array([-1.0, 1.0]))
+
+
+def pooled_chi2_pvalue(observed, expected):
+    """chi^2 p-value of counts against expected counts of the same total,
+    adjacent cells pooled until each expects at least 5."""
+    obs_cells, exp_cells = [], []
+    obs = exp = 0.0
+    for o, e in zip(observed, expected):
+        obs, exp = obs + o, exp + e
+        if exp >= 5.0:
+            obs_cells.append(obs)
+            exp_cells.append(exp)
+            obs = exp = 0.0
+    obs_cells[-1] += obs
+    exp_cells[-1] += exp
+    return stats.chisquare(obs_cells, exp_cells).pvalue
+
+
+class TestMultiPathPairs:
+    """The step that picks the occupied pairs holding two or more paths."""
+
+    N_PAIRS, FIRST_BLOCK, REPLICATES = 3_000, 1_000, 2_000
+
+    @pytest.fixture(scope="class", params=[0.01, 0.5, 2.0], ids=["mu0.01", "mu0.5", "mu2"])
+    def draws(self, request):
+        mu = request.param
+        _, _, q, cdf = _occupancy_tables(100.0 * mu, 100)
+        rng = substream(2024, int(100 * mu))
+        return mu, q, [_multi_path_pairs(rng, self.N_PAIRS, q, cdf) for _ in range(self.REPLICATES)]
+
+    def test_count_is_binomial(self, draws):
+        _, q, pairs = draws
+        counts = np.array([len(positions) for positions, _ in pairs])
+        observed = np.bincount(counts, minlength=self.N_PAIRS + 1)
+        expected = self.REPLICATES * stats.binom.pmf(np.arange(self.N_PAIRS + 1), self.N_PAIRS, q)
+        assert pooled_chi2_pvalue(observed, expected) > 1e-3
+
+    def test_extra_paths_follow_poisson_given_two_or_more(self, draws):
+        mu, _, pairs = draws
+        paths = np.concatenate([extra for _, extra in pairs]) + 1
+        js = np.arange(2, paths.max() + 2)
+        observed = np.bincount(paths, minlength=js[-1] + 1)[2:]
+        law = stats.poisson.pmf(js, mu) / stats.poisson.sf(1, mu)
+        law[-1] = stats.poisson.sf(js[-2], mu) / stats.poisson.sf(1, mu)  # tail past the largest draw
+        assert pooled_chi2_pvalue(observed, len(paths) * law) > 1e-3
+
+    def test_positions_are_a_uniform_subset(self, draws):
+        # the first block holds each occupied trial's first pair, the later
+        # blocks only the pairs of trials with more: a multi-path share that
+        # differs between them would bias the maxima by K
+        _, _, pairs = draws
+        in_first = total = var = 0.0
+        for positions, _ in pairs:
+            assert len(np.unique(positions)) == len(positions)
+            assert positions.min(initial=0) >= 0 and positions.max(initial=0) < self.N_PAIRS
+            n = len(positions)
+            in_first += np.count_nonzero(positions < self.FIRST_BLOCK)
+            total += n
+            # hypergeometric variance of the first block's share of n picks
+            f = self.FIRST_BLOCK / self.N_PAIRS
+            var += n * f * (1.0 - f) * (self.N_PAIRS - n) / (self.N_PAIRS - 1)
+        assert abs(in_first - total * self.FIRST_BLOCK / self.N_PAIRS) <= 4.0 * math.sqrt(var)
 
 
 class TestEngineMatchesPerPairSampler:
