@@ -22,7 +22,6 @@ if not any(var in _os.environ for var in _BLAS_THREAD_VARS):
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 from .analytic import (
-    SnrScale,
     SparseModel,
     bernoulli_p,
     opt_power_cdf,
@@ -32,7 +31,6 @@ from .analytic import (
     se_sparse_approx,
     se_upper_nakagami,
     se_upper_rayleigh,
-    snr_scale,
 )
 from .beam import (
     BeamGrid,

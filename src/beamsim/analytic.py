@@ -28,8 +28,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beam import BeamGrid
-from .channel import LinkBudget
 from .errors import NumericalError
 from .specfun import de_quad, exp_e1_scaled, ln_gamma
 
@@ -88,25 +86,6 @@ class SparseModel:
         return -math.expm1(self.log_all_empty())
 
 
-@dataclass(frozen=True)
-class SnrScale:
-    """Linear SNR scales of the link.
-
-    ``rho`` multiplies the normalized optimal power inside ln(1 + rho P);
-    ``k`` is the per-beam scale with rho = B * k for sectored grids (the
-    gain product of a sectored grid always equals B).
-    """
-
-    rho: float
-    k: float
-
-    def __post_init__(self) -> None:
-        for name in ("rho", "k"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"SNR scale {name} must be finite and > 0, got {value!r}")
-
-
 def bernoulli_p(lambda0: float, b: int) -> float:
     """Per-pair occupancy probability p = 1 - exp(-lambda0/b)."""
     if not lambda0 > 0.0:
@@ -114,12 +93,6 @@ def bernoulli_p(lambda0: float, b: int) -> float:
     if b < 1:
         raise ValueError(f"pair count must be >= 1, got {b!r}")
     return -math.expm1(-lambda0 / b)
-
-
-def snr_scale(link: LinkBudget, grid: BeamGrid) -> SnrScale:
-    """SNR scales implied by a link budget and a sectored beam grid."""
-    k = link.path_gain / (link.lambda0 * link.noise_power)
-    return SnrScale(rho=k * grid.gain_t * grid.gain_r, k=k)
 
 
 # =====================================================================

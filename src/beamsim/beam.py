@@ -8,7 +8,6 @@ with M beams has per-beam gain exactly M.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,16 +58,6 @@ class BeamGrid:
     @classmethod
     def from_counts(cls, m_t: int, m_r: int) -> "BeamGrid":
         return cls(m_t=int(m_t), m_r=int(m_r))
-
-    @classmethod
-    def from_pair_count(cls, b: int) -> "BeamGrid":
-        """Grid of ``b`` pairs split as evenly as possible, with m_t <= m_r."""
-        if b < 1:
-            raise ValueError(f"pair count must be >= 1, got {b!r}")
-        m_t = math.isqrt(b)
-        while b % m_t:
-            m_t -= 1
-        return cls.from_counts(m_t, b // m_t)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ mean total path count ``lambda0``, each pair independently holds a
 Poisson(lambda0 / B) number of multipath components, and every component
 carries an i.i.d. small-scale fading power normalized to unit mean.  The
 large-scale link budget (path loss, noise) enters only through the SNR
-scale computed in :mod:`beamsim.analytic`, so fading powers here are
-dimensionless.
+scale rho that the Monte Carlo engine and the bounds take, so fading
+powers here are dimensionless.
 """
 
 from __future__ import annotations
@@ -101,17 +101,6 @@ class LinkBudget:
         """c * d^(-alpha), the distance-dependent power attenuation."""
         return self.intercept_c * self.distance_d ** (-self.alpha)
 
-    @classmethod
-    def from_snr_coeff(cls, snr_coeff: float, lambda0: float) -> "LinkBudget":
-        """Budget with c*d^(-alpha)/sigma^2 fixed to ``snr_coeff`` directly."""
-        return cls(
-            intercept_c=float(snr_coeff),
-            distance_d=1.0,
-            alpha=2.0,
-            noise_power=1.0,
-            lambda0=float(lambda0),
-        )
-
 
 @dataclass(frozen=True)
 class ChannelRealization:
@@ -194,28 +183,22 @@ def sample_path_powers(model: FadingModel, n: int, rng: np.random.Generator) -> 
 def sample_pair_power_sums(
     model: FadingModel, counts: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Summed normalized power for pairs holding ``counts`` paths each.
+    """Summed normalized power for pairs holding ``counts`` paths each, every
+    count >= 1.
 
     Uses the additivity of the per-family power laws: a sum of n
     Gamma(m, 1/m) powers is Gamma(n*m, 1/m), and a sum of n Rician powers
     is noncentral chi-square with 2n degrees of freedom and noncentrality
-    2nK (same 1/(2(1+K)) scale).  Entries with count 0 come back as 0.
+    2nK (same 1/(2(1+K)) scale).
     """
-    counts = np.asarray(counts)
-    out = np.zeros(counts.shape, dtype=float)
-    nz = counts > 0
-    if not nz.any():
-        return out
-    n = counts[nz].astype(float)
+    n = np.asarray(counts, dtype=float)
     if model.family is FadingFamily.NAKAGAMI_M:
         m = float(model.parameter)  # type: ignore[arg-type]
-        out[nz] = rng.gamma(shape=m * n, scale=1.0 / m)
-    elif model.family is FadingFamily.RAYLEIGH:
-        out[nz] = rng.gamma(shape=n, scale=1.0)
-    else:
-        k = float(model.parameter)  # type: ignore[arg-type]
-        out[nz] = rng.noncentral_chisquare(2.0 * n, 2.0 * k * n) / (2.0 * (1.0 + k))
-    return out
+        return rng.gamma(shape=m * n, scale=1.0 / m)
+    if model.family is FadingFamily.RAYLEIGH:
+        return rng.gamma(shape=n, scale=1.0)
+    k = float(model.parameter)  # type: ignore[arg-type]
+    return rng.noncentral_chisquare(2.0 * n, 2.0 * k * n) / (2.0 * (1.0 + k))
 
 
 def realize_channel(

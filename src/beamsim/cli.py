@@ -49,8 +49,7 @@ import beamsim.throughput as throughput
 
 from . import _BLAS_THREAD_VARS, __version__, analytic, validation
 from .analytic import SparseModel
-from .beam import BeamGrid
-from .channel import FadingModel, LinkBudget
+from .channel import FadingModel
 from .errors import (
     ApproximationInvalidError,
     BeamsimError,
@@ -324,15 +323,8 @@ class PointSpec:
             self.lambda0, self.b, self.fading.effective_nakagami_m()
         )
 
-    def sim_config(self, trials: int, seed: int, units: str) -> SimConfig:
-        return SimConfig(
-            link=LinkBudget.from_snr_coeff(self.snr_coeff, self.lambda0),
-            grid=BeamGrid.from_pair_count(self.b),
-            fading=self.fading,
-            trials=trials,
-            seed=seed,
-            units=units,
-        )
+    def sim_config(self, trials: int, seed: int) -> SimConfig:
+        return SimConfig(self.lambda0, self.b, self.rho, self.fading, trials, seed)
 
 
 def _point_from(
@@ -369,7 +361,7 @@ def _point_from(
         point = PointSpec(
             lambda0, b, fading, snr_coeff, velocity, value if variable == "rho" else None
         )
-        sim = point.sim_config(run.trials, seed, run.units) if "sim_se" in columns else None
+        sim = point.sim_config(run.trials, seed) if "sim_se" in columns else None
     planner = any(column in PLANNER_COLUMNS for column in columns)
     return point, _tp_config(section, point) if planner else None, sim
 
@@ -451,7 +443,7 @@ def _evaluate(
         try:
             if column in ("sim_se", "sim_ci95", "trials"):
                 est = estimate_se(sim)
-                cells.update(sim_se=est.mean, sim_ci95=est.ci95, trials=est.trials)
+                cells.update(sim_se=est.mean * scale, sim_ci95=est.ci95 * scale, trials=est.trials)
             elif column in ("upper_nakagami", "upper_rayleigh", "lower"):
                 if model is None:
                     with _config_errors(section):

@@ -1,10 +1,14 @@
 """Monte Carlo engine for the optimally beamformed link.
 
-Each trial draws a sparse multipath channel, sweeps all beam pairs for the
-power-maximizing one, and records log(1 + P_opt / sigma^2).  Trials are
-generated in fixed-size chunks, each chunk on its own derived substream,
-and per-chunk moment statistics are merged in chunk order -- so results
-are bit-identical for any worker count and fully determined by the seed.
+A simulated point is four numbers (:class:`SimConfig`): the mean path
+count lambda0, the beam-pair count B, the fading law and the SNR scale rho.
+Each trial draws a sparse multipath channel, sweeps all B beam pairs for the
+power-maximizing one, and records ln(1 + rho z) in nats, z being that pair's
+summed normalized fading power; converting units is the caller's job.
+Trials are generated in fixed-size chunks, each chunk on its own derived
+substream, and per-chunk moment statistics are merged in chunk order -- so
+results are bit-identical for any worker count and fully determined by the
+seed.
 
 Sampling is sort-free.  A trial's optimal power is the largest of its
 occupied pairs' power sums, and those sums are i.i.d.; which pairs are
@@ -41,9 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analytic import snr_scale
-from .beam import BeamGrid
-from .channel import FadingModel, LinkBudget, sample_pair_power_sums, sample_path_powers
+from .channel import FadingModel, sample_pair_power_sums, sample_path_powers
 from .errors import ConfigError, DegenerateSampleError, NumericalError
 from .rng import substream
 
@@ -58,33 +60,35 @@ STREAM_VERSION = 3
 # for; the table holds about mu + 10 sqrt(mu) + 40 entries.
 MAX_PATHS_PER_PAIR = 1e5
 
-_UNITS = ("nats", "bits")
-
 THREADS_ENV_VAR = "BEAMSIM_THREADS"
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Everything one simulation needs: link, grid, fading, trials, seed."""
+    """One simulated point and its sample: the mean path count ``lambda0``,
+    the beam-pair count ``b``, the SNR scale ``rho`` of ln(1 + rho z), the
+    fading law, and the trial count and seed."""
 
-    link: LinkBudget
-    grid: BeamGrid
+    lambda0: float
+    b: int
+    rho: float
     fading: FadingModel
     trials: int
     seed: int
-    units: str = "nats"
 
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials!r}")
-        if self.units not in _UNITS:
-            raise ValueError(f"units must be one of {_UNITS}, got {self.units!r}")
-        mu = self.link.lambda0 / self.grid.b
+        if self.b < 1:
+            raise ValueError(f"pair count must be >= 1, got {self.b!r}")
+        if not (math.isfinite(self.rho) and self.rho > 0.0):
+            raise ValueError(f"SNR scale rho must be finite and > 0, got {self.rho!r}")
+        mu = self.lambda0 / self.b
         # mu rounds to 0 for a subnormal lambda0; the tables need ln(mu)
         if not 0.0 < mu <= MAX_PATHS_PER_PAIR:
             raise ValueError(
-                f"lambda0 / b = {mu!r} paths per beam pair (lambda0 = {self.link.lambda0!r}, "
-                f"b = {self.grid.b}) must be > 0 and at most {MAX_PATHS_PER_PAIR:g}, "
+                f"lambda0 / b = {mu!r} paths per beam pair (lambda0 = {self.lambda0!r}, "
+                f"b = {self.b}) must be > 0 and at most {MAX_PATHS_PER_PAIR:g}, "
                 "the Monte Carlo limit"
             )
         # A Nakagami pair's n extra paths are one Gamma(n m, 1/m) draw, n < 2 MAX_PATHS_PER_PAIR.
@@ -98,12 +102,11 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class SEEstimate:
-    """Sample mean of the per-trial rate with its Monte Carlo uncertainty."""
+    """Sample mean of the per-trial rate (nats) with its Monte Carlo uncertainty."""
 
     mean: float
     std_error: float
     trials: int
-    units: str = "nats"
 
     @property
     def ci95(self) -> float:
@@ -266,16 +269,16 @@ def _merge_moments(parts: list[tuple[int, float, float]]) -> tuple[int, float, f
 
 
 def estimate_se(config: SimConfig, workers: int | None = None) -> SEEstimate:
-    """Mean spectral efficiency over ``config.trials`` independent trials.
+    """Mean spectral efficiency, in nats, over ``config.trials`` independent trials.
 
-    Per trial the rate is ln(1 + rho * z) with z the maximum per-pair sum
-    of normalized fading powers; all-empty trials contribute zero rate.
+    Per trial the rate is ln(1 + config.rho * z) with z the maximum per-pair
+    sum of normalized fading powers; all-empty trials contribute zero rate.
     Deterministic for a fixed seed regardless of worker count.
     """
-    rho = snr_scale(config.link, config.grid).rho
+    rho = config.rho
     sizes = _chunk_sizes(config.trials)
     nworkers = resolve_workers(workers)
-    tables = _occupancy_tables(config.link.lambda0, config.grid.b)
+    tables = _occupancy_tables(config.lambda0, config.b)
 
     def run_chunk(i: int) -> tuple[int, float, float]:
         n = sizes[i]
@@ -297,15 +300,7 @@ def estimate_se(config: SimConfig, workers: int | None = None) -> SEEstimate:
     std_error = math.sqrt(var / n)
     if not (math.isfinite(mean) and math.isfinite(std_error)):
         raise NumericalError(f"estimate_se: ln(1 + rho z) overflows at rho = {rho!r}")
-    if config.units == "bits":
-        mean /= math.log(2.0)
-        std_error /= math.log(2.0)
-    return SEEstimate(
-        mean=mean,
-        std_error=std_error,
-        trials=n,
-        units=config.units,
-    )
+    return SEEstimate(mean=mean, std_error=std_error, trials=n)
 
 
 def empirical_opt_power_cdf(
@@ -313,8 +308,9 @@ def empirical_opt_power_cdf(
 ) -> EmpiricalCdf:
     """Empirical CDF of the normalized optimal power, given >= 1 path.
 
-    ``grid_points`` must be sorted and nonnegative.  Raises
-    :class:`DegenerateSampleError` when every trial came up empty.
+    ``config.rho`` does not enter.  ``grid_points`` must be sorted and
+    nonnegative.  Raises :class:`DegenerateSampleError` when every trial
+    came up empty.
     """
     grid = np.asarray(grid_points, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
@@ -323,7 +319,7 @@ def empirical_opt_power_cdf(
         raise ValueError("grid_points must be sorted and nonnegative")
     sizes = _chunk_sizes(config.trials)
     nworkers = resolve_workers(workers)
-    tables = _occupancy_tables(config.link.lambda0, config.grid.b)
+    tables = _occupancy_tables(config.lambda0, config.b)
 
     def run_chunk(i: int) -> tuple[np.ndarray, int]:
         kept = _trial_maxima(config.seed, i, sizes[i], tables, config.fading)

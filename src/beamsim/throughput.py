@@ -52,6 +52,14 @@ class ThroughputConfig:
                 raise ValueError(f"{key} must be finite and > 0, got {value!r}")
         if self.n_b < 1:
             raise ValueError(f"n_b must be >= 1, got {self.n_b!r}")
+        # The overhead terms take N_b^2 as a float.
+        if self.n_b**2 > sys.float_info.max:
+            raise ValueError(f"n_b must have a square below {sys.float_info.max:g}, got {self.n_b!r}")
+        if not math.isfinite(self.f_t):
+            raise ValueError(
+                f"the overhead ratio F_t = 2 t_f / t_total overflows (t_f={self.t_f!r}, "
+                f"t_total={self.t_total!r})"
+            )
         # The planner searches B on [1, (1/F_t)^2]; that bracket must be finite.
         if not (self.f_t > 0.0 and 1.0 / self.f_t < _MAX_INV_F_T):
             raise ValueError(
@@ -87,7 +95,10 @@ def throughput_continuous(b: float, cfg: ThroughputConfig) -> float:
     if not b >= 1.0:
         raise ValueError(f"beam pair count must be >= 1, got {b!r}")
     prefactor = 1.0 - cfg.f_t * (2.0 * math.sqrt(b) + cfg.n_b**2)
-    return prefactor * (-math.expm1(-cfg.lambda0)) * math.log1p(b * cfg.k)
+    x = b * cfg.k
+    # where B K overflows, ln(1 + B K) is ln B + ln K to the last digit
+    rate = math.log1p(x) if x < math.inf else math.log(b) + math.log(cfg.k)
+    return prefactor * (-math.expm1(-cfg.lambda0)) * rate
 
 
 def throughput(b: int, cfg: ThroughputConfig) -> float:
@@ -210,6 +221,11 @@ def coherence_time(velocity: float, carrier_freq: float) -> float:
     if not (math.isfinite(carrier_freq) and carrier_freq > 0.0):
         raise ValueError(f"carrier_freq must be finite and > 0, got {carrier_freq!r}")
     doppler = velocity * carrier_freq / SPEED_OF_LIGHT
+    if doppler == 0.0:
+        raise ValueError(
+            f"the Doppler shift velocity * carrier_freq / c underflows to 0 (velocity = {velocity!r}, "
+            f"carrier_freq = {carrier_freq!r})"
+        )
     return 9.0 / (16.0 * math.pi * doppler)
 
 
@@ -221,4 +237,7 @@ def throughput_curve(
     if (b < 1.0).any():
         raise ValueError("beam pair counts must be >= 1")
     prefactor = 1.0 - cfg.f_t * (2.0 * np.sqrt(b) + cfg.n_b**2)
-    return prefactor * (-math.expm1(-cfg.lambda0)) * np.log1p(b * cfg.k)
+    with np.errstate(over="ignore"):
+        x = b * cfg.k
+    rate = np.where(np.isfinite(x), np.log1p(x), np.log(b) + math.log(cfg.k))
+    return prefactor * (-math.expm1(-cfg.lambda0)) * rate

@@ -26,8 +26,7 @@ import beamsim.throughput as throughput
 
 from . import analytic, specfun
 from .analytic import SparseModel
-from .beam import BeamGrid
-from .channel import FadingModel, LinkBudget
+from .channel import FadingModel
 from .errors import ConfigError
 from .montecarlo import SEEstimate, SimConfig, empirical_opt_power_cdf, estimate_se
 from .rng import child_seed
@@ -45,19 +44,12 @@ class CriterionResult:
     detail: str
 
 
-def _sim_se(lambda0: float, b: int, fading: FadingModel, trials: int, seed: int) -> SEEstimate:
-    cfg = SimConfig(
-        link=LinkBudget.from_snr_coeff(SNR_COEFF, lambda0),
-        grid=BeamGrid.from_pair_count(b),
-        fading=fading,
-        trials=trials,
-        seed=seed,
-    )
-    return estimate_se(cfg)
-
-
 def _rho(lambda0: float, b: int) -> float:
     return b * SNR_COEFF / lambda0
+
+
+def _sim_se(lambda0: float, b: int, fading: FadingModel, trials: int, seed: int) -> SEEstimate:
+    return estimate_se(SimConfig(lambda0, b, _rho(lambda0, b), fading, trials, seed))
 
 
 def _integral(
@@ -151,13 +143,7 @@ def _c04_cdf_exactness(seed: int, trials: int) -> CriterionResult:
     """
     trials = max(trials, 100_000)
     lam0, b = 1.9, 121
-    cfg = SimConfig(
-        link=LinkBudget.from_snr_coeff(SNR_COEFF, lam0),
-        grid=BeamGrid.from_pair_count(b),
-        fading=FadingModel.rayleigh(),
-        trials=trials,
-        seed=child_seed(seed, 4),
-    )
+    cfg = SimConfig(lam0, b, _rho(lam0, b), FadingModel.rayleigh(), trials, child_seed(seed, 4))
     grid_pts = np.linspace(0.0, 12.0, 601)
     ecdf = empirical_opt_power_cdf(cfg, grid_pts)
     model = SparseModel.from_occupancy(lam0, b, 1.0)
@@ -441,11 +427,7 @@ def _c10_special_function_kernel(seed: int, trials: int) -> CriterionResult:
 def _c11_determinism(seed: int, trials: int) -> CriterionResult:
     """Same seed => identical estimates and reports; worker count is irrelevant."""
     cfg = SimConfig(
-        link=LinkBudget.from_snr_coeff(SNR_COEFF, 1.9),
-        grid=BeamGrid.from_counts(11, 11),
-        fading=FadingModel.rayleigh(),
-        trials=min(trials, 50_000),
-        seed=child_seed(seed, 11),
+        1.9, 121, _rho(1.9, 121), FadingModel.rayleigh(), min(trials, 50_000), child_seed(seed, 11)
     )
     a = estimate_se(cfg, workers=1)
     b = estimate_se(cfg, workers=1)

@@ -14,7 +14,6 @@ from scipy import integrate
 
 from beamsim import specfun
 from beamsim.analytic import (
-    SnrScale,
     SparseModel,
     bernoulli_p,
     opt_power_cdf,
@@ -24,11 +23,8 @@ from beamsim.analytic import (
     se_sparse_approx,
     se_upper_nakagami,
     se_upper_rayleigh,
-    snr_scale,
     surrogate_rate,
 )
-from beamsim.beam import BeamGrid
-from beamsim.channel import LinkBudget
 from beamsim.errors import NumericalError
 from beamsim.specfun import EULER_GAMMA
 from beamsim.validation import _max_exp_log_moment, _mixture_upper_se
@@ -73,33 +69,6 @@ class TestSparseModelDomain:
             SparseModel.from_occupancy(lambda0, 121, 1.0)
         assert str(exc.value).startswith(f"lambda0 = {lambda0!r} over b = 121 ")
         assert f"round to {p}" in str(exc.value)
-
-
-class TestSnrScale:
-    def test_reference_point(self):
-        link = LinkBudget(intercept_c=0.01, distance_d=1.0, alpha=2.0, noise_power=1.0, lambda0=1.9)
-        grid = BeamGrid.from_counts(11, 11)
-        s = snr_scale(link, grid)
-        assert s.k == pytest.approx(0.0052632, abs=1e-7)
-        assert s.rho == pytest.approx(0.636842, abs=1e-6)
-        assert s.rho == pytest.approx(grid.b * s.k, rel=1e-14)
-
-    def test_omni(self):
-        link = LinkBudget(intercept_c=0.01, distance_d=1.0, alpha=2.0, noise_power=1.0, lambda0=1.9)
-        s = snr_scale(link, BeamGrid.from_counts(1, 1))
-        assert s.rho == s.k
-
-    def test_gain_linearity(self):
-        link = LinkBudget(intercept_c=0.01, distance_d=1.0, alpha=2.0, noise_power=1.0, lambda0=1.9)
-        s1 = snr_scale(link, BeamGrid.from_counts(10, 10))
-        s2 = snr_scale(link, BeamGrid.from_counts(20, 10))
-        assert s2.rho == pytest.approx(2 * s1.rho, rel=1e-14)
-        assert s2.k == s1.k
-
-    @pytest.mark.parametrize("rho, k", [(math.inf, 1.0), (1.0, math.nan), (0.0, 1.0)])
-    def test_rejects_non_finite_or_nonpositive(self, rho, k):
-        with pytest.raises(ValueError, match="finite and > 0"):
-            SnrScale(rho=rho, k=k)
 
 
 class TestOptPowerCdf:

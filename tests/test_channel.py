@@ -90,9 +90,9 @@ class TestFadingPowers:
             with pytest.raises(ValueError, match="finite"):
                 FadingModel.rician(bad)
             with pytest.raises(ValueError, match="finite"):
-                LinkBudget.from_snr_coeff(bad, 1.9)
+                LinkBudget(intercept_c=bad, distance_d=1.0, alpha=2.0, noise_power=1.0, lambda0=1.9)
             with pytest.raises(ValueError, match="finite"):
-                LinkBudget.from_snr_coeff(0.01, bad)
+                LinkBudget(intercept_c=0.01, distance_d=1.0, alpha=2.0, noise_power=1.0, lambda0=bad)
 
 
 class TestRicianMapping:

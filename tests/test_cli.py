@@ -11,12 +11,16 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import zlib
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from beamsim import cli, specfun
+from beamsim.channel import FadingModel
+from beamsim.montecarlo import SimConfig, estimate_se
+from beamsim.rng import child_seed
 
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
@@ -140,6 +144,18 @@ class TestSubcommands:
         # every bound column scales by 1/ln 2; the units tag flips
         for idx in (4, 5, 6, 7):
             assert float(row_b[idx]) == pytest.approx(float(row_n[idx]) / math.log(2.0), rel=1e-12)
+        assert row_n[-1] == "nats" and row_b[-1] == "bits"
+
+    def test_bits_units(self, config_path, tmp_path):
+        # the engine returns nats; the CLI scales its cells like every other one
+        nats = run_main("simulate", "--config", str(config_path), "--out-dir", str(tmp_path / "n"))
+        bits = run_main("simulate", "--config", str(config_path), "--out-dir", str(tmp_path / "b"),
+                        "--units", "bits")
+        assert nats[0] == bits[0] == 0, (nats, bits)
+        row_n = read_csv(tmp_path / "n" / "simulate.csv")[1]
+        row_b = read_csv(tmp_path / "b" / "simulate.csv")[1]
+        for idx in (3, 4):  # sim_se, sim_ci95
+            assert float(row_b[idx]) == float(row_n[idx]) * (1.0 / math.log(2.0))
         assert row_n[-1] == "nats" and row_b[-1] == "bits"
 
     def test_throughput(self, config_path, tmp_path):
@@ -298,6 +314,45 @@ class TestOnePath:
         swept_curve = read_csv(sweep_out / "one_tp.csv")
         assert [row[1:] for row in swept_curve] == [["b", "tp", "tp_raw", "units"]] + curve[1:]
 
+    def test_sweep_sim_se_uses_the_rho_of_its_row(self, tmp_path):
+        # at (3.5, 121), (snr_coeff / lambda0) * 11 * 11 and b * snr_coeff / lambda0
+        # differ in the last digit, and at 50000 trials so do both cells they
+        # give; the engine must take the one the bounds use
+        cfg = tmp_path / "rho.ini"
+        cfg.write_text(
+            "[run]\nschema_version = 1\nseed = 7\ntrials = 50000\n"
+            "[sweep:rho]\nvariable = lambda0\nvalues = 1.9, 3.5\nb = 121\nm = 3.2\n"
+            "snr_coeff = 0.01\noutputs = sim_se\n"
+        )
+        rc, _, err = run_main("sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert rc == 0, err
+        row = read_csv(tmp_path / "out" / "rho.csv")[2]
+        assert row[0] == "3.5"
+        seed = child_seed(7, zlib.crc32(b"rho"), 1)
+        est = estimate_se(SimConfig(3.5, 121, 121 * 0.01 / 3.5, FadingModel.nakagami(3.2), 50_000, seed))
+        assert (float(row[1]), float(row[2])) == (est.mean, est.ci95)
+
+
+class TestPointSpec:
+    """The one SNR scale of a point, rho = b * snr_coeff / lambda0, and k = rho / b."""
+
+    def test_reference_point(self):
+        point = cli.PointSpec(1.9, 121, FadingModel.rayleigh(), 0.01)
+        assert point.k == pytest.approx(0.0052632, abs=1e-7)
+        assert point.rho == pytest.approx(0.636842, abs=1e-6)
+        assert point.rho == pytest.approx(121 * point.k, rel=1e-14)
+        assert point.sim_config(10, 1).rho == point.rho
+
+    def test_omni(self):
+        point = cli.PointSpec(1.9, 1, FadingModel.rayleigh(), 0.01)
+        assert point.rho == point.k
+
+    def test_gain_linearity(self):
+        p1 = cli.PointSpec(1.9, 100, FadingModel.rayleigh(), 0.01)
+        p2 = cli.PointSpec(1.9, 200, FadingModel.rayleigh(), 0.01)
+        assert p2.rho == pytest.approx(2 * p1.rho, rel=1e-14)
+        assert p2.k == p1.k
+
 
 class TestDeterminism:
     def test_sweep_csv_bytes(self, config_path, tmp_path):
@@ -367,14 +422,20 @@ class TestExitCodes:
             ("bounds", "b = 121", "b = 0"),
             ("throughput", "t_total = 0.01", "t_total = inf"),
             ("throughput", "t_f = 5e-6", "t_f = inf"),
+            # finite, but F_t = 2 t_f / t_total overflows
+            ("throughput", "t_f = 5e-6", "t_f = 1e308"),
             ("throughput", "t_total = 0.01", "t_total = 1e308"),
             # t_total takes precedence over velocity, so these replace it
             ("throughput", "t_total = 0.01", "velocity = -1\ncarrier_freq = 60e9"),
             ("throughput", "t_total = 0.01", "velocity = inf\ncarrier_freq = 60e9"),
             ("throughput", "t_total = 0.01", "carrier_freq = nan\nvelocity = 1"),
+            # both positive, but their Doppler shift underflows to 0
+            ("throughput", "t_total = 0.01", "velocity = 5e-324\ncarrier_freq = 5e-324"),
             ("throughput", "t_total = 0.01", "tc_model = bogus\nvelocity = 1\ncarrier_freq = 60e9"),
             ("throughput", "b_values = 16, 121, 400", "b_values = 16, 0.5"),
             ("throughput", "b_values = 16, 121, 400", "b_values = nan"),
+            # an integer whose square is not a finite float
+            ("throughput", "n_b = 4", "n_b = 1" + "0" * 199),
             # rho = 121 is fine, but lambda0 / b rounds to 0 paths per pair
             ("simulate", "lambda0 = 1.9\nb = 121\nm = 3.2\nsnr_coeff = 0.01",
              "lambda0 = 5e-324\nb = 121\nm = 3.2\nsnr_coeff = 5e-324"),
@@ -386,9 +447,9 @@ class TestExitCodes:
             "m_below_half", "bounds_m_inf", "bounds_k_db_overflow",
             "bounds_k_db_shape_overflow", "lambda0_huge", "bounds_lambda0_huge",
             "distance_d_zero", "distance_d_tiny", "bounds_lambda0_zero", "bounds_b_zero",
-            "t_total_inf", "t_f_inf", "t_total_huge", "velocity_negative", "velocity_inf",
-            "carrier_freq_nan", "tc_model_unknown", "b_values_below_one", "b_values_nan",
-            "simulate_mu_underflow", "bounds_inverse_rho_overflow",
+            "t_total_inf", "t_f_inf", "t_f_huge", "t_total_huge", "velocity_negative", "velocity_inf",
+            "carrier_freq_nan", "doppler_underflow", "tc_model_unknown", "b_values_below_one", "b_values_nan",
+            "n_b_huge", "simulate_mu_underflow", "bounds_inverse_rho_overflow",
         ],
     )
     def test_bad_point_value_is_2(self, tmp_path, kind, old, new):
@@ -513,25 +574,26 @@ class TestExitCodes:
 
 
 # Values at and beyond the float range, and not numbers at all; then ordinary ones.
-EXTREME_VALUES = ["0", "-0", "5e-324", "1e-308", "1e308", "inf", "-inf", "nan", "abc"]
+EXTREME_VALUES = ["0", "-0", "5e-324", "1e-308", "1e308", "inf", "-inf", "nan", "abc", "1" + "0" * 199]
 ORDINARY_VALUES = {
     "lambda0": ["0.5", "3.5"], "b": ["1", "16"], "m": ["0.5", "1"], "snr_coeff": ["1", "1e-6"],
+    "t_f": ["1e-6", "1e-3"], "t_total": ["1e-3", "1"], "n_b": ["1", "8"],
 }
+
+
+def section_values(keys):
+    """Each of ``keys`` left as in BASE_CONFIG (None) or set to a drawn value."""
+    return st.fixed_dictionaries({
+        key: st.none() | st.sampled_from(EXTREME_VALUES + ORDINARY_VALUES[key]) for key in keys
+    })
 
 
 class TestBadInputProperty:
     """Any value of a point key ends in exit 0 with finite cells, or in exit
     1, 2 or 3 with one stderr line (the key named for 2) and no output."""
 
-    @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(
-        kind=st.sampled_from(["simulate", "bounds"]),
-        values=st.fixed_dictionaries({
-            key: st.none() | st.sampled_from(EXTREME_VALUES + ordinary)
-            for key, ordinary in ORDINARY_VALUES.items()
-        }),
-    )
-    def test_point_values(self, kind, values):
+    @staticmethod
+    def check_run(kind, values, finite_or_empty=()):
         changed = {key: value for key, value in values.items() if value is not None}
         head, section, rest = BASE_CONFIG.partition(f"[{kind}]")
         body, tail = rest.split("\n[", 1)
@@ -544,10 +606,13 @@ class TestBadInputProperty:
             rc, _, err = run_main(kind, "--config", str(cfg), "--out-dir", str(out), "--trials", "200")
             if rc == 0:
                 assert err == ""
-                header, row = read_csv(out / f"{kind}.csv")
-                for col, cell in zip(header, row):
-                    if col != "units":
-                        assert math.isfinite(float(cell)), (col, cell, changed)
+                for path in out.glob("*.csv"):
+                    header, *rows = read_csv(path)
+                    for row in rows:
+                        for col, cell in zip(header, row):
+                            if col == "units" or (col in finite_or_empty and cell == ""):
+                                continue
+                            assert math.isfinite(float(cell)), (path.name, col, cell, changed)
                 return
             assert rc in (1, 2, 3), (rc, err)
             assert len(err.splitlines()) == 1, err
@@ -556,6 +621,20 @@ class TestBadInputProperty:
                 assert any(re.search(rf"\b{key}\b", err) for key in changed), (err, changed)
             assert not (out / "run_manifest.jsonl").exists()
             assert not list(out.glob("*.csv"))
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(
+        kind=st.sampled_from(["simulate", "bounds"]),
+        values=section_values(["lambda0", "b", "m", "snr_coeff"]),
+    )
+    def test_point_values(self, kind, values):
+        self.check_run(kind, values)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(values=section_values(["lambda0", "snr_coeff", "t_f", "t_total", "n_b"]))
+    def test_throughput_values(self, values):
+        # the closed form is left empty where its approximation does not apply
+        self.check_run("throughput", values, finite_or_empty=("b_star_closed", "hpbw_star_closed"))
 
 
 class TestValidateCommand:

@@ -1,5 +1,6 @@
 """Monte Carlo engine: determinism, distributional fidelity, trends."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from scipy import integrate, stats
 from scipy.special import gammaincc
 
-from beamsim.analytic import SparseModel, se_lower, se_upper_rayleigh, snr_scale
+from beamsim.analytic import SparseModel, se_lower, se_upper_rayleigh
 from beamsim.beam import BeamGrid, select_optimal_pair
 from beamsim.channel import FadingFamily, FadingModel, LinkBudget, realize_channel
 from beamsim.errors import DegenerateSampleError, NumericalError
@@ -23,15 +24,9 @@ from beamsim.montecarlo import (
 from beamsim.rng import substream
 
 
-def make_config(lambda0, m_t, m_r, fading, trials, seed, units="nats"):
-    return SimConfig(
-        link=LinkBudget.from_snr_coeff(0.01, lambda0),
-        grid=BeamGrid.from_counts(m_t, m_r),
-        fading=fading,
-        trials=trials,
-        seed=seed,
-        units=units,
-    )
+def make_config(lambda0, b, fading, trials, seed):
+    """The point at snr_coeff 0.01, rho = b * 0.01 / lambda0, as the CLI forms it."""
+    return SimConfig(lambda0, b, b * 0.01 / lambda0, fading, trials, seed)
 
 
 def exact_multipath_se(lambda0, b, fading, rho, moment=1):
@@ -71,15 +66,34 @@ def exact_multipath_se(lambda0, b, fading, rho, moment=1):
     )
 
 
+class TestSimConfig:
+    def test_fields(self):
+        cfg = SimConfig(1.9, 121, 0.5, FadingModel.rayleigh(), 10, 1)
+        assert (cfg.lambda0, cfg.b, cfg.rho, cfg.trials, cfg.seed) == (1.9, 121, 0.5, 10, 1)
+        assert [f.name for f in dataclasses.fields(SimConfig)] == [
+            "lambda0", "b", "rho", "fading", "trials", "seed"
+        ]
+
+    @pytest.mark.parametrize("rho", [math.inf, math.nan, 0.0, -1.0])
+    def test_rejects_non_finite_or_nonpositive_rho(self, rho):
+        with pytest.raises(ValueError, match="rho must be finite and > 0"):
+            SimConfig(1.9, 121, rho, FadingModel.rayleigh(), 10, 1)
+
+    @pytest.mark.parametrize("b, trials, match", [(0, 10, "pair count"), (121, 0, "trials")])
+    def test_rejects_empty_grid_or_sample(self, b, trials, match):
+        with pytest.raises(ValueError, match=match):
+            SimConfig(1.9, b, 0.5, FadingModel.rayleigh(), trials, 1)
+
+
 class TestEstimateSe:
     def test_matches_exact_model(self):
-        cfg = make_config(1.9, 11, 11, FadingModel.rayleigh(), 200_000, 314)
+        cfg = make_config(1.9, 121, FadingModel.rayleigh(), 200_000, 314)
         est = estimate_se(cfg)
         exact = exact_multipath_se(1.9, 121, FadingModel.rayleigh(), 121 * 0.01 / 1.9)
         assert abs(est.mean - exact) <= 4.0 * est.std_error
 
     def test_matches_exact_model_nakagami(self):
-        cfg = make_config(1.9, 25, 25, FadingModel.nakagami(3.2), 200_000, 315)
+        cfg = make_config(1.9, 625, FadingModel.nakagami(3.2), 200_000, 315)
         est = estimate_se(cfg)
         exact = exact_multipath_se(1.9, 625, FadingModel.nakagami(3.2), 625 * 0.01 / 1.9)
         assert abs(est.mean - exact) <= 4.0 * est.std_error
@@ -89,25 +103,23 @@ class TestEstimateSe:
         ids=["rayleigh", "nakagami", "rician"],
     )
     @pytest.mark.parametrize(
-        "lambda0, m_t, m_r, trials",
+        "lambda0, b, trials",
         [
-            (4.096e-6, 64, 64, 25_000_000),
-            (6.25, 25, 25, 200_000),
-            (16.0, 4, 4, 200_000),
-            (160.0, 2, 2, 200_000),
+            (4.096e-6, 4096, 25_000_000),
+            (6.25, 625, 200_000),
+            (16.0, 16, 200_000),
+            (160.0, 4, 200_000),
         ],
         ids=["mu1e-9", "mu0.01", "mu1", "mu40"],
     )
-    def test_z_score_against_exact_model(self, lambda0, m_t, m_r, trials, fading):
+    def test_z_score_against_exact_model(self, lambda0, b, trials, fading):
         # mu = lambda0 / B spans nearly empty, sparse, mixed and saturated
         # pairs (exp(-mu) underflows past ~37).  At mu = 1e-9 the budget buys
         # ~100 occupied trials, enough for the normal approximation; z uses
         # the exact standard deviation of the mean.
-        cfg = make_config(lambda0, m_t, m_r, fading, trials, 2718)
-        rho = snr_scale(cfg.link, cfg.grid).rho
-        b = m_t * m_r
-        mean = exact_multipath_se(lambda0, b, fading, rho)
-        second = exact_multipath_se(lambda0, b, fading, rho, moment=2)
+        cfg = make_config(lambda0, b, fading, trials, 2718)
+        mean = exact_multipath_se(lambda0, b, fading, cfg.rho)
+        second = exact_multipath_se(lambda0, b, fading, cfg.rho, moment=2)
         sd = math.sqrt((second - mean * mean) / cfg.trials)
         assert abs(estimate_se(cfg).mean - mean) <= 4.0 * sd
 
@@ -136,63 +148,50 @@ class TestEstimateSe:
         assert stats.poisson.sf(js[-1], mu) / stats.poisson.sf(1, mu) < 1e-15   # the cut tail
 
     def test_intensity_beyond_table_is_rejected(self):
-        link = LinkBudget.from_snr_coeff(0.01, 1e308)
         with pytest.raises(ValueError, match="paths per beam pair"):
-            SimConfig(link=link, grid=BeamGrid.from_counts(11, 11),
-                      fading=FadingModel.rayleigh(), trials=10, seed=1)
-        ok = LinkBudget.from_snr_coeff(0.01, MAX_PATHS_PER_PAIR)
-        SimConfig(link=ok, grid=BeamGrid.from_counts(1, 1),
-                  fading=FadingModel.rayleigh(), trials=10, seed=1)
+            SimConfig(1e308, 121, 1.0, FadingModel.rayleigh(), 10, 1)
+        SimConfig(MAX_PATHS_PER_PAIR, 1, 1.0, FadingModel.rayleigh(), 10, 1)
         # a subnormal lambda0 over b pairs rounds to 0 paths per pair
         with pytest.raises(ValueError, match="lambda0 / b = 0.0 paths per beam pair"):
-            SimConfig(link=LinkBudget.from_snr_coeff(0.01, 5e-324), grid=BeamGrid.from_counts(11, 11),
-                      fading=FadingModel.rayleigh(), trials=10, seed=1)
+            SimConfig(5e-324, 121, 1.0, FadingModel.rayleigh(), 10, 1)
 
     def test_shape_whose_path_sum_overflows_is_rejected(self):
         # a pair's n paths are one Gamma(n m, 1/m) draw; n m = inf made SE = inf
         with pytest.raises(ValueError, match="Nakagami shape m = 1e\\+308"):
-            make_config(1.9, 11, 11, FadingModel.nakagami(1e308), 10, 1)
-        assert math.isfinite(estimate_se(make_config(1.9, 11, 11, FadingModel.nakagami(1e300), 500, 1)).mean)
+            make_config(1.9, 121, FadingModel.nakagami(1e308), 10, 1)
+        assert math.isfinite(estimate_se(make_config(1.9, 121, FadingModel.nakagami(1e300), 500, 1)).mean)
 
     def test_overflowing_rate_is_a_numerical_failure(self):
         # rho = 121 * 1e306 / 1.9 is finite, but rho z overflows for z > 2.8
-        cfg = SimConfig(link=LinkBudget.from_snr_coeff(1e306, 1.9), grid=BeamGrid.from_counts(11, 11),
-                        fading=FadingModel.rayleigh(), trials=2000, seed=1)
+        cfg = SimConfig(1.9, 121, 121 * 1e306 / 1.9, FadingModel.rayleigh(), 2000, 1)
         with pytest.raises(NumericalError, match="overflows"):
             estimate_se(cfg)
 
     def test_empty_channel_zero_rate(self):
-        cfg = make_config(1e-9, 11, 11, FadingModel.rayleigh(), 5_000, 1)
+        cfg = make_config(1e-9, 121, FadingModel.rayleigh(), 5_000, 1)
         assert estimate_se(cfg).mean == 0.0
 
     def test_bound_sandwich_reference_point(self):
-        cfg = make_config(1.9, 11, 11, FadingModel.rayleigh(), 100_000, 8)
+        cfg = make_config(1.9, 121, FadingModel.rayleigh(), 100_000, 8)
         est = estimate_se(cfg)
         model = SparseModel.from_occupancy(1.9, 121, 1.0)
-        rho = snr_scale(cfg.link, cfg.grid).rho
-        assert se_lower(model, rho) - 3 * est.std_error <= est.mean
-        assert est.mean <= se_upper_rayleigh(model, rho) + 3 * est.std_error
+        assert se_lower(model, cfg.rho) - 3 * est.std_error <= est.mean
+        assert est.mean <= se_upper_rayleigh(model, cfg.rho) + 3 * est.std_error
 
     def test_fading_hardens_to_lower_bound(self):
         # heavy shape: per-path power concentrates at 1, SE -> no-fading value
-        cfg = make_config(1.0, 25, 25, FadingModel.nakagami(50.0), 200_000, 6)
+        cfg = make_config(1.0, 625, FadingModel.nakagami(50.0), 200_000, 6)
         est = estimate_se(cfg)
         lower = se_lower(SparseModel.from_occupancy(1.0, 625, 50.0), 6.25)
         assert abs(est.mean - lower) / lower <= 0.02
 
-    def test_bits_units(self):
-        nats = estimate_se(make_config(1.9, 11, 11, FadingModel.rayleigh(), 20_000, 9))
-        bits = estimate_se(make_config(1.9, 11, 11, FadingModel.rayleigh(), 20_000, 9, "bits"))
-        assert bits.mean == pytest.approx(nats.mean / math.log(2.0), rel=1e-12)
-        assert bits.ci95 == pytest.approx(1.96 * bits.std_error, rel=1e-12)
-
     def test_seed_determinism(self):
-        cfg = make_config(1.9, 11, 11, FadingModel.nakagami(2.0), 50_000, 12345)
+        cfg = make_config(1.9, 121, FadingModel.nakagami(2.0), 50_000, 12345)
         a, b = estimate_se(cfg), estimate_se(cfg)
         assert (a.mean, a.std_error, a.trials) == (b.mean, b.std_error, b.trials)
 
     def test_worker_count_independence(self, monkeypatch):
-        cfg = make_config(1.9, 11, 11, FadingModel.nakagami(2.0), 60_000, 99)
+        cfg = make_config(1.9, 121, FadingModel.nakagami(2.0), 60_000, 99)
         base = estimate_se(cfg, workers=1)
         multi = estimate_se(cfg, workers=5)
         assert (base.mean, base.std_error) == (multi.mean, multi.std_error)
@@ -213,19 +212,19 @@ class TestEstimateSe:
 
     def test_se_decreases_with_path_count(self):
         # splitting fixed channel energy over more paths lowers the best pair
-        lo = estimate_se(make_config(1.0, 11, 11, FadingModel.nakagami(3.2), 150_000, 21))
-        hi = estimate_se(make_config(3.5, 11, 11, FadingModel.nakagami(3.2), 150_000, 22))
+        lo = estimate_se(make_config(1.0, 121, FadingModel.nakagami(3.2), 150_000, 21))
+        hi = estimate_se(make_config(3.5, 121, FadingModel.nakagami(3.2), 150_000, 22))
         assert lo.mean - hi.mean > lo.ci95 + hi.ci95
 
     def test_se_increases_with_beam_count(self):
-        small = estimate_se(make_config(1.9, 10, 10, FadingModel.nakagami(3.2), 100_000, 31))
-        large = estimate_se(make_config(1.9, 32, 32, FadingModel.nakagami(3.2), 100_000, 32))
+        small = estimate_se(make_config(1.9, 100, FadingModel.nakagami(3.2), 100_000, 31))
+        large = estimate_se(make_config(1.9, 1024, FadingModel.nakagami(3.2), 100_000, 32))
         assert large.mean - small.mean > small.ci95 + large.ci95
 
 
 class TestEmpiricalCdf:
     def test_endpoints_and_conditioning(self):
-        cfg = make_config(1.9, 11, 11, FadingModel.rayleigh(), 100_000, 77)
+        cfg = make_config(1.9, 121, FadingModel.rayleigh(), 100_000, 77)
         grid = np.concatenate([[0.0], np.linspace(0.05, 25.0, 200)])
         ecdf = empirical_opt_power_cdf(cfg, grid)
         assert ecdf.cdf[0] == 0.0
@@ -235,12 +234,12 @@ class TestEmpiricalCdf:
         assert abs(ecdf.discard_fraction - p_empty) <= 4 * se
 
     def test_degenerate(self):
-        cfg = make_config(1e-9, 4, 4, FadingModel.rayleigh(), 500, 3)
+        cfg = make_config(1e-9, 16, FadingModel.rayleigh(), 500, 3)
         with pytest.raises(DegenerateSampleError):
             empirical_opt_power_cdf(cfg, np.linspace(0, 5, 10))
 
     def test_grid_validation(self):
-        cfg = make_config(1.9, 4, 4, FadingModel.rayleigh(), 1000, 3)
+        cfg = make_config(1.9, 16, FadingModel.rayleigh(), 1000, 3)
         with pytest.raises(ValueError):
             empirical_opt_power_cdf(cfg, np.array([2.0, 1.0]))
         with pytest.raises(ValueError):
@@ -313,7 +312,7 @@ class TestEngineMatchesPerPairSampler:
     def test_distributional_agreement(self):
         # the occupancy engine vs literal per-pair realizations
         lam0, b = 1.9, 121
-        link = LinkBudget.from_snr_coeff(0.01, lam0)
+        link = LinkBudget(intercept_c=0.01, distance_d=1.0, alpha=2.0, noise_power=1.0, lambda0=lam0)
         grid = BeamGrid.from_counts(11, 11)
         coeff = link.path_gain / lam0 * grid.gain_t * grid.gain_r
 
@@ -324,8 +323,7 @@ class TestEngineMatchesPerPairSampler:
             direct.append(select_optimal_pair(real, link, grid).opt_power / coeff)
         direct = np.array(direct)
 
-        cfg = SimConfig(link=link, grid=grid, fading=FadingModel.rayleigh(),
-                        trials=4_000, seed=556)
+        cfg = SimConfig(lam0, b, b * 0.01 / lam0, FadingModel.rayleigh(), 4_000, 556)
         grid_pts = np.linspace(0.0, 20.0, 101)
         ecdf = empirical_opt_power_cdf(cfg, grid_pts)
 
@@ -349,7 +347,7 @@ class TestEngineMatchesPerPairSampler:
         # mu = 1 path per pair: 42% of the occupied pairs hold two or
         # more paths, so the multiplicity table and summed draws are in play
         lam0 = 16.0
-        link = LinkBudget.from_snr_coeff(0.01, lam0)
+        link = LinkBudget(intercept_c=0.01, distance_d=1.0, alpha=2.0, noise_power=1.0, lambda0=lam0)
         grid = BeamGrid.from_counts(4, 4)
         coeff = link.path_gain / lam0 * grid.gain_t * grid.gain_r
 
@@ -360,7 +358,7 @@ class TestEngineMatchesPerPairSampler:
             for _ in range(4_000)
         ])
 
-        cfg = SimConfig(link=link, grid=grid, fading=fading, trials=4_000, seed=558)
+        cfg = SimConfig(lam0, grid.b, grid.b * 0.01 / lam0, fading, 4_000, 558)
         grid_pts = np.linspace(0.0, 12.0, 121)
         ecdf = empirical_opt_power_cdf(cfg, grid_pts)
 

@@ -32,6 +32,15 @@ class TestThroughputConfig:
         with pytest.raises(ValueError, match="^t_total must be <"):
             tp.ThroughputConfig(t_f=t_f, t_total=t_total, k=0.005, lambda0=1.9)
 
+    def test_rejects_overhead_ratio_overflow(self):
+        with pytest.raises(ValueError, match="F_t = 2 t_f / t_total overflows"):
+            tp.ThroughputConfig(t_f=1e308, t_total=0.01, k=0.005, lambda0=1.9)
+
+    def test_rejects_n_b_whose_square_overflows(self):
+        tp.ThroughputConfig(t_f=5e-6, t_total=1e-3, k=0.005, lambda0=1.9, n_b=10**154)
+        with pytest.raises(ValueError, match="^n_b must have a square below"):
+            tp.ThroughputConfig(t_f=5e-6, t_total=1e-3, k=0.005, lambda0=1.9, n_b=10**155)
+
     def test_largest_bracket_still_plans(self):
         cfg = tp.ThroughputConfig(t_f=5e-6, t_total=1e148, k=0.005, lambda0=1.9)
         b_star = tp.optimal_b_numeric(cfg)
@@ -75,6 +84,14 @@ class TestThroughput:
         cfg = make_cfg(f_t=0.01)
         big = 10_000  # 2 sqrt(B) + 16 = 216 > 1/F_t = 100
         assert tp.throughput(big, cfg) < 0.0
+
+    def test_finite_where_b_k_overflows(self):
+        # ln(1 + B K) = ln B + ln K once B K passes the float range
+        cfg = make_cfg(k=1e306)
+        want = (1.0 - cfg.f_t * (2.0 * 20.0 + 16.0)) * -math.expm1(-1.9) * (math.log(400.0) + math.log(1e306))
+        assert tp.throughput_continuous(400.0, cfg) == pytest.approx(want, rel=1e-15)
+        assert tp.throughput_curve([400.0], cfg)[0] == tp.throughput_continuous(400.0, cfg)
+        assert tp.throughput_curve([16.0], cfg)[0] == tp.throughput_continuous(16.0, cfg)
 
     def test_upper_envelope(self):
         cfg = make_cfg()
@@ -225,6 +242,8 @@ class TestCoherenceTime:
                 tp.coherence_time(bad, 60e9)
             with pytest.raises(ValueError, match="^carrier_freq must be finite and > 0"):
                 tp.coherence_time(1.0, bad)
+        with pytest.raises(ValueError, match="Doppler shift .* underflows"):
+            tp.coherence_time(5e-324, 5e-324)
 
 
 class TestBestSquare:
