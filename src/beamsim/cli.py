@@ -207,14 +207,19 @@ def _fading_from(section: SectionView) -> FadingModel:
     return FadingModel.rayleigh()
 
 
-def _snr_coeff_from(section: SectionView) -> float:
+def _snr_coeff_from(section: SectionView) -> tuple[float, tuple[str, str] | None]:
+    """The section's link coefficient and, when it is derived from the
+    link-budget keys, its formula and the keys' values for messages."""
     needed = ("intercept_c", "distance_d", "alpha", "noise_power")
+    link = None
     if section.has("snr_coeff"):
         what = "snr_coeff"
         val = section.get_float("snr_coeff")
     elif all(section.has(k) for k in needed):
         c, d, a, n = values = [section.get_float(k) for k in needed]
-        what = "snr_coeff from " + ", ".join(f"{k} = {v!r}" for k, v in zip(needed, values))
+        given = ", ".join(f"{k} = {v!r}" for k, v in zip(needed, values))
+        what = "snr_coeff from " + given
+        link = ("intercept_c * distance_d^(-alpha) / noise_power", given)
         try:
             val = c * d ** (-a) / n
         except (ZeroDivisionError, OverflowError):
@@ -226,7 +231,7 @@ def _snr_coeff_from(section: SectionView) -> float:
     # A negative distance with a fractional exponent yields a complex power.
     if not (isinstance(val, float) and math.isfinite(val) and val > 0.0):
         raise ConfigError(f"[{section.name}] {what} must be finite and > 0, got {val!r}")
-    return val
+    return val, link
 
 
 def _sweep_values(section: SectionView) -> list[float]:
@@ -278,7 +283,10 @@ def _config_errors(section: SectionView):
 
 
 class PointSpec:
-    """Fully resolved parameters of one evaluation point."""
+    """Fully resolved parameters of one evaluation point.
+
+    ``link`` is the formula of a derived ``snr_coeff`` and its keys' values
+    (see :func:`_snr_coeff_from`), which a message about rho names."""
 
     def __init__(
         self,
@@ -288,6 +296,7 @@ class PointSpec:
         snr_coeff: float,
         velocity: float | None = None,
         rho_override: float | None = None,
+        link: tuple[str, str] | None = None,
     ):
         if not (math.isfinite(lambda0) and lambda0 > 0.0):
             raise ValueError(f"lambda0 must be finite and > 0, got {lambda0}")
@@ -302,12 +311,14 @@ class PointSpec:
             if not (math.isfinite(rho_override) and rho_override > 0.0):
                 raise ValueError(f"rho must be finite and > 0, got {rho_override}")
             snr_coeff = rho_override * lambda0 / b
+            link = None
         self.snr_coeff = snr_coeff
         # the bounds read 1/rho, so it must be finite too
         if not (math.isfinite(self.rho) and self.rho > 0.0 and math.isfinite(1.0 / self.rho)):
+            terms, given = link or ("snr_coeff", f"snr_coeff = {snr_coeff!r}")
             raise ValueError(
-                f"rho = b * snr_coeff / lambda0 = {self.rho!r} must be finite and > 0, with 1/rho "
-                f"finite (b = {b}, snr_coeff = {snr_coeff!r}, lambda0 = {lambda0!r})"
+                f"rho = b * {terms} / lambda0 = {self.rho!r} must be finite and > 0, with 1/rho "
+                f"finite (b = {b}, {given}, lambda0 = {lambda0!r})"
             )
 
     @property
@@ -354,12 +365,12 @@ def _point_from(
             fading = _fading_for(section, variable, value)
         # A swept rho replaces the link coefficient, so it may be left out.
         if variable == "rho" and not section.has("snr_coeff"):
-            snr_coeff = 1.0
+            snr_coeff, link = 1.0, None
         else:
-            snr_coeff = _snr_coeff_from(section)
+            snr_coeff, link = _snr_coeff_from(section)
         velocity = value if variable == "velocity" else section.get_float("velocity")
         point = PointSpec(
-            lambda0, b, fading, snr_coeff, velocity, value if variable == "rho" else None
+            lambda0, b, fading, snr_coeff, velocity, value if variable == "rho" else None, link
         )
         sim = point.sim_config(run.trials, seed) if "sim_se" in columns else None
     planner = any(column in PLANNER_COLUMNS for column in columns)

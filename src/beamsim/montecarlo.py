@@ -53,8 +53,10 @@ CHUNK_TRIALS = 16_384
 
 # Which numbers a given seed produces; recorded in run manifests.  Stream 1
 # was the Poisson-superposition sampler, stream 2 the occupancy sampler with
-# one uniform per pair, stream 3 draws the multi-path pairs by count.
-STREAM_VERSION = 3
+# one uniform per pair, stream 3 draws the multi-path pairs by count, and
+# stream 4 draws the Rician power in polar form (Nakagami and Rayleigh draws
+# are those of stream 3).
+STREAM_VERSION = 4
 
 # Largest mean path count per beam pair the multiplicity table is built
 # for; the table holds about mu + 10 sqrt(mu) + 40 entries.

@@ -12,6 +12,7 @@ from beamsim.channel import (
     per_beam_intensity,
     realize_channel,
     rician_k_to_nakagami_m,
+    sample_pair_power_sums,
     sample_path_powers,
 )
 from beamsim.rng import substream
@@ -72,12 +73,59 @@ class TestFadingPowers:
             assert abs(w.var() - (1.0 + 2.0 * k) / (1.0 + k) ** 2) <= 4.0 * se_var
 
     def test_rician_is_its_formula_bit_for_bit(self):
-        # the in-place draw does the formula's float operations on the same normals
+        # the in-place draw does the polar formula's float operations on the
+        # same exponential radius and float32 phase
         for k in (0.0, 3.16, 1e6):
-            z = substream(7, 0).standard_normal(size=(2, 5_000))
-            reference = ((z[0] + math.sqrt(2.0 * k)) ** 2 + z[1] ** 2) / (2.0 * (1.0 + k))
+            rng = substream(7, 0)
+            e = rng.standard_exponential(5_000)
+            cos_theta = np.cos(rng.random(5_000, dtype=np.float32) * np.float32(2.0 * math.pi))
+            reference = np.maximum((e + k + 2.0 * np.sqrt(k * e) * cos_theta) / (1.0 + k), 0.0)
             w = sample_path_powers(FadingModel.rician(k), 5_000, substream(7, 0))
             assert w.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("index, k", enumerate([0.0, 1.0, 3.16, 10.0]))
+    def test_rician_ks(self, index, k):
+        # ((Z1 + sqrt(2K))^2 + Z2^2) / (2(1+K)) is ncx2(2, 2K) / (2(1+K))
+        w = sample_path_powers(FadingModel.rician(k), 100_000, substream(8, index))
+        law = stats.ncx2(2, 2.0 * k, scale=1.0 / (2.0 * (1.0 + k)))
+        assert stats.kstest(w, law.cdf).pvalue > 0.01
+
+    def test_rician_nonnegative(self):
+        for k in (0.0, 1.0, 3.16, 1e6):
+            w = sample_path_powers(FadingModel.rician(k), 200_000, substream(9, 0))
+            assert w.min() >= 0.0
+
+        class PhasePi:
+            """Radii just around K and the phase pi, where E + K - 2 sqrt(K E)
+            cancels and rounds below 0 for some of them."""
+
+            def standard_exponential(self, out):
+                out[:] = np.linspace(3.16 * (1 - 1e-7), 3.16 * (1 + 1e-7), len(out))
+
+            def random(self, n, dtype):
+                return np.full(n, 0.5, dtype=dtype)
+
+        w = sample_path_powers(FadingModel.rician(3.16), 10_001, PhasePi())
+        assert w.min() == 0.0
+
+    def test_rician_zero_k_is_the_rayleigh_draw(self):
+        w = sample_path_powers(FadingModel.rician(0.0), 5_000, substream(7, 1))
+        e = sample_path_powers(FadingModel.rayleigh(), 5_000, substream(7, 1))
+        assert w.tobytes() == e.tobytes()
+
+    def test_gamma_draws_are_rng_gamma_bit_for_bit(self):
+        # standard_gamma scaled by 1/m is numpy's gamma(m, 1/m), float for float
+        counts = np.array([1, 1, 2, 1, 5, 1, 3, 1] * 100)
+        for m in (0.7, 1.0, 3.2):
+            w = sample_path_powers(FadingModel.nakagami(m), 5_000, substream(7, 2))
+            reference = substream(7, 2).gamma(shape=m, scale=1.0 / m, size=5_000)
+            assert w.tobytes() == reference.tobytes()
+            sums = sample_pair_power_sums(FadingModel.nakagami(m), counts, substream(7, 3))
+            reference = substream(7, 3).gamma(shape=m * counts.astype(float), scale=1.0 / m)
+            assert sums.tobytes() == reference.tobytes()
+        sums = sample_pair_power_sums(FadingModel.rayleigh(), counts, substream(7, 4))
+        reference = substream(7, 4).gamma(shape=counts.astype(float), scale=1.0)
+        assert sums.tobytes() == reference.tobytes()
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -261,7 +261,7 @@ class TestSubcommands:
             assert entry["trials"] == 5000
             assert entry["units"] == "nats"
             assert "version" in entry and "wall_time_s" in entry
-            assert entry["stream"] == 3
+            assert entry["stream"] == 4
             assert entry["python"] == sys.version.split()[0]
             assert "numpy" in entry and "BEAMSIM_THREADS" in entry
             # set by the package import unless the environment sets a count
@@ -441,6 +441,13 @@ class TestExitCodes:
              "lambda0 = 5e-324\nb = 121\nm = 3.2\nsnr_coeff = 5e-324"),
             # rho is subnormal, so 1/rho overflows
             ("bounds", "snr_coeff = 0.01", "snr_coeff = 5e-324"),
+            # the same with a derived link coefficient: the message names its four keys
+            ("simulate", "snr_coeff = 0.01",
+             "intercept_c = 5e-324\ndistance_d = 1\nalpha = 2.0\nnoise_power = 1e-10"),
+            ("bounds", "snr_coeff = 0.01",
+             "alpha = 1e-308\nintercept_c = 1e-300\ndistance_d = 1\nnoise_power = 1e12"),
+            ("simulate", "snr_coeff = 0.01",
+             "noise_power = 1e308\nintercept_c = 1e-6\ndistance_d = 1\nalpha = 2.0"),
         ],
         ids=[
             "snr_coeff_inf", "simulate_rho_overflow", "bounds_rho_overflow", "k_db_nan",
@@ -450,6 +457,7 @@ class TestExitCodes:
             "t_total_inf", "t_f_inf", "t_f_huge", "t_total_huge", "velocity_negative", "velocity_inf",
             "carrier_freq_nan", "doppler_underflow", "tc_model_unknown", "b_values_below_one", "b_values_nan",
             "n_b_huge", "simulate_mu_underflow", "bounds_inverse_rho_overflow",
+            "derived_intercept_c_tiny", "derived_alpha_tiny", "derived_noise_power_huge",
         ],
     )
     def test_bad_point_value_is_2(self, tmp_path, kind, old, new):
@@ -461,9 +469,10 @@ class TestExitCodes:
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith(f"config error: [{kind}] ")
         assert len(res.stderr.splitlines()) == 1, res.stderr
-        if new.startswith("intercept_c"):
+        if "noise_power" in new:
             for key in ("intercept_c", "distance_d", "alpha", "noise_power"):
                 assert f"{key} = " in res.stderr, res.stderr
+            assert "snr_coeff = " not in res.stderr, res.stderr
         assert new.split(" = ")[0] in res.stderr, res.stderr
         assert not list(out.glob("*.csv"))
         assert not (out / "run_manifest.jsonl").exists()
