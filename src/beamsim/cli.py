@@ -9,18 +9,23 @@ Subcommands::
     beamsim validate   [--seed N --trials N --criteria 1,2,...]
 
 Configs are flat key-value INI text with one ``[sweep:NAME]`` section per
-sweep (schema documented in the README).  There is one evaluation path: a
-section becomes a point (``_point_from``, with the swept value substituted
-in a sweep) and ``_evaluate`` computes that point's named cells.  A sweep
-writes one row per value; ``simulate``, ``bounds`` and ``throughput`` are
-one-row evaluations with a fixed column tuple each (``POINT_COMMANDS``).
-A value the library rejects is a config error naming its section.
+sweep (schema documented in the README).  ``KEYS`` declares each key's
+parser, domain, sections and default once; ``load_config`` rejects an
+unknown section or key and checks every value against its row before
+anything is evaluated.  A value the library rejects is a config error
+naming the keys the user wrote behind it (``DERIVED``).
+
+There is one evaluation path: a section becomes a point (``_point_from``,
+with the swept value substituted in a sweep) and ``_evaluate`` computes
+that point's named cells.  A sweep writes one row per value; ``simulate``,
+``bounds`` and ``throughput`` are one-row evaluations with a fixed column
+tuple each (``POINT_COMMANDS``).
 
 Every run writes RFC-4180 CSV files plus a JSON-lines manifest recording
-the seed, trial count, units, version, wall time, the fully resolved
-configuration including defaults, and the Python and numpy versions and
-worker and OpenBLAS thread settings the run had.  CSV bytes depend only on
-config + seed, never on timing.
+the seed, trial count, units, version, wall time, those settings with the
+section's parsed values, and the Python and numpy versions and worker and
+OpenBLAS thread settings the run had.  CSV bytes depend only on config +
+seed, never on timing.
 
 Exit codes: 0 success, 1 numerical failure, 2 config error, 3 infeasible
 throughput configuration.  The ``BEAMSIM_THREADS`` environment variable
@@ -41,7 +46,7 @@ import sys
 import time
 import zlib
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,11 +62,13 @@ from .errors import (
     InfeasibleConfigError,
     NumericalError,
 )
-from .montecarlo import STREAM_VERSION, THREADS_ENV_VAR, SimConfig, estimate_se
+from .montecarlo import MAX_TRIALS, STREAM_VERSION, THREADS_ENV_VAR, SimConfig, estimate_se
 from .rng import child_seed
 
 SCHEMA_VERSION = 1
 LN2 = math.log(2.0)
+# A start/stop/count grid is built in memory and every point of it evaluated.
+MAX_SWEEP_POINTS = 1_000_000
 
 SWEEP_VARIABLES = ("lambda0", "b", "m", "k_db", "velocity", "rho")
 OUTPUT_TAGS = (
@@ -75,74 +82,129 @@ OUTPUT_TAGS = (
     "b_star_closed",
     "hpbw_star",
 )
+BOUND_COLUMNS = ("upper_nakagami", "upper_rayleigh", "lower")
 # The beam-count planner's cells; a point that asks for one needs a ThroughputConfig.
 PLANNER_COLUMNS = ("tp", "best_square_b", "f_t", "n_b", "b_max_feasible", "b_star_numeric",
                    "b_star_closed", "hpbw_star_numeric", "hpbw_star_closed", "tp_at_optimum")
 
 
 # =====================================================================
-#  Config parsing
+#  Config keys
 # =====================================================================
 
-class SectionView:
-    """Typed access to one INI section with field-level diagnostics."""
+class Key(NamedTuple):
+    """One config key: ``parse`` reads its text, ``ok`` tells whether the
+    value lies in the domain that ``domain`` words, ``sections`` accept it,
+    and ``default`` stands in when it is left out (None: it has none).  A
+    key with ``choices`` takes one of them, or a list of them."""
 
-    def __init__(self, name: str, raw: dict[str, str]):
+    parse: Any
+    ok: Any
+    domain: str
+    sections: tuple[str, ...]
+    default: Any = None
+    choices: tuple[str, ...] = ()
+
+
+def _words(text: str) -> list[str]:
+    return text.replace(",", " ").split()
+
+
+def _floats(text: str) -> list[float]:
+    return [float(tok) for tok in _words(text)]
+
+
+def _positive(value: float) -> bool:
+    return math.isfinite(value) and value > 0.0
+
+
+def _increasing(values: list[float]) -> bool:
+    return bool(values) and all(map(math.isfinite, values)) and all(b > a for a, b in zip(values, values[1:]))
+
+
+def _choice(choices: tuple[str, ...], sections: tuple[str, ...], default: str | None = None) -> Key:
+    return Key(str, choices.__contains__, "one of " + ", ".join(choices), sections, default, choices)
+
+
+SECTION_KINDS = ("run", "simulate", "bounds", "throughput", "sweep:NAME")
+RUN, POINT, PLANNER, SWEEP = ("run",), SECTION_KINDS[1:], ("throughput", "sweep:NAME"), ("sweep:NAME",)
+LINK_KEYS = ("intercept_c", "distance_d", "alpha", "noise_power")
+FINITE, POSITIVE = "a finite number", "a number, finite and > 0"
+
+KEYS: dict[str, Key] = {
+    "schema_version": Key(int, lambda v: v == SCHEMA_VERSION, str(SCHEMA_VERSION), RUN),
+    "seed": Key(int, lambda v: True, "an integer", RUN, 0),
+    "trials": Key(int, lambda v: 1 <= v <= MAX_TRIALS, f"an integer in [1, {MAX_TRIALS}]", RUN, 10_000),
+    "units": _choice(("nats", "bits"), RUN, "nats"),
+    "lambda0": Key(float, _positive, POSITIVE, POINT),
+    # b * snr_coeff is taken as a float
+    "b": Key(int, lambda v: 1 <= v <= sys.float_info.max, f"an integer in [1, {sys.float_info.max:g}]", POINT),
+    "m": Key(float, lambda v: math.isfinite(v) and v >= 0.5, "a number, finite and >= 0.5", POINT),
+    "k_db": Key(float, math.isfinite, FINITE, POINT),
+    "snr_coeff": Key(float, _positive, POSITIVE, POINT),
+    **{key: Key(float, math.isfinite, FINITE, POINT) for key in LINK_KEYS},
+    "t_f": Key(float, _positive, POSITIVE, PLANNER),
+    "n_b": Key(int, lambda v: v >= 1, "an integer >= 1", PLANNER, 4),
+    "t_total": Key(float, _positive, POSITIVE, PLANNER),
+    "velocity": Key(float, _positive, POSITIVE, PLANNER),
+    "carrier_freq": Key(float, _positive, POSITIVE, PLANNER),
+    "tc_model": _choice(("clarke",), PLANNER, "clarke"),
+    "b_values": Key(_floats, lambda bs: bool(bs) and all(math.isfinite(b) and b >= 1.0 for b in bs),
+                    "numbers, finite and >= 1", PLANNER),
+    "variable": _choice(SWEEP_VARIABLES, SWEEP),
+    "values": Key(_floats, _increasing, "numbers, finite and strictly increasing", SWEEP),
+    "start": Key(float, math.isfinite, FINITE, SWEEP),
+    "stop": Key(float, math.isfinite, FINITE, SWEEP),
+    "count": Key(int, lambda v: 2 <= v <= MAX_SWEEP_POINTS, f"an integer in [2, {MAX_SWEEP_POINTS}]", SWEEP),
+    "outputs": Key(_words, lambda tags: bool(tags) and set(tags) <= set(OUTPUT_TAGS),
+                   "one or more of " + ", ".join(OUTPUT_TAGS), SWEEP, None, OUTPUT_TAGS),
+}
+
+# The keys behind each quantity the library computes from them.
+DERIVED = {
+    "rho": ("b", "snr_coeff", "lambda0"),
+    "snr_coeff": LINK_KEYS,
+    "K": ("snr_coeff", "lambda0"),
+    "F_t": ("t_f", "t_total"),
+    "t_total": ("velocity", "carrier_freq"),
+}
+
+
+def _read(section: str, key: str, text: str, variable: str | None = None) -> Any:
+    """``key = text`` of ``[section]``, parsed and checked against its row;
+    a rejected grid key also names the swept ``variable``."""
+    row = KEYS[key]
+    try:
+        value = row.parse(text)
+        if row.ok(value):
+            return value
+    except ValueError:
+        pass
+    unknown = [tok for tok in _words(text) if tok not in row.choices] if row.choices else []
+    if unknown:
+        raise ConfigError(f"[{section}] unknown {key} {unknown[0]!r}; registered: {', '.join(row.choices)}")
+    grid = f" (the {variable} grid)" if variable and key in ("values", "start", "stop", "count") else ""
+    raise ConfigError(f"[{section}] {key} = {text}: must be {row.domain}{grid}")
+
+
+class Section:
+    """A config section's name and its keys' checked values."""
+
+    def __init__(self, name: str, values: dict[str, Any]):
         self.name = name
-        self.raw = dict(raw)
+        self.values = values
 
-    def _fetch(self, key: str, default: Any, required: bool) -> str | None:
-        if key in self.raw:
-            return self.raw[key]
-        if required:
+    def get(self, key: str, required: bool = False) -> Any:
+        """The value of ``key``, else its default, else None; a config
+        error if it is ``required`` and has no default."""
+        if key in self.values:
+            return self.values[key]
+        if required and KEYS[key].default is None:
             raise ConfigError(f"[{self.name}] missing required key '{key}'")
-        return default
-
-    def get_str(self, key: str, default: str | None = None, required: bool = False) -> str | None:
-        val = self._fetch(key, default, required)
-        return val if val is None else str(val).strip()
-
-    def get_float(self, key: str, default: float | None = None, required: bool = False) -> float | None:
-        val = self._fetch(key, default, required)
-        if val is None or isinstance(val, float):
-            return val
-        try:
-            return float(val)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] key '{key}': expected a number, got {val!r}") from None
-
-    def get_int(self, key: str, default: int | None = None, required: bool = False) -> int | None:
-        val = self._fetch(key, default, required)
-        if val is None or isinstance(val, int):
-            return val
-        try:
-            return int(str(val), 10)
-        except ValueError:
-            raise ConfigError(f"[{self.name}] key '{key}': expected an integer, got {val!r}") from None
-
-    def get_float_list(self, key: str, required: bool = False) -> list[float] | None:
-        val = self._fetch(key, None, required)
-        if val is None:
-            return None
-        items = [tok for tok in str(val).replace(",", " ").split() if tok]
-        if not items:
-            raise ConfigError(f"[{self.name}] key '{key}': list is empty")
-        try:
-            return [float(tok) for tok in items]
-        except ValueError:
-            raise ConfigError(f"[{self.name}] key '{key}': expected numbers, got {val!r}") from None
-
-    def has(self, key: str) -> bool:
-        return key in self.raw
-
-    def resolved(self, defaults: dict[str, Any]) -> dict[str, Any]:
-        """Raw keys merged over defaults; records what the user left unset."""
-        merged = {k: v for k, v in defaults.items()}
-        merged.update(self.raw)
-        return merged
+        return KEYS[key].default
 
 
-def load_config(path: str | Path) -> dict[str, SectionView]:
+def load_config(path: str | Path) -> dict[str, Section]:
     parser = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -151,118 +213,113 @@ def load_config(path: str | Path) -> dict[str, SectionView]:
         raise ConfigError(f"config file not found: {path}") from None
     except (configparser.Error, OSError) as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from None
-    sections = {name: SectionView(name, dict(parser[name])) for name in parser.sections()}
-    run = sections.get("run")
-    if run is None:
+    if not parser.has_section("run"):
         raise ConfigError("[run] section with schema_version is required")
-    version = run.get_int("schema_version", required=True)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"[run] schema_version {version} unsupported (this build expects {SCHEMA_VERSION})"
-        )
+    sections = {}
+    # [run] first, so a config of another schema fails on schema_version
+    for name in ["run"] + [name for name in parser.sections() if name != "run"]:
+        kind = "sweep:NAME" if name.startswith("sweep:") else name
+        if kind not in SECTION_KINDS:
+            raise ConfigError(f"unknown section [{name}]; known: {', '.join(SECTION_KINDS)}")
+        known = [key for key, row in KEYS.items() if kind in row.sections]
+        raw = parser[name]
+        for key in raw:
+            if key not in known:
+                raise ConfigError(f"[{name}] unknown key '{key}'; known: {', '.join(known)}")
+        variable = raw.get("variable")
+        sections[name] = Section(name, {key: _read(name, key, text, variable) for key, text in raw.items()})
+    sections["run"].get("schema_version", required=True)
     return sections
 
 
-class RunParams:
-    """Global run settings: [run] section overridden by CLI flags."""
-
-    def __init__(self, sections: dict[str, SectionView], args: argparse.Namespace):
-        run = sections.get("run", SectionView("run", {}))
-        self.seed = args.seed if args.seed is not None else (run.get_int("seed", 0) or 0)
-        self.trials = args.trials if args.trials is not None else (run.get_int("trials", 10_000) or 10_000)
-        self.units = args.units if args.units is not None else (run.get_str("units", "nats") or "nats")
-        if self.units not in ("nats", "bits"):
-            raise ConfigError(f"[run] units must be 'nats' or 'bits', got {self.units!r}")
-        if self.trials < 1:
-            raise ConfigError(f"[run] trials must be >= 1, got {self.trials}")
-
-    def defaults_dict(self) -> dict[str, Any]:
-        return {"seed": self.seed, "trials": self.trials, "units": self.units}
+def _run_params(run: Section, args: argparse.Namespace) -> dict[str, Any]:
+    """The [run] seed, trials and units, each overridden by its flag."""
+    flags = {key: getattr(args, key) for key in ("seed", "trials", "units")}
+    return {key: run.get(key) if flag is None else _read("run", key, str(flag)) for key, flag in flags.items()}
 
 
-def _fading_for(section: SectionView, key: str, value: float) -> FadingModel:
-    """The fading model that ``key`` (``m``, or ``k_db`` in dB) = ``value``
-    sets; a value the model rejects is a config error naming the key."""
+def _user_keys(values: dict[str, Any], quantities: Sequence[str]) -> list[str]:
+    """The keys set in ``values`` behind ``quantities``, through ``DERIVED``."""
+    keys: list[str] = []
+    for name in quantities:
+        keys += [name] if name in values else _user_keys(values, DERIVED.get(name, ()))
+    return list(dict.fromkeys(keys))
+
+
+@contextlib.contextmanager
+def _blame(section: Section, *quantities: str):
+    """Report a value the library rejects as a config error of ``section``
+    naming the keys the user set behind ``quantities``."""
     try:
-        if key == "m":
-            return FadingModel.nakagami(value)
-        try:
-            k_linear = 10.0 ** (value / 10.0)
-        except OverflowError:
-            k_linear = math.inf
-        return FadingModel.rician(k_linear)
+        yield
     except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {key} = {value!r}: {exc}") from None
+        given = ", ".join(f"{key} = {section.values[key]!r}" for key in _user_keys(section.values, quantities))
+        raise ConfigError(f"[{section.name}] {given}: {exc}") from None
 
 
-def _fading_from(section: SectionView) -> FadingModel:
-    has_m = section.has("m")
-    has_k = section.has("k_db")
-    if has_m and has_k:
+def _fading(section: Section) -> FadingModel:
+    """The fading law of ``m`` (Nakagami), ``k_db`` (Rician, in dB) or neither (Rayleigh)."""
+    m, k_db = section.values.get("m"), section.values.get("k_db")
+    if m is not None and k_db is not None:
         raise ConfigError(f"[{section.name}] give either 'm' or 'k_db', not both")
-    if has_m:
-        return _fading_for(section, "m", section.get_float("m"))
-    if has_k:
-        return _fading_for(section, "k_db", section.get_float("k_db"))
-    return FadingModel.rayleigh()
+    if m is not None:
+        with _blame(section, "m"):
+            return FadingModel.nakagami(m)
+    if k_db is None:
+        return FadingModel.rayleigh()
+    try:
+        k_linear = 10.0 ** (k_db / 10.0)
+    except OverflowError:
+        k_linear = math.inf
+    with _blame(section, "k_db"):
+        return FadingModel.rician(k_linear)
 
 
-def _snr_coeff_from(section: SectionView) -> tuple[float, tuple[str, str] | None]:
-    """The section's link coefficient and, when it is derived from the
-    link-budget keys, its formula and the keys' values for messages."""
-    needed = ("intercept_c", "distance_d", "alpha", "noise_power")
-    link = None
-    if section.has("snr_coeff"):
-        what = "snr_coeff"
-        val = section.get_float("snr_coeff")
-    elif all(section.has(k) for k in needed):
-        c, d, a, n = values = [section.get_float(k) for k in needed]
-        given = ", ".join(f"{k} = {v!r}" for k, v in zip(needed, values))
-        what = "snr_coeff from " + given
-        link = ("intercept_c * distance_d^(-alpha) / noise_power", given)
+def _snr_coeff(section: Section) -> float:
+    """The section's ``snr_coeff``, or c d^(-alpha) / noise_power from its link keys."""
+    if "snr_coeff" in section.values:
+        return section.values["snr_coeff"]
+    if not all(key in section.values for key in LINK_KEYS):
+        raise ConfigError(f"[{section.name}] needs 'snr_coeff' or all of {', '.join(LINK_KEYS)}")
+    c, d, a, n = (section.values[key] for key in LINK_KEYS)
+    with _blame(section, "snr_coeff"):
         try:
             val = c * d ** (-a) / n
         except (ZeroDivisionError, OverflowError):
             val = math.nan
-    else:
+        # A negative distance with a fractional exponent yields a complex power.
+        if not (isinstance(val, float) and math.isfinite(val) and val > 0.0):
+            raise ValueError(f"c d^(-alpha) / noise_power = {val!r} must be finite and > 0")
+    return val
+
+
+def _swept(section: Section, variable: str, value: float) -> float | int:
+    """A swept ``value`` checked against its key's row, as an int for ``b``;
+    a swept rho has no row, the point checks it."""
+    row = KEYS.get(variable)
+    if row is None:
+        return value
+    if row.parse is int and abs(value - round(value)) <= 1e-9:
+        value = int(round(value))
+    if not (isinstance(value, row.parse) and row.ok(value)):
+        raise ConfigError(f"[{section.name}] {variable} = {value!r}: must be {row.domain}")
+    return value
+
+
+def _sweep_values(section: Section) -> list[float]:
+    """The swept values: ``values``, or ``count`` points from ``start`` to ``stop``."""
+    if "values" in section.values:
+        return section.values["values"]
+    start, stop, count = (section.values.get(key) for key in ("start", "stop", "count"))
+    if None in (start, stop, count):
+        raise ConfigError(f"[{section.name}] needs 'values' or the triple start/stop/count")
+    values = [float(v) for v in np.linspace(start, stop, count)]
+    if not _increasing(values):
         raise ConfigError(
-            f"[{section.name}] needs 'snr_coeff' or all of {', '.join(needed)}"
+            f"[{section.name}] start = {start!r}, stop = {stop!r}, count = {count}: must give "
+            f"{KEYS['values'].domain} (the {section.values['variable']} grid)"
         )
-    # A negative distance with a fractional exponent yields a complex power.
-    if not (isinstance(val, float) and math.isfinite(val) and val > 0.0):
-        raise ConfigError(f"[{section.name}] {what} must be finite and > 0, got {val!r}")
-    return val, link
-
-
-def _sweep_values(section: SectionView) -> list[float]:
-    explicit = section.get_float_list("values")
-    if explicit is not None:
-        values = explicit
-    else:
-        if not (section.has("start") and section.has("stop") and section.has("count")):
-            raise ConfigError(
-                f"[{section.name}] needs 'values' or the triple start/stop/count"
-            )
-        count = section.get_int("count")
-        if count < 2:
-            raise ConfigError(f"[{section.name}] count must be >= 2, got {count}")
-        values = list(np.linspace(section.get_float("start"), section.get_float("stop"), count))
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigError(f"[{section.name}] values must be strictly increasing")
-    return [float(v) for v in values]
-
-
-def _outputs_from(section: SectionView) -> list[str]:
-    raw = section.get_str("outputs", required=True)
-    tags = [tok.strip() for tok in raw.replace(",", " ").split() if tok.strip()]
-    if not tags:
-        raise ConfigError(f"[{section.name}] outputs list is empty")
-    for tag in tags:
-        if tag not in OUTPUT_TAGS:
-            raise ConfigError(
-                f"[{section.name}] unknown output '{tag}'; known: {', '.join(OUTPUT_TAGS)}"
-            )
-    return tags
+    return values
 
 
 # =====================================================================
@@ -273,52 +330,19 @@ def _unit_scale(units: str) -> float:
     return 1.0 / LN2 if units == "bits" else 1.0
 
 
-@contextlib.contextmanager
-def _config_errors(section: SectionView):
-    """Report a value the library rejects as a config error of ``section``."""
-    try:
-        yield
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {exc}") from None
-
-
 class PointSpec:
-    """Fully resolved parameters of one evaluation point.
+    """One point's SNR scales: rho = b * snr_coeff / lambda0, which must be
+    finite and > 0 with 1/rho finite (the bounds read 1/rho), and the
+    per-beam scale k = snr_coeff / lambda0."""
 
-    ``link`` is the formula of a derived ``snr_coeff`` and its keys' values
-    (see :func:`_snr_coeff_from`), which a message about rho names."""
-
-    def __init__(
-        self,
-        lambda0: float,
-        b: int,
-        fading: FadingModel,
-        snr_coeff: float,
-        velocity: float | None = None,
-        rho_override: float | None = None,
-        link: tuple[str, str] | None = None,
-    ):
-        if not (math.isfinite(lambda0) and lambda0 > 0.0):
-            raise ValueError(f"lambda0 must be finite and > 0, got {lambda0}")
-        if b < 1:
-            raise ValueError(f"b must be >= 1, got {b}")
+    def __init__(self, lambda0: float, b: int, fading: FadingModel, snr_coeff: float):
         self.lambda0 = lambda0
         self.b = b
         self.fading = fading
-        self.velocity = velocity
-        # A direct rho request is honored by rescaling the link coefficient.
-        if rho_override is not None:
-            if not (math.isfinite(rho_override) and rho_override > 0.0):
-                raise ValueError(f"rho must be finite and > 0, got {rho_override}")
-            snr_coeff = rho_override * lambda0 / b
-            link = None
         self.snr_coeff = snr_coeff
-        # the bounds read 1/rho, so it must be finite too
         if not (math.isfinite(self.rho) and self.rho > 0.0 and math.isfinite(1.0 / self.rho)):
-            terms, given = link or ("snr_coeff", f"snr_coeff = {snr_coeff!r}")
             raise ValueError(
-                f"rho = b * {terms} / lambda0 = {self.rho!r} must be finite and > 0, with 1/rho "
-                f"finite (b = {b}, {given}, lambda0 = {lambda0!r})"
+                f"rho = b * snr_coeff / lambda0 = {self.rho!r} must be finite and > 0, with 1/rho finite"
             )
 
     @property
@@ -329,125 +353,95 @@ class PointSpec:
     def k(self) -> float:
         return self.snr_coeff / self.lambda0
 
-    def sparse_model(self) -> SparseModel:
-        return SparseModel.from_occupancy(
-            self.lambda0, self.b, self.fading.effective_nakagami_m()
-        )
-
     def sim_config(self, trials: int, seed: int) -> SimConfig:
         return SimConfig(self.lambda0, self.b, self.rho, self.fading, trials, seed)
 
 
 def _point_from(
-    section: SectionView,
+    section: Section,
     columns: Sequence[str],
-    run: RunParams,
+    run: dict[str, Any],
     seed: int | None,
     variable: str | None = None,
     value: float = math.nan,
-) -> tuple[PointSpec, throughput.ThroughputConfig | None, SimConfig | None]:
+) -> tuple[PointSpec, SparseModel | None, throughput.ThroughputConfig | None, SimConfig | None]:
     """The point ``section`` describes, with the sweep ``variable`` (if any)
-    set to ``value``, its planner config, None unless ``columns`` name a
-    planner cell, and its Monte Carlo config on ``seed``, None unless
-    ``columns`` name ``sim_se``."""
-    with _config_errors(section):
-        lambda0 = value if variable == "lambda0" else section.get_float("lambda0", required=True)
-        if variable == "b":
-            if not (math.isfinite(value) and value >= 1 and abs(value - round(value)) <= 1e-9):
-                raise ValueError(f"swept beam counts must be positive integers, got {value}")
-            b = int(round(value))
-        elif section.name == "throughput":
-            b = section.get_int("b", 1)  # the planner does not depend on b
-        else:
-            b = section.get_int("b", required=True)
-        fading = _fading_from(section)
-        if variable in ("m", "k_db"):
-            fading = _fading_for(section, variable, value)
-        # A swept rho replaces the link coefficient, so it may be left out.
-        if variable == "rho" and not section.has("snr_coeff"):
-            snr_coeff, link = 1.0, None
-        else:
-            snr_coeff, link = _snr_coeff_from(section)
-        velocity = value if variable == "velocity" else section.get_float("velocity")
-        point = PointSpec(
-            lambda0, b, fading, snr_coeff, velocity, value if variable == "rho" else None, link
+    set to ``value``, and what its columns need: its bounds model, planner
+    config and Monte Carlo config on ``seed``, each None when no column
+    needs it."""
+    if variable is not None:
+        section = Section(section.name, {**section.values, variable: value})
+    fading = _fading(section)
+    if variable is not None:
+        # after the fading law, so a swept m or k_db it rejects is named in its words
+        section.values[variable] = _swept(section, variable, value)
+    lambda0 = section.get("lambda0", required=True)
+    # the planner does not depend on b, so [throughput] may leave it out
+    b = section.values.get("b", 1) if section.name == "throughput" else section.get("b", required=True)
+    snr_coeff = value * lambda0 / b if variable == "rho" else _snr_coeff(section)
+    with _blame(section, "rho"):
+        point = PointSpec(lambda0, b, fading, snr_coeff)
+    model = cfg = sim = None
+    if "sim_se" in columns:
+        with _blame(section, "lambda0", "b", "m", "k_db"):
+            sim = point.sim_config(run["trials"], seed)
+    if any(column in BOUND_COLUMNS for column in columns):
+        with _blame(section, "lambda0", "b"):
+            model = SparseModel.from_occupancy(lambda0, b, fading.effective_nakagami_m())
+    if any(column in PLANNER_COLUMNS for column in columns):
+        cfg = _tp_config(section, point)
+    return point, model, cfg, sim
+
+
+def _tp_config(section: Section, point: PointSpec) -> throughput.ThroughputConfig:
+    t_f = section.get("t_f", required=True)
+    if "t_total" in section.values:
+        t_total = section.values["t_total"]
+    elif "velocity" in section.values:
+        carrier = section.get("carrier_freq", required=True)
+        with _blame(section, "t_total"):
+            t_total = throughput.coherence_time(section.values["velocity"], carrier)
+    else:
+        raise ConfigError(
+            f"[{section.name}] needs 't_total' or 'velocity' (+ carrier_freq) for throughput outputs"
         )
-        sim = point.sim_config(run.trials, seed) if "sim_se" in columns else None
-    planner = any(column in PLANNER_COLUMNS for column in columns)
-    return point, _tp_config(section, point) if planner else None, sim
-
-
-def _tp_config(section: SectionView, point: PointSpec) -> throughput.ThroughputConfig:
-    t_f = section.get_float("t_f", required=True)
-    n_b = section.get_int("n_b", 4)
-    with _config_errors(section):
-        if section.has("t_total"):
-            t_total = section.get_float("t_total")
-        elif point.velocity is not None:
-            carrier = section.get_float("carrier_freq", required=True)
-            model_tag = section.get_str("tc_model", "clarke")
-            if model_tag != "clarke":
-                raise ConfigError(
-                    f"[{section.name}] unknown tc_model {model_tag!r}; registered: clarke"
-                )
-            t_total = throughput.coherence_time(point.velocity, carrier)
-        else:
-            raise ConfigError(
-                f"[{section.name}] needs 't_total' or 'velocity' (+ carrier_freq) for throughput outputs"
-            )
+    with _blame(section, "F_t", "K", "n_b"):
         return throughput.ThroughputConfig(
-            t_f=t_f, t_total=t_total, k=point.k, lambda0=point.lambda0, n_b=n_b
+            t_f=t_f, t_total=t_total, k=point.k, lambda0=point.lambda0, n_b=section.get("n_b")
         )
 
 
 TP_CURVE_COLUMNS = ["b", "tp", "tp_raw", "units"]
 
 
-def _b_values(section: SectionView) -> list[float]:
-    """The section's ``b_values`` grid, empty without one."""
-    b_values = section.get_float_list("b_values") or []
-    for b in b_values:
-        if not (math.isfinite(b) and b >= 1.0):
-            raise ConfigError(f"[{section.name}] b_values entries must be finite and >= 1, got {b!r}")
-    return b_values
-
-
-def _tp_rows(cfg: throughput.ThroughputConfig, section: SectionView, run: RunParams) -> list[list[Any]]:
-    """Throughput-curve rows (``TP_CURVE_COLUMNS``) over the section's
-    ``b_values``, none without them; ``tp`` clamps ``tp_raw`` at zero."""
-    scale = _unit_scale(run.units)
+def _tp_rows(cfg: throughput.ThroughputConfig, b_values: list[float], units: str) -> list[list[Any]]:
+    """Throughput-curve rows (``TP_CURVE_COLUMNS``) over ``b_values``;
+    ``tp`` clamps ``tp_raw`` at zero."""
+    scale = _unit_scale(units)
     rows = []
-    for b in _b_values(section):
+    for b in b_values:
         raw = throughput.throughput_continuous(b, cfg) * scale
-        rows.append([b, max(raw, 0.0), raw, run.units])
+        rows.append([b, max(raw, 0.0), raw, units])
     return rows
 
 
-def _evaluate(
-    columns: Sequence[str],
-    point: PointSpec,
-    cfg: throughput.ThroughputConfig | None,
-    sim: SimConfig | None,
-    section: SectionView,
-    run: RunParams,
-) -> dict[str, Any]:
-    """Named cells of one point: its ``lambda0``, ``b``, ``m_eff``, ``rho``
-    and ``units``, plus every cell ``columns`` names.
+def _evaluate(columns: Sequence[str], inputs: tuple, section: Section, units: str) -> dict[str, Any]:
+    """Named cells of one point (the ``_point_from`` tuple ``inputs``): its
+    ``lambda0``, ``b``, ``m_eff``, ``rho`` and ``units``, plus every cell
+    ``columns`` names.
 
-    ``cfg`` is the point's planner config and ``sim`` its Monte Carlo
-    config; each is None when no column needs it.  ``sim_se`` comes with
-    ``sim_ci95`` and ``trials``; any planner column brings every planner
-    optimum plus ``f_t`` and ``n_b``.  ``tp`` holds the throughput-curve
-    rows of :func:`_tp_rows`.  Planner cells of an infeasible point are
-    None, as are the closed-form cells wherever that approximation does not
-    apply.
+    ``sim_se`` comes with ``sim_ci95`` and ``trials``; any planner column
+    brings every planner optimum plus ``f_t`` and ``n_b``.  ``tp`` holds the
+    throughput-curve rows of :func:`_tp_rows` over the section's
+    ``b_values``.  Planner cells of an infeasible point are None, as are the
+    closed-form cells wherever that approximation does not apply.
     """
-    scale = _unit_scale(run.units)
+    point, model, cfg, sim = inputs
+    scale = _unit_scale(units)
     m_eff = point.fading.effective_nakagami_m()
     cells: dict[str, Any] = {
-        "lambda0": point.lambda0, "b": point.b, "m_eff": m_eff, "rho": point.rho, "units": run.units,
+        "lambda0": point.lambda0, "b": point.b, "m_eff": m_eff, "rho": point.rho, "units": units,
     }
-    model = None
     for column in columns:
         if column in cells:
             continue
@@ -455,10 +449,7 @@ def _evaluate(
             if column in ("sim_se", "sim_ci95", "trials"):
                 est = estimate_se(sim)
                 cells.update(sim_se=est.mean * scale, sim_ci95=est.ci95 * scale, trials=est.trials)
-            elif column in ("upper_nakagami", "upper_rayleigh", "lower"):
-                if model is None:
-                    with _config_errors(section):
-                        model = point.sparse_model()
+            elif column in BOUND_COLUMNS:
                 # Looked up per call, so wrappers put on the analytic module
                 # (perfbench's tracer) see these calls.
                 bound = {
@@ -471,7 +462,7 @@ def _evaluate(
                 cells[column] = analytic.se_sparse_approx(point.lambda0, point.rho) * scale
             else:
                 if column == "tp":
-                    cells[column] = _tp_rows(cfg, section, run)
+                    cells[column] = _tp_rows(cfg, section.get("b_values") or [], units)
                 elif column == "best_square_b":
                     cells[column] = _maybe_infeasible(lambda: throughput.best_square_b(cfg))
                 else:
@@ -598,9 +589,18 @@ POINT_COMMANDS = {
 }
 
 
+def _provenance(run: dict[str, Any], section: Section, columns: Sequence[str]) -> dict[str, Any]:
+    """Manifest fields of a section's run: the run settings, those with the
+    section's values and, with ``sim_se``, the Monte Carlo stream version."""
+    fields = dict(run, config_resolved={**run, **section.values})
+    if "sim_se" in columns:
+        fields["stream"] = STREAM_VERSION
+    return fields
+
+
 def _cmd_point(kind: str, args: argparse.Namespace) -> int:
     sections = load_config(args.config)
-    run = RunParams(sections, args)
+    run = _run_params(sections["run"], args)
     section = sections.get(kind)
     if section is None:
         raise ConfigError(f"config must contain a [{kind}] section for '{kind}'")
@@ -610,17 +610,14 @@ def _cmd_point(kind: str, args: argparse.Namespace) -> int:
     t0 = time.monotonic()
 
     columns, line = POINT_COMMANDS[kind]
-    point, cfg, sim = _point_from(section, columns, run, run.seed)
-    cells = _evaluate(columns, point, cfg, sim, section, run)
+    inputs = _point_from(section, columns, run, run["seed"])
+    cells = _evaluate(columns, inputs, section, run["units"])
     if "b_max_feasible" in cells and cells["b_max_feasible"] is None:
         raise InfeasibleConfigError(
             "no beam count achieves positive throughput "
             f"(F_t={cells['f_t']!r} with N_b={cells['n_b']})"
         )
-    provenance = dict(
-        seed=run.seed, trials=run.trials, units=run.units,
-        config_resolved=section.resolved(run.defaults_dict()),
-    )
+    provenance = _provenance(run, section, columns)
     if cells.get("tp"):
         _write_csv(out_dir / "throughput_curve.csv", TP_CURVE_COLUMNS, cells["tp"])
         manifest.record(
@@ -630,10 +627,8 @@ def _cmd_point(kind: str, args: argparse.Namespace) -> int:
     header = [c for c in columns if c != "tp"]
     _write_csv(out_dir / f"{kind}.csv", header, [[cells[c] for c in header]])
     print(line.format(**cells))
-    stream = {"stream": STREAM_VERSION} if "sim_se" in cells else {}
     manifest.record(
-        kind=kind, csv=f"{kind}.csv", **provenance,
-        wall_time_s=round(time.monotonic() - t0, 6), **stream,
+        kind=kind, csv=f"{kind}.csv", **provenance, wall_time_s=round(time.monotonic() - t0, 6),
     )
     return 0
 
@@ -650,34 +645,27 @@ def _sweep_stem(name: str) -> str:
 
 
 def _sweep_plan(
-    section: SectionView, run: RunParams
-) -> tuple[str, list[str], list[tuple[float, PointSpec, throughput.ThroughputConfig | None, SimConfig | None]]]:
-    """A sweep section's variable, cell columns and (value, point, planner
-    config, Monte Carlo config) quadruples, after every check that needs no
-    evaluation."""
-    variable = section.get_str("variable", required=True)
-    if variable not in SWEEP_VARIABLES:
-        raise ConfigError(
-            f"[{section.name}] unknown sweep variable {variable!r}; known: {', '.join(SWEEP_VARIABLES)}"
-        )
+    section: Section, run: dict[str, Any]
+) -> tuple[str, list[str], list[tuple[float, tuple]]]:
+    """A sweep section's variable, cell columns and (value, point inputs)
+    pairs, after every check that needs no evaluation."""
+    variable = section.get("variable", required=True)
     values = _sweep_values(section)
-    tags = _outputs_from(section)
-    if "tp" in tags:
-        if not section.has("b_values"):
-            raise ConfigError(f"[{section.name}] 'tp' output needs a 'b_values' list")
-        _b_values(section)
+    tags = section.get("outputs", required=True)
+    if "tp" in tags and "b_values" not in section.values:
+        raise ConfigError(f"[{section.name}] 'tp' output needs a 'b_values' list")
     columns = _columns(tags)
     stem_key = zlib.crc32(_sweep_stem(section.name).encode())
     # Only the Monte Carlo cells read a point's seed.
-    seeds = [child_seed(run.seed, stem_key, idx) if "sim_se" in columns else None for idx in range(len(values))]
+    seeds = [child_seed(run["seed"], stem_key, idx) if "sim_se" in columns else None for idx in range(len(values))]
     return variable, columns, [
-        (value, *_point_from(section, columns, run, seed, variable, value)) for value, seed in zip(values, seeds)
+        (value, _point_from(section, columns, run, seed, variable, value)) for value, seed in zip(values, seeds)
     ]
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     sections = load_config(args.config)
-    run = RunParams(sections, args)
+    run = _run_params(sections["run"], args)
     sweep_names = [name for name in sections if name.startswith("sweep:")]
     if not sweep_names:
         raise ConfigError("config contains no [sweep:NAME] sections")
@@ -695,8 +683,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         header = [variable] + [c for c in columns if c != "tp"]
         rows = []
         tp_rows = []
-        for value, point, cfg, sim in points:
-            cells = _evaluate(columns, point, cfg, sim, section, run)
+        for value, inputs in points:
+            cells = _evaluate(columns, inputs, section, run["units"])
             rows.append([value] + [cells[c] for c in header[1:]])
             tp_rows += [[value, *row] for row in cells.get("tp", [])]
 
@@ -708,9 +696,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             _write_csv(tp_path, [variable] + TP_CURVE_COLUMNS, tp_rows)
             written.append(tp_path.name)
         manifest.record(
-            kind="sweep", name=stem, variable=variable, csv=written,
-            seed=run.seed, trials=run.trials, units=run.units, stream=STREAM_VERSION,
-            config_resolved=section.resolved(run.defaults_dict()),
+            kind="sweep", name=stem, variable=variable, csv=written, **_provenance(run, section, columns),
             wall_time_s=round(time.monotonic() - t0, 6),
         )
         print(f"sweep '{stem}': {len(points)} points -> {', '.join(written)}")
@@ -719,7 +705,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
-    trials = args.trials if args.trials is not None else 20_000
+    trials = 20_000 if args.trials is None else _read("run", "trials", str(args.trials))
     criteria = None
     if args.criteria:
         try:

@@ -62,6 +62,9 @@ STREAM_VERSION = 4
 # for; the table holds about mu + 10 sqrt(mu) + 40 entries.
 MAX_PATHS_PER_PAIR = 1e5
 
+# Largest trial count; its chunk list holds 131072 entries.
+MAX_TRIALS = 2**31 - 1
+
 THREADS_ENV_VAR = "BEAMSIM_THREADS"
 
 
@@ -79,8 +82,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials!r}")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must be in [1, {MAX_TRIALS}], got {self.trials!r}")
         if self.b < 1:
             raise ValueError(f"pair count must be >= 1, got {self.b!r}")
         if not (math.isfinite(self.rho) and self.rho > 0.0):

@@ -178,9 +178,11 @@ def optimal_b_closed_form(cfg: ThroughputConfig) -> float:
     ft = cfg.f_t
     sqrt_k = math.sqrt(cfg.k)
     disc = (1.0 - sqrt_k * cfg.n_b**2) * ft * ft + sqrt_k * ft
-    if disc <= 0.0:
+    # F_t^2 overflows to +inf only where 1 - sqrt(K) N_b^2 > 0, and there the
+    # root sqrt(B*) is negative
+    if not 0.0 < disc < math.inf:
         raise ApproximationInvalidError(
-            f"closed-form discriminant is nonpositive ({disc!r}); "
+            f"closed-form discriminant is nonpositive or overflows ({disc!r}); "
             "the quadratic approximation does not apply"
         )
     sqrt_b = (-ft + math.sqrt(disc)) / (ft * sqrt_k)

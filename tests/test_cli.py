@@ -1,5 +1,6 @@
 """CLI surface: subcommands, config schema, CSV/manifest output, exit codes."""
 
+import configparser
 import contextlib
 import csv
 import io
@@ -261,7 +262,8 @@ class TestSubcommands:
             assert entry["trials"] == 5000
             assert entry["units"] == "nats"
             assert "version" in entry and "wall_time_s" in entry
-            assert entry["stream"] == 4
+            # the Monte Carlo stream version goes with sim_se only
+            assert entry.get("stream") == (4 if entry["name"] == "demo" else None)
             assert entry["python"] == sys.version.split()[0]
             assert "numpy" in entry and "BEAMSIM_THREADS" in entry
             # set by the package import unless the environment sets a count
@@ -278,7 +280,7 @@ class TestOnePath:
         keys = BASE_CONFIG.partition(f"[{kind}]")[2].split("\n[", 1)[0].replace("lambda0 = 1.9\n", "")
         cfg = tmp_path / "one.ini"
         cfg.write_text(
-            BASE_CONFIG.replace("[sweep:", "[unused:")
+            BASE_CONFIG.split("[sweep:", 1)[0]
             + f"[sweep:one]\nvariable = lambda0\nvalues = 1.9\n{keys}{extra}outputs = {outputs}\n"
         )
         out = tmp_path / "sweep"
@@ -436,6 +438,8 @@ class TestExitCodes:
             ("throughput", "b_values = 16, 121, 400", "b_values = nan"),
             # an integer whose square is not a finite float
             ("throughput", "n_b = 4", "n_b = 1" + "0" * 199),
+            # b * snr_coeff is taken as a float
+            ("bounds", "b = 121", "b = 1" + "0" * 400),
             # rho = 121 is fine, but lambda0 / b rounds to 0 paths per pair
             ("simulate", "lambda0 = 1.9\nb = 121\nm = 3.2\nsnr_coeff = 0.01",
              "lambda0 = 5e-324\nb = 121\nm = 3.2\nsnr_coeff = 5e-324"),
@@ -456,7 +460,7 @@ class TestExitCodes:
             "distance_d_zero", "distance_d_tiny", "bounds_lambda0_zero", "bounds_b_zero",
             "t_total_inf", "t_f_inf", "t_f_huge", "t_total_huge", "velocity_negative", "velocity_inf",
             "carrier_freq_nan", "doppler_underflow", "tc_model_unknown", "b_values_below_one", "b_values_nan",
-            "n_b_huge", "simulate_mu_underflow", "bounds_inverse_rho_overflow",
+            "n_b_huge", "b_beyond_float", "simulate_mu_underflow", "bounds_inverse_rho_overflow",
             "derived_intercept_c_tiny", "derived_alpha_tiny", "derived_noise_power_huge",
         ],
     )
@@ -491,9 +495,16 @@ class TestExitCodes:
             ("variable = rho\nvalues = -1, 1\nlambda0 = 1.9\nb = 121\noutputs = lower\n", "rho"),
             ("variable = velocity\nvalues = 1, 2\nlambda0 = 1.9\nb = 121\nsnr_coeff = 0.01\n"
              "t_f = 5e-6\ncarrier_freq = 60e9\nb_values = 16, 0.5\noutputs = tp\n", "b_values"),
+            # every comparison with NaN is false, so no pair of values reads as decreasing
+            ("variable = velocity\nvalues = 1, nan, 0.5\nlambda0 = 1.9\nb = 121\nsnr_coeff = 0.01\n"
+             "outputs = lower\n", "values"),
+            ("variable = velocity\nstart = 1\nstop = nan\ncount = 3\nlambda0 = 1.9\nb = 121\n"
+             "snr_coeff = 0.01\noutputs = lower\n", "stop"),
+            ("variable = lambda0\nstart = 1\nstop = 2\ncount = 1" + "0" * 199 + "\nb = 121\n"
+             "snr_coeff = 0.01\noutputs = lower\n", "count"),
         ],
         ids=["m_below_half", "k_db_overflow", "lambda0_huge", "rho_inf", "rho_negative",
-             "b_values_below_one"],
+             "b_values_below_one", "values_nan", "stop_nan", "count_huge"],
     )
     def test_bad_swept_value_is_2(self, tmp_path, body, key):
         cfg = tmp_path / "bad.ini"
@@ -506,6 +517,45 @@ class TestExitCodes:
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert not list(out.glob("*.csv"))
         assert not (out / "run_manifest.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            # a typo of n_b: with n_b = 64 the planner finds no feasible beam count
+            ("n_b = 4", "nb = 64", "[throughput] unknown key 'nb'"),
+            ("[bounds]", "[bound]", "unknown section [bound]"),
+            ("[sweep:demo]", "[sweep]", "unknown section [sweep]"),
+        ],
+        ids=["key_typo", "section_typo", "sweep_without_name"],
+    )
+    def test_unknown_name_is_2(self, tmp_path, old, new, message):
+        # every section and key is checked, also those the command does not read
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(BASE_CONFIG.replace(old, new, 1))
+        out = tmp_path / "out"
+        res = run_cli("throughput", "--config", str(cfg), "--out-dir", str(out))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith(f"config error: {message}"), res.stderr
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("entry", ["run_section", "trials_flag", "validate"])
+    def test_huge_trials_is_2(self, tmp_path, entry):
+        huge = "1" + "0" * 199
+        cfg = tmp_path / "exp.ini"
+        cfg.write_text(BASE_CONFIG.replace("trials = 5000", f"trials = {huge}") if entry == "run_section"
+                       else BASE_CONFIG)
+        args = {
+            "run_section": ("simulate", "--config", str(cfg)),
+            "trials_flag": ("sweep", "--config", str(cfg), "--trials", huge),
+            "validate": ("validate", "--trials", huge),
+        }[entry]
+        out = tmp_path / "out"
+        res = run_cli(*args, "--out-dir", str(out), cwd=tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert res.stderr.startswith(f"config error: [run] trials = {huge}: must be "), res.stderr
+        assert len(res.stderr.splitlines()) == 1, res.stderr
+        assert not out.exists()
 
     def test_bad_later_section_leaves_no_output(self, tmp_path):
         # every section, planner keys included, is checked before the first one writes
@@ -586,33 +636,68 @@ class TestExitCodes:
 EXTREME_VALUES = ["0", "-0", "5e-324", "1e-308", "1e308", "inf", "-inf", "nan", "abc", "1" + "0" * 199]
 ORDINARY_VALUES = {
     "lambda0": ["0.5", "3.5"], "b": ["1", "16"], "m": ["0.5", "1"], "snr_coeff": ["1", "1e-6"],
-    "t_f": ["1e-6", "1e-3"], "t_total": ["1e-3", "1"], "n_b": ["1", "8"],
+    "t_f": ["1e-6", "1e-3"], "t_total": ["1e-3", "1"], "n_b": ["1", "8"], "k_db": ["0", "10"],
+    "velocity": ["1", "30"], "rho": ["0.5", "10"], "trials": ["1", "200"],
 }
 
 
-def section_values(keys):
-    """Each of ``keys`` left as in BASE_CONFIG (None) or set to a drawn value."""
-    return st.fixed_dictionaries({
-        key: st.none() | st.sampled_from(EXTREME_VALUES + ORDINARY_VALUES[key]) for key in keys
-    })
+def gate_sections():
+    """The sections the gate starts from: BASE_CONFIG's [run] (at 200
+    trials) and point sections, and a sweep that asks for every output."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(BASE_CONFIG)
+    sections = {name: dict(parser[name]) for name in parser.sections() if not name.startswith("sweep:")}
+    sections["run"]["trials"] = "200"
+    sections["sweep:gate"] = {
+        "variable": "lambda0", "values": "1.9", "lambda0": "1.9", "b": "121", "m": "3.2", "snr_coeff": "0.01",
+        "t_f": "5e-6", "velocity": "1", "carrier_freq": "60e9", "b_values": "16, 121",
+        "outputs": ", ".join(cli.OUTPUT_TAGS),
+    }
+    return sections
+
+
+def drawn_value(key):
+    """A value for ``key`` (a config key or the sweep variable rho): an
+    extreme one, an ordinary one or one of its choices."""
+    choices = cli.KEYS[key].choices if key in cli.KEYS else ()
+    return st.sampled_from(EXTREME_VALUES + ORDINARY_VALUES.get(key, []) + list(choices))
+
+
+def changes(kind):
+    """Up to three keys that sections of ``kind`` accept, as ``cli.KEYS``
+    lists them, each set to a drawn value."""
+    keys = [key for key, row in cli.KEYS.items() if kind in row.sections]
+    pair = st.sampled_from(keys).flatmap(lambda key: st.tuples(st.just(key), drawn_value(key)))
+    return st.lists(pair, max_size=3).map(dict)
+
+
+SWEPT = st.sampled_from(cli.SWEEP_VARIABLES).flatmap(lambda var: st.tuples(st.just(var), drawn_value(var)))
+PLANNER_OPTIMA = ("b_star_numeric", "b_star_closed", "hpbw_star_numeric", "hpbw_star_closed")
 
 
 class TestBadInputProperty:
-    """Any value of a point key ends in exit 0 with finite cells, or in exit
-    1, 2 or 3 with one stderr line (the key named for 2) and no output."""
+    """Any value of any key, in every section that accepts it, ends in exit
+    0 with finite cells, or in exit 1, 2 or 3 with one stderr line (a set key
+    named for 2) and no output."""
 
     @staticmethod
-    def check_run(kind, values, finite_or_empty=()):
-        changed = {key: value for key, value in values.items() if value is not None}
-        head, section, rest = BASE_CONFIG.partition(f"[{kind}]")
-        body, tail = rest.split("\n[", 1)
-        for key, value in changed.items():
-            body = re.sub(rf"^{key} = .*$", f"{key} = {value}", body, flags=re.MULTILINE)
+    def check_run(name, changed, named=(), finite_or_empty=()):
+        """Run the command of section ``name`` (``simulate`` for [run]) with
+        the ``changed`` keys set; an exit 2 names one of them or ``named``."""
+        target = "simulate" if name == "run" else name
+        command = target.partition(":")[0]
+        gate = gate_sections()
+        sections = {"run": gate["run"], target: gate[target]}
+        sections[name].update(changed)
+        text = "".join(
+            f"[{section}]\n" + "".join(f"{key} = {value}\n" for key, value in keys.items())
+            for section, keys in sections.items()
+        )
         with tempfile.TemporaryDirectory() as tmp:
             cfg = Path(tmp) / "cfg.ini"
-            cfg.write_text(head + section + body + "\n[" + tail)
+            cfg.write_text(text)
             out = Path(tmp) / "out"
-            rc, _, err = run_main(kind, "--config", str(cfg), "--out-dir", str(out), "--trials", "200")
+            rc, _, err = run_main(command, "--config", str(cfg), "--out-dir", str(out))
             if rc == 0:
                 assert err == ""
                 for path in out.glob("*.csv"):
@@ -626,24 +711,35 @@ class TestBadInputProperty:
             assert rc in (1, 2, 3), (rc, err)
             assert len(err.splitlines()) == 1, err
             if rc == 2:
-                assert err.startswith(f"config error: [{kind}] "), err
-                assert any(re.search(rf"\b{key}\b", err) for key in changed), (err, changed)
+                assert err.startswith(f"config error: [{name}] "), err
+                assert any(re.search(rf"\b{key}\b", err) for key in [*changed, *named]), (err, changed)
             assert not (out / "run_manifest.jsonl").exists()
             assert not list(out.glob("*.csv"))
 
-    @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(
-        kind=st.sampled_from(["simulate", "bounds"]),
-        values=section_values(["lambda0", "b", "m", "snr_coeff"]),
-    )
-    def test_point_values(self, kind, values):
-        self.check_run(kind, values)
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(changed=changes("run"))
+    def test_run_values(self, changed):
+        self.check_run("run", changed)
 
     @settings(max_examples=150, derandomize=True, deadline=None)
-    @given(values=section_values(["lambda0", "snr_coeff", "t_f", "t_total", "n_b"]))
-    def test_throughput_values(self, values):
+    @given(kind=st.sampled_from(["simulate", "bounds"]), changed=changes("simulate"))
+    def test_point_values(self, kind, changed):
+        self.check_run(kind, changed)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(changed=changes("throughput"))
+    def test_throughput_values(self, changed):
         # the closed form is left empty where its approximation does not apply
-        self.check_run("throughput", values, finite_or_empty=("b_star_closed", "hpbw_star_closed"))
+        self.check_run("throughput", changed, finite_or_empty=("b_star_closed", "hpbw_star_closed"))
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(swept=SWEPT, changed=changes("sweep:NAME"))
+    def test_sweep_values(self, swept, changed):
+        # each sweepable key both fixed (drawn in ``changed``) and swept; an
+        # infeasible point leaves its planner optima empty
+        variable, value = swept
+        keys = {"variable": variable, "values": value, **changed}
+        self.check_run("sweep:gate", keys, named=[keys["variable"]], finite_or_empty=PLANNER_OPTIMA)
 
 
 class TestValidateCommand:

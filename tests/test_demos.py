@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+from beamsim import cli
+
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
 SWEEP_CONFIGS = ("se_bounds_vs_path_density", "se_vs_beam_count", "rician_fading", "beam_count_planning")
@@ -71,12 +73,25 @@ def test_channel_statistics_script_runs(tmp_path):
     assert "optimal pair index" in res.stdout
 
 
-def test_readme_config_block_runs_verbatim(tmp_path):
+def readme_config_block():
     blocks = re.findall(r"^```ini\n(.*?)^```$", (ROOT / "README.md").read_text(encoding="utf-8"),
                         re.DOTALL | re.MULTILINE)
     assert len(blocks) == 1
+    return blocks[0]
+
+
+def test_readme_config_block_states_every_key():
+    # every key appears, set or as a commented-out alternative, after a
+    # "; key: domain" line in the words the CLI checks it with
+    block = readme_config_block()
+    assert set(re.findall(r"^(?:; )?(\w+) = ", block, re.MULTILINE)) == set(cli.KEYS)
+    for key, row in cli.KEYS.items():
+        assert f"\n; {key}: {row.domain}" in block, key
+
+
+def test_readme_config_block_runs_verbatim(tmp_path):
     config = tmp_path / "readme.ini"
-    config.write_text(blocks[0], encoding="utf-8")
+    config.write_text(readme_config_block(), encoding="utf-8")
     for command in ("simulate", "bounds", "throughput", "sweep"):
         res = run_python(
             "-m", "beamsim.cli", command, "--config", str(config), "--trials", "2000",

@@ -79,7 +79,9 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="rho must be finite and > 0"):
             SimConfig(1.9, 121, rho, FadingModel.rayleigh(), 10, 1)
 
-    @pytest.mark.parametrize("b, trials, match", [(0, 10, "pair count"), (121, 0, "trials")])
+    @pytest.mark.parametrize(
+        "b, trials, match", [(0, 10, "pair count"), (121, 0, "trials"), (121, 10**200, "trials")]
+    )
     def test_rejects_empty_grid_or_sample(self, b, trials, match):
         with pytest.raises(ValueError, match=match):
             SimConfig(1.9, b, 0.5, FadingModel.rayleigh(), trials, 1)

@@ -213,6 +213,15 @@ class TestOptimalBClosedForm:
         with pytest.raises(ApproximationInvalidError):
             tp.optimal_b_closed_form(cfg)
 
+    def test_discriminant_overflow(self):
+        # F_t ~ 1e197 (a 1e199 m/s coherence time): F_t^2 overflows, and the
+        # root is negative, so no beam grid rather than B* = inf
+        cfg = tp.ThroughputConfig(
+            t_f=5e-6, t_total=tp.coherence_time(1e199, 60e9), k=0.01 / 3.5, lambda0=3.5, n_b=4
+        )
+        with pytest.raises(ApproximationInvalidError, match="overflows"):
+            tp.optimal_b_closed_form(cfg)
+
 
 class TestOptimalHpbw:
     def test_values(self):
