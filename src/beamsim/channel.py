@@ -13,6 +13,7 @@ powers here are dimensionless.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -223,6 +224,68 @@ def sample_pair_power_sums(
         return rng.standard_gamma(n)
     k = float(model.parameter)  # type: ignore[arg-type]
     return rng.noncentral_chisquare(2.0 * n, 2.0 * k * n) / (2.0 * (1.0 + k))
+
+
+@functools.cache
+def max_power_table(model: FadingModel) -> tuple[float, float, np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """The quantile table :func:`sample_max_path_power` reads for ``model``,
+    built on its first use in the process by :func:`beamsim.quantile.build`;
+    None for Rayleigh, whose quantile is closed form."""
+    if model.family is FadingFamily.RAYLEIGH:
+        return None
+    from . import quantile   # compiled only by runs that simulate these laws
+
+    return quantile.build(model)
+
+
+def sample_max_path_power(model: FadingModel, k1: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """The largest of ``k1[i]`` i.i.d. normalized path powers, for each i,
+    from one uniform u each; 0 where ``k1[i]`` is 0.
+
+    The maximum of k i.i.d. powers with CDF F is F^-1(u^(1/k)) (the order
+    statistic identity; Devroye 1986, ch. V).  Rayleigh inverts in closed
+    form, -ln(1 - u^(1/k)); the other laws read the cubic Hermite table of
+    :func:`max_power_table` (see :mod:`beamsim.quantile`) at
+    xi = ln(s) + s, s = -ln(u) / k, whose relative error is below 1e-10
+    (``tests/test_channel.py`` holds it to 1e-9 against scipy).  u = 0
+    gives 0, and u < 1 keeps the power finite.
+    """
+    table = max_power_table(model)
+    u = rng.random(len(k1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(u, out=u)
+        np.divide(u, k1, out=u)        # ln v = ln(u) / k, -inf for k = 0
+        if table is None:
+            # Rayleigh: -ln(1 - v) as -ln(-expm1(ln v)), which loses digits only
+            # for v < e^-15 (relative error ~1e-16 / v); -ln1p(-v) there
+            small = u < -15.0
+            v_small = u[small]
+            np.expm1(u, out=u)
+            np.negative(u, out=u)
+            np.log(u, out=u)
+            np.negative(u, out=u)
+            u[small] = -np.log1p(-np.exp(v_small))
+            return u
+        xi_min, xi_step, c0, c1, c2, c3 = table
+        np.negative(u, out=u)          # s
+        t = np.log(u)
+        t += u
+        t -= xi_min
+        t *= 1.0 / xi_step
+    # t >= 0 as s is above the grid's least; s = inf (u = 0 or k = 0) reads
+    # the last entry, ln 0
+    np.minimum(t, len(c0) - 1.0, out=t)
+    i = np.floor(t)
+    t -= i
+    i = i.astype(np.intp)
+    z = c3.take(i, mode="clip")
+    z *= t
+    z += c2.take(i, mode="clip")
+    z *= t
+    z += c1.take(i, mode="clip")
+    z *= t
+    z += c0.take(i, mode="clip")
+    return np.exp(z, out=z)
 
 
 def realize_channel(

@@ -128,6 +128,8 @@ def _choice(choices: tuple[str, ...], sections: tuple[str, ...], default: str | 
 
 SECTION_KINDS = ("run", "simulate", "bounds", "throughput", "sweep:NAME")
 RUN, POINT, PLANNER, SWEEP = ("run",), SECTION_KINDS[1:], ("throughput", "sweep:NAME"), ("sweep:NAME",)
+# the pairs and the fading law; the planner reads neither
+SE_POINT = ("simulate", "bounds", "sweep:NAME")
 LINK_KEYS = ("intercept_c", "distance_d", "alpha", "noise_power")
 FINITE, POSITIVE = "a finite number", "a number, finite and > 0"
 
@@ -138,9 +140,9 @@ KEYS: dict[str, Key] = {
     "units": _choice(("nats", "bits"), RUN, "nats"),
     "lambda0": Key(float, _positive, POSITIVE, POINT),
     # b * snr_coeff is taken as a float
-    "b": Key(int, lambda v: 1 <= v <= sys.float_info.max, f"an integer in [1, {sys.float_info.max:g}]", POINT),
-    "m": Key(float, lambda v: math.isfinite(v) and v >= 0.5, "a number, finite and >= 0.5", POINT),
-    "k_db": Key(float, math.isfinite, FINITE, POINT),
+    "b": Key(int, lambda v: 1 <= v <= sys.float_info.max, f"an integer in [1, {sys.float_info.max:g}]", SE_POINT),
+    "m": Key(float, lambda v: math.isfinite(v) and v >= 0.5, "a number, finite and >= 0.5", SE_POINT),
+    "k_db": Key(float, math.isfinite, FINITE, SE_POINT),
     "snr_coeff": Key(float, _positive, POSITIVE, POINT),
     **{key: Key(float, math.isfinite, FINITE, POINT) for key in LINK_KEYS},
     "t_f": Key(float, _positive, POSITIVE, PLANNER),
@@ -164,7 +166,7 @@ KEYS: dict[str, Key] = {
 DERIVED = {
     "rho": ("b", "snr_coeff", "lambda0"),
     "snr_coeff": LINK_KEYS,
-    "K": ("snr_coeff", "lambda0"),
+    "K": ("snr_coeff", "rho", "lambda0"),
     "F_t": ("t_f", "t_total"),
     "t_total": ("velocity", "carrier_freq"),
 }
@@ -331,23 +333,22 @@ def _unit_scale(units: str) -> float:
 
 
 class PointSpec:
-    """One point's SNR scales: rho = b * snr_coeff / lambda0, which must be
-    finite and > 0 with 1/rho finite (the bounds read 1/rho), and the
-    per-beam scale k = snr_coeff / lambda0."""
+    """One point's SNR scales: rho, b * snr_coeff / lambda0 unless a rho
+    sweep gives it, which must be finite and > 0 with 1/rho finite (the
+    bounds read 1/rho), and the per-beam scale k = snr_coeff / lambda0."""
 
-    def __init__(self, lambda0: float, b: int, fading: FadingModel, snr_coeff: float):
+    def __init__(
+        self, lambda0: float, b: int, fading: FadingModel, snr_coeff: float, rho: float | None = None
+    ):
         self.lambda0 = lambda0
         self.b = b
         self.fading = fading
         self.snr_coeff = snr_coeff
+        # a swept rho is kept as given: b * snr_coeff / lambda0 may round it
+        self.rho = b * snr_coeff / lambda0 if rho is None else rho
         if not (math.isfinite(self.rho) and self.rho > 0.0 and math.isfinite(1.0 / self.rho)):
-            raise ValueError(
-                f"rho = b * snr_coeff / lambda0 = {self.rho!r} must be finite and > 0, with 1/rho finite"
-            )
-
-    @property
-    def rho(self) -> float:
-        return self.b * self.snr_coeff / self.lambda0
+            formula = "rho" if rho is not None else "rho = b * snr_coeff / lambda0"
+            raise ValueError(f"{formula} = {self.rho!r} must be finite and > 0, with 1/rho finite")
 
     @property
     def k(self) -> float:
@@ -376,11 +377,12 @@ def _point_from(
         # after the fading law, so a swept m or k_db it rejects is named in its words
         section.values[variable] = _swept(section, variable, value)
     lambda0 = section.get("lambda0", required=True)
-    # the planner does not depend on b, so [throughput] may leave it out
-    b = section.values.get("b", 1) if section.name == "throughput" else section.get("b", required=True)
-    snr_coeff = value * lambda0 / b if variable == "rho" else _snr_coeff(section)
+    # the planner does not depend on b, which [throughput] does not take
+    b = 1 if section.name == "throughput" else section.get("b", required=True)
+    swept_rho = value if variable == "rho" else None
+    snr_coeff = value / b * lambda0 if swept_rho is not None else _snr_coeff(section)
     with _blame(section, "rho"):
-        point = PointSpec(lambda0, b, fading, snr_coeff)
+        point = PointSpec(lambda0, b, fading, snr_coeff, swept_rho)
     model = cfg = sim = None
     if "sim_se" in columns:
         with _blame(section, "lambda0", "b", "m", "k_db"):

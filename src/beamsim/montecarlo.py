@@ -10,31 +10,41 @@ substream, and per-chunk moment statistics are merged in chunk order -- so
 results are bit-identical for any worker count and fully determined by the
 seed.
 
-Sampling is sort-free.  A trial's optimal power is the largest of its
-occupied pairs' power sums, and those sums are i.i.d.; which pairs are
-occupied does not matter.  With mu = lambda0 / B, each chunk therefore
+Sampling is sort-free and draws no power it does not need.  A trial's
+optimal power is the largest of its occupied pairs' power sums, and those
+sums are i.i.d.; which pairs are occupied does not matter.  With
+mu = lambda0 / B, each chunk therefore
 
 1. draws, in one multinomial call, how many of its trials have K = 0, 1,
    ..., B occupied pairs, where K ~ Binomial(B, 1 - exp(-mu)) (over the
-   window of K that holds all but ~1e-20 of the mass);
-2. draws one single-path power per occupied pair, then the number of
-   pairs that hold two or more paths, one Binomial(pairs, q) draw with
-   q = P(J >= 2 | J >= 1) for the Poisson(mu) count J; picks those pairs
-   as a uniform subset of all pairs and draws their path counts by inverse
-   CDF from the law of J given J >= 2, adding the extra paths' power in
-   one draw each (additivity of the power laws,
-   :func:`beamsim.channel.sample_pair_power_sums`);
-3. lays the trials out by K, emptiest first, so the trials with more than
-   c occupied pairs are a suffix of the chunk; their c-th pair sums are the
-   next block of draws, folded into the suffix's running row maxima with
-   one vectorized ``np.maximum`` per c.  Only the occupied suffix is kept:
-   an empty trial's power is 0, so the moments count the empty trials
-   without storing them.
+   window of K that holds all but ~1e-20 of the mass), and lays the
+   occupied trials' pairs out by K, emptiest first;
+2. draws the number of pairs that hold two or more paths, one
+   Binomial(pairs, q) draw with q = P(J >= 2 | J >= 1) for the Poisson(mu)
+   count J; picks those pairs as a uniform subset of all pairs and draws
+   their path counts by inverse CDF from the law of J given J >= 2; maps
+   each to its trial (one ``searchsorted`` over the K groups); a trial's
+   other K1 = K - (its multi-path pairs) pairs hold one path each;
+3. draws the strongest of each occupied trial's K1 single-path pairs from
+   one uniform u, as F^-1(u^(1/K1)) for the one-path power CDF F
+   (:func:`beamsim.channel.sample_max_path_power`; 0 for K1 = 0);
+4. draws each multi-path pair's whole power sum in one draw (additivity of
+   the power laws, :func:`beamsim.channel.sample_pair_power_sums`) and
+   folds it into its trial's maximum with ``np.maximum.at``.
+
+Only the occupied trials are kept: an empty trial's power is 0, so the
+moments count the empty trials without storing them.
 
 Trials in a chunk are exchangeable and only order-free statistics (moments,
 empirical CDF) are kept, so this matches B independent Poisson(mu) pairs
 (as :func:`beamsim.channel.realize_channel` draws them) exactly in
-distribution, at O(occupied pairs) per trial.
+distribution, at O(1) draws per occupied trial plus O(1) per multi-path
+pair.  The Rayleigh F^-1 is closed form; the Nakagami and Rician ones are
+a cubic Hermite table whose relative error is below 1e-10 (held to 1e-9
+against scipy by the tests), which is random stream 5's tolerance against
+an exact draw.  That table is built on first use, once per fading law and
+process, and its cost grows with the shape: the engine takes Nakagami (or
+moment-matched Rician) shapes up to ``MAX_SHAPE``.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FadingModel, sample_pair_power_sums, sample_path_powers
+from .channel import FadingModel, max_power_table, sample_max_path_power, sample_pair_power_sums
 from .errors import ConfigError, DegenerateSampleError, NumericalError
 from .rng import substream
 
@@ -53,10 +63,10 @@ CHUNK_TRIALS = 16_384
 
 # Which numbers a given seed produces; recorded in run manifests.  Stream 1
 # was the Poisson-superposition sampler, stream 2 the occupancy sampler with
-# one uniform per pair, stream 3 draws the multi-path pairs by count, and
-# stream 4 draws the Rician power in polar form (Nakagami and Rayleigh draws
-# are those of stream 3).
-STREAM_VERSION = 4
+# one uniform per pair, stream 3 draws the multi-path pairs by count,
+# stream 4 draws the Rician power in polar form, and stream 5 draws each
+# occupied trial's strongest single-path pair from one uniform.
+STREAM_VERSION = 5
 
 # Largest mean path count per beam pair the multiplicity table is built
 # for; the table holds about mu + 10 sqrt(mu) + 40 entries.
@@ -64,6 +74,13 @@ MAX_PATHS_PER_PAIR = 1e5
 
 # Largest trial count; its chunk list holds 131072 entries.
 MAX_TRIALS = 2**31 - 1
+
+# Largest Nakagami shape m (for a Rician K, its moment-matched m, which is
+# ~K / 2) the engine simulates.  A law's quantile table is built once per
+# process: at m = 1e3 it took 9.5-19 ms for Nakagami and 51-82 ms (and
+# ~6 MB) for Rician K = 1998.5 on a 2-core Xeon VM; at m = 1e4 the Rician
+# table took 394 ms and ~56 MB.
+MAX_SHAPE = 1e3
 
 THREADS_ENV_VAR = "BEAMSIM_THREADS"
 
@@ -96,12 +113,11 @@ class SimConfig:
                 f"b = {self.b}) must be > 0 and at most {MAX_PATHS_PER_PAIR:g}, "
                 "the Monte Carlo limit"
             )
-        # A Nakagami pair's n extra paths are one Gamma(n m, 1/m) draw, n < 2 MAX_PATHS_PER_PAIR.
         m = self.fading.effective_nakagami_m()
-        if not math.isfinite(m * 2.0 * MAX_PATHS_PER_PAIR):
+        if not m <= MAX_SHAPE:
             raise ValueError(
-                f"Nakagami shape m = {m!r} is too large for the Monte Carlo engine: "
-                "it draws a pair's summed power as Gamma(n m, 1/m), and n m overflows"
+                f"fading shape m = {m!r} (the Nakagami m, or (K + 1)^2 / (2K + 1) for a Rician K) "
+                f"must be at most {MAX_SHAPE:g}, the Monte Carlo limit"
             )
 
 
@@ -228,23 +244,19 @@ def _trial_maxima(
     k0, pmf, q, cdf = tables
     rng = substream(seed, chunk_index)
     trials_with = rng.multinomial(n_trials, pmf)  # trials with K = k0, k0 + 1, ...
-    # more[c]: how many trials hold more than c occupied pairs; being sorted
-    # by K, they are the last more[c] trials of the chunk.
-    more = np.concatenate([np.full(k0, n_trials), np.cumsum(trials_with[::-1])[-2::-1]])
-    more = more[: np.count_nonzero(more)]
-    n_pairs = int(more.sum())
-    sums = sample_path_powers(fading, n_pairs, rng)
-    multi, extra = _multi_path_pairs(rng, n_pairs, q, cdf)
-    sums[multi] += sample_pair_power_sums(fading, extra, rng)
-    # The first more[0] sums are each occupied trial's first pair; the next
-    # more[c] sums are the c-th pair of the last more[c] of them.
-    n_occupied = int(more[0]) if len(more) else 0
-    maxima = sums[:n_occupied]
-    pos = n_occupied
-    for count in more[1:]:
-        tail = maxima[n_occupied - count:]
-        np.maximum(tail, sums[pos:pos + count], out=tail)
-        pos += count
+    # The occupied trials, by K: group g holds counts[g] trials of k[g]
+    # pairs each, at pair positions [ends[g] - pairs[g], ends[g]).
+    counts = trials_with[1:] if k0 == 0 else trials_with
+    k = np.arange(k0 + (k0 == 0), k0 + len(pmf))
+    pairs = counts * k
+    ends = np.cumsum(pairs)
+    multi, extra = _multi_path_pairs(rng, int(ends[-1]) if len(ends) else 0, q, cdf)
+    g = np.searchsorted(ends, multi, side="right")
+    trial = (np.cumsum(counts) - counts)[g] + (multi - (ends - pairs)[g]) // k[g]
+    single = np.repeat(k.astype(float), counts)
+    np.subtract.at(single, trial, 1.0)   # each trial's single-path pairs
+    maxima = sample_max_path_power(fading, single, rng)
+    np.maximum.at(maxima, trial, sample_pair_power_sums(fading, extra + 1, rng))
     return maxima
 
 
@@ -255,7 +267,8 @@ def _map_chunks(fn, n_chunks: int, workers: int) -> list:
     # several ms of import that a single-worker process would pay for nothing.
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # one thread per chunk at most, however many workers were asked for
+    with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
         return list(pool.map(fn, range(n_chunks)))
 
 
@@ -284,6 +297,8 @@ def estimate_se(config: SimConfig, workers: int | None = None) -> SEEstimate:
     sizes = _chunk_sizes(config.trials)
     nworkers = resolve_workers(workers)
     tables = _occupancy_tables(config.lambda0, config.b)
+    # built here, once and before any chunk's arrays, rather than by the first chunks
+    max_power_table(config.fading)
 
     def run_chunk(i: int) -> tuple[int, float, float]:
         n = sizes[i]
@@ -325,6 +340,7 @@ def empirical_opt_power_cdf(
     sizes = _chunk_sizes(config.trials)
     nworkers = resolve_workers(workers)
     tables = _occupancy_tables(config.lambda0, config.b)
+    max_power_table(config.fading)
 
     def run_chunk(i: int) -> tuple[np.ndarray, int]:
         kept = _trial_maxima(config.seed, i, sizes[i], tables, config.fading)

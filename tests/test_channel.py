@@ -4,17 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import special, stats
 
 from beamsim.channel import (
+    FadingFamily,
     FadingModel,
     LinkBudget,
     per_beam_intensity,
     realize_channel,
     rician_k_to_nakagami_m,
+    sample_max_path_power,
     sample_pair_power_sums,
     sample_path_powers,
 )
+from beamsim.montecarlo import MAX_SHAPE, _occupancy_tables
 from beamsim.rng import substream
 
 
@@ -224,3 +227,75 @@ class TestRealizeChannel:
         assert np.array_equal(a.counts, b.counts)
         for x, y in zip(a.per_pair_powers, b.per_pair_powers):
             assert np.array_equal(x, y)
+
+
+class FixedUniforms:
+    """A generator stand-in whose ``random(n)`` returns the given uniforms."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == len(self.u)
+        return self.u.copy()
+
+
+def scipy_max_power(model, u, k):
+    """F^-1(u^(1/k)) by scipy, through the upper tail where u^(1/k) > 1/2."""
+    log_v = np.log(u) / k
+    v, tail = np.exp(log_v), -np.expm1(log_v)
+    if model.family is FadingFamily.RICIAN_K:
+        kf = model.parameter
+        law = stats.ncx2(2, 2 * kf, scale=1 / (2 * (1 + kf))) if kf > 0 else stats.expon()
+        return np.where(v < 0.5, law.ppf(v), law.isf(tail))
+    m = model.effective_nakagami_m()
+    return np.where(v < 0.5, special.gammaincinv(m, v), special.gammainccinv(m, tail)) / m
+
+
+# the moment-matched shape (K + 1)^2 / (2K + 1) of this K is MAX_SHAPE
+K_AT_LIMIT = MAX_SHAPE - 1.0 + math.sqrt(MAX_SHAPE * MAX_SHAPE - MAX_SHAPE)
+
+
+class TestMaxPathPower:
+    """The strongest of k single-path powers, from one uniform each."""
+
+    @pytest.mark.parametrize(
+        "model",
+        [FadingModel.nakagami(m) for m in (0.5, 0.7, 1.0, 3.2, MAX_SHAPE)]
+        + [FadingModel.rician(k) for k in (0.0, 1.0, 3.16, 10.0, K_AT_LIMIT)]
+        + [FadingModel.rayleigh()],
+        ids=["m0.5", "m0.7", "m1", "m3.2", "m_limit", "K0", "K1", "K3.16", "K10", "K_limit", "rayleigh"],
+    )
+    def test_quantile_matches_scipy(self, model):
+        # u from 2^-53 to 1 - 2^-53, dense in both tails of u^(1/k); k up to
+        # the largest occupied-pair count of the densest window (mu = 1, b = 1e6)
+        k0, pmf, _, _ = _occupancy_tables(1e6, 10**6)
+        rng = np.random.default_rng(13)
+        u = np.concatenate([
+            [2.0**-53, 1.0 - 2.0**-53, 0.5],
+            np.exp(-np.exp(rng.uniform(-37.0, 3.6, 300))),
+            rng.random(100),
+        ])
+        for k in (1, 2, 7, 100, 10**4, k0 + len(pmf) - 1):
+            z = sample_max_path_power(model, np.full(len(u), float(k)), FixedUniforms(u))
+            ref = scipy_max_power(model, u, k)
+            assert np.all(np.abs(z / ref - 1.0) <= 1e-9), (k, np.abs(z / ref - 1.0).max())
+
+    @pytest.mark.parametrize(
+        "model", [FadingModel.nakagami(3.2), FadingModel.rician(3.16), FadingModel.rayleigh()],
+        ids=["nakagami", "rician", "rayleigh"],
+    )
+    def test_empty_set_and_zero_uniform_give_zero(self, model):
+        z = sample_max_path_power(model, np.array([0.0, 0.0, 1.0, 5.0]), FixedUniforms([0.3, 0.0, 0.0, 0.0]))
+        assert np.array_equal(z, np.zeros(4))
+
+    @pytest.mark.parametrize(
+        "model", [FadingModel.nakagami(0.7), FadingModel.rician(10.0), FadingModel.rayleigh()],
+        ids=["nakagami", "rician", "rayleigh"],
+    )
+    def test_is_the_max_of_k_path_powers(self, model):
+        # against the largest of 5 per-path draws, an independent sampler
+        n, k = 20_000, 5
+        direct = sample_path_powers(model, n * k, substream(9, 0)).reshape(n, k).max(axis=1)
+        drawn = sample_max_path_power(model, np.full(n, float(k)), substream(9, 1))
+        assert stats.ks_2samp(direct, drawn).pvalue > 1e-3

@@ -18,7 +18,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from beamsim import cli, specfun
+from beamsim import analytic, cli, specfun
+from beamsim.analytic import SparseModel
 from beamsim.channel import FadingModel
 from beamsim.montecarlo import SimConfig, estimate_se
 from beamsim.rng import child_seed
@@ -263,7 +264,7 @@ class TestSubcommands:
             assert entry["units"] == "nats"
             assert "version" in entry and "wall_time_s" in entry
             # the Monte Carlo stream version goes with sim_se only
-            assert entry.get("stream") == (4 if entry["name"] == "demo" else None)
+            assert entry.get("stream") == (5 if entry["name"] == "demo" else None)
             assert entry["python"] == sys.version.split()[0]
             assert "numpy" in entry and "BEAMSIM_THREADS" in entry
             # set by the package import unless the environment sets a count
@@ -333,6 +334,32 @@ class TestOnePath:
         seed = child_seed(7, zlib.crc32(b"rho"), 1)
         est = estimate_se(SimConfig(3.5, 121, 121 * 0.01 / 3.5, FadingModel.nakagami(3.2), 50_000, seed))
         assert (float(row[1]), float(row[2])) == (est.mean, est.ci95)
+
+    def test_rho_sweep_keeps_the_swept_rho(self, tmp_path):
+        # the bounds of a rho-sweep row are those at the swept rho, bit for
+        # bit, though b * (rho * lambda0 / b) / lambda0 rounds some of them
+        lambda0, b = 1.9, 121
+        cfg = tmp_path / "rho.ini"
+        cfg.write_text(
+            "[run]\nschema_version = 1\n[sweep:r]\nvariable = rho\nstart = 0.5\nstop = 50\ncount = 100\n"
+            f"lambda0 = {lambda0}\nb = {b}\nm = 1.5\noutputs = upper_nakagami, upper_rayleigh, lower, sparse\n"
+        )
+        rc, _, err = run_main("sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert rc == 0, err
+        header, *rows = read_csv(tmp_path / "out" / "r.csv")
+        model = SparseModel.from_occupancy(lambda0, b, 1.5)
+        bounds = {
+            "upper_nakagami": lambda rho: analytic.se_upper_nakagami(model, rho),
+            "upper_rayleigh": lambda rho: analytic.se_upper_rayleigh(model, rho),
+            "lower": lambda rho: analytic.se_lower(model, rho),
+            "sparse": lambda rho: analytic.se_sparse_approx(lambda0, rho),
+        }
+        rhos = [float(row[0]) for row in rows]
+        assert any(b * (rho * lambda0 / b) / lambda0 != rho for rho in rhos)
+        for rho, row in zip(rhos, rows):
+            cells = dict(zip(header, row))
+            for column, bound in bounds.items():
+                assert float(cells[column]) == bound(rho), (rho, column)
 
 
 class TestPointSpec:
@@ -525,8 +552,13 @@ class TestExitCodes:
             ("n_b = 4", "nb = 64", "[throughput] unknown key 'nb'"),
             ("[bounds]", "[bound]", "unknown section [bound]"),
             ("[sweep:demo]", "[sweep]", "unknown section [sweep]"),
+            # the planner reads neither the pairs nor the fading law
+            ("n_b = 4", "n_b = 4\nm = 3.2", "[throughput] unknown key 'm'"),
+            ("n_b = 4", "n_b = 4\nb = 121", "[throughput] unknown key 'b'"),
+            ("n_b = 4", "n_b = 4\nk_db = 7.0", "[throughput] unknown key 'k_db'"),
         ],
-        ids=["key_typo", "section_typo", "sweep_without_name"],
+        ids=["key_typo", "section_typo", "sweep_without_name", "throughput_m", "throughput_b",
+             "throughput_k_db"],
     )
     def test_unknown_name_is_2(self, tmp_path, old, new, message):
         # every section and key is checked, also those the command does not read
@@ -767,11 +799,18 @@ class TestValidateCommand:
 
 class TestImportHygiene:
     def test_no_scipy_at_runtime(self, tmp_path):
-        # scipy is a test-only dependency: a bounds-and-plan sweep and the
-        # quadrature/planner criteria must run without importing any of it
+        # scipy is a test-only dependency: a bounds-and-plan sweep, a sim_se
+        # sweep of each fading law (whose quantile tables are built here) and
+        # the quadrature/planner criteria must run without importing any of it
         cfg = tmp_path / "bp.ini"
         cfg.write_text(
-            "[run]\nschema_version = 1\n"
+            "[run]\nschema_version = 1\ntrials = 2000\n"
+            "[sweep:nakagami]\nvariable = m\nvalues = 0.7, 3.2\nlambda0 = 1.9\nb = 121\n"
+            "snr_coeff = 0.01\noutputs = sim_se\n"
+            "[sweep:rayleigh]\nvariable = lambda0\nvalues = 1.0, 16.0\nb = 16\nsnr_coeff = 0.01\n"
+            "outputs = sim_se\n"
+            "[sweep:rician]\nvariable = k_db\nvalues = 0, 10\nlambda0 = 3.5\nb = 625\n"
+            "snr_coeff = 0.01\noutputs = sim_se\n"
             "[sweep:b]\nvariable = lambda0\nvalues = 1.0, 1.9\nb = 121\nm = 3.2\n"
             "snr_coeff = 0.01\noutputs = upper_nakagami, upper_rayleigh, lower, sparse\n"
             "[sweep:plan]\nvariable = velocity\nvalues = 1.0, 5.0, 11.1\nlambda0 = 1.9\nb = 121\n"

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from scipy.special import gammaincc
 from beamsim.analytic import SparseModel, se_lower, se_upper_rayleigh
 from beamsim.beam import BeamGrid, select_optimal_pair
 from beamsim.channel import FadingFamily, FadingModel, LinkBudget, realize_channel
-from beamsim.errors import DegenerateSampleError, NumericalError
+from beamsim.errors import ConfigError, DegenerateSampleError, NumericalError
 from beamsim.montecarlo import (
+    CHUNK_TRIALS,
     MAX_PATHS_PER_PAIR,
+    MAX_SHAPE,
     SimConfig,
     _multi_path_pairs,
     _occupancy_tables,
@@ -158,10 +161,13 @@ class TestEstimateSe:
             SimConfig(5e-324, 121, 1.0, FadingModel.rayleigh(), 10, 1)
 
     def test_shape_whose_path_sum_overflows_is_rejected(self):
-        # a pair's n paths are one Gamma(n m, 1/m) draw; n m = inf made SE = inf
-        with pytest.raises(ValueError, match="Nakagami shape m = 1e\\+308"):
-            make_config(1.9, 121, FadingModel.nakagami(1e308), 10, 1)
-        assert math.isfinite(estimate_se(make_config(1.9, 121, FadingModel.nakagami(1e300), 500, 1)).mean)
+        # the engine's shape limit, MAX_SHAPE, is far below where a pair's
+        # Gamma(n m, 1/m) sum overflows (n m = inf made SE = inf)
+        for fading in (FadingModel.nakagami(1e308), FadingModel.nakagami(MAX_SHAPE * (1 + 1e-15)),
+                       FadingModel.rician(2.0 * MAX_SHAPE)):
+            with pytest.raises(ValueError, match="fading shape m = .* must be at most 1000"):
+                make_config(1.9, 121, fading, 10, 1)
+        assert math.isfinite(estimate_se(make_config(1.9, 121, FadingModel.nakagami(MAX_SHAPE), 500, 1)).mean)
 
     def test_overflowing_rate_is_a_numerical_failure(self):
         # rho = 121 * 1e306 / 1.9 is finite, but rho z overflows for z > 2.8
@@ -211,6 +217,46 @@ class TestEstimateSe:
         # an explicit count wins over the variable, which only sets the default
         assert resolve_workers(3) == 3
         assert resolve_workers(1) == 1
+
+    @pytest.mark.parametrize(
+        "env, parsed",
+        [("-1", None), ("abc", None), ("0", os.cpu_count() or 1), ("1e3", None), ("1" * 30, int("1" * 30))],
+        ids=["negative", "text", "zero", "float_form", "thirty_digits"],
+    )
+    def test_threads_variable_parses(self, monkeypatch, env, parsed):
+        # the parsed value only: no thread is started here
+        monkeypatch.setenv("BEAMSIM_THREADS", env)
+        if parsed is None:
+            with pytest.raises(ConfigError):
+                resolve_workers(None)
+        else:
+            assert resolve_workers(None) == parsed
+
+    @pytest.mark.parametrize("workers, trials, threads", [("1" * 30, 3 * CHUNK_TRIALS, 3), ("2", 5_000, None)])
+    def test_pool_has_at_most_one_thread_per_chunk(self, monkeypatch, workers, trials, threads):
+        # a stand-in pool records its size and runs the chunks in the caller
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setenv("BEAMSIM_THREADS", workers)
+        cfg = make_config(1.9, 121, FadingModel.rayleigh(), trials, 5)
+        assert estimate_se(cfg) == estimate_se(cfg, workers=1)
+        assert sizes == ([] if threads is None else [threads])
 
     def test_se_decreases_with_path_count(self):
         # splitting fixed channel energy over more paths lowers the best pair
