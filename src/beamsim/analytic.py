@@ -5,9 +5,10 @@ multipath component independently with probability p = 1 - exp(-lambda0/B),
 and an occupied pair carries a single unit-mean Gamma(m, 1/m) fading power.
 The normalized optimal power is the maximum over pairs, a mixed random
 variable with an atom at zero (all pairs empty).  This module provides its
-conditional CDF, a proper surrogate density built from the exponential-power
-CDF approximation (1 - e^{-a x})^m of the Gamma CDF, and four
-spectral-efficiency expressions:
+conditional CDF and density, a proper surrogate density built from the
+exponential-power CDF approximation (1 - e^{-a x})^m of the Gamma CDF (the
+three evaluate arrays of powers elementwise), and four spectral-efficiency
+expressions:
 
 * an upper bound for Nakagami-m fading (integer-shape surrogate, evaluated
   by double-exponential (tanh-sinh) quadrature, ``specfun.de_quad``; the
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .specfun import de_quad, exp_e1_scaled, ln_gamma
+from .specfun import de_quad, exp_e1_scaled, ln_gamma, reg_gamma_pq
 
 
 @dataclass(frozen=True)
@@ -99,28 +100,50 @@ def bernoulli_p(lambda0: float, b: int) -> float:
 #  Distribution of the normalized optimal power
 # =====================================================================
 
-def _gamma_cdf(m: float, x: float) -> float:
-    from .specfun import reg_lower_gamma
+def gamma_power_law(m: float, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(CDF, complementary CDF, density) of the unit-mean Gamma(m, 1/m) power
+    of one path at ``z`` >= 0, elementwise.
 
-    return reg_lower_gamma(m, x)
+    The CDF and its complement are ``specfun.reg_gamma_pq`` at m z, each
+    accurate where it is small; the density m (m z)^(m-1) e^(-m z) / Gamma(m)
+    is +inf at z = 0 for m < 1.
+    """
+    x = m * np.asarray(z, dtype=float)
+    cdf, tail = reg_gamma_pq(m, x)
+    with np.errstate(divide="ignore"):
+        shape_term = 0.0 if m == 1.0 else (m - 1.0) * np.log(x)
+    density = np.exp(math.log(m) + shape_term - x - math.lgamma(m))
+    return cdf, tail, density
 
 
-def opt_power_cdf(p_star: float, model: SparseModel) -> float:
-    """Conditional CDF of the normalized optimal power, given >= 1 path.
+def _powers(p_star) -> np.ndarray:
+    # at least 1-d: numpy computes on 0-d operands with its scalar code, which
+    # can round differently from the array loops
+    z = np.atleast_1d(np.asarray(p_star, dtype=float))
+    if not (z >= 0.0).all():
+        raise ValueError(f"powers must be >= 0 and not NaN, got {p_star!r}")
+    return z
+
+
+def _like(p_star, value: np.ndarray):
+    """``value`` as a float when the power ``p_star`` is a scalar."""
+    return float(value[0]) if np.ndim(p_star) == 0 else value
+
+
+def opt_power_cdf(p_star, model: SparseModel):
+    """Conditional CDF of the normalized optimal power, given >= 1 path,
+    elementwise over an array of powers (a float for a float).
 
     F(P) = [ (1 - p(1 - G(P)))^B - (1-p)^B ] / (1 - (1-p)^B) with G the
-    Gamma(m, 1/m) CDF; evaluated with the exact regularized incomplete
-    gamma, stabilized through log1p/expm1.
+    Gamma(m, 1/m) CDF; 1 - G is the exact complementary regularized
+    incomplete gamma, and the B-th powers are formed through log1p/expm1.
     """
-    if p_star < 0.0:
-        raise ValueError(f"power must be >= 0, got {p_star!r}")
-    if p_star == 0.0:
-        return 0.0
-    g = _gamma_cdf(model.m, model.m * p_star)
+    z = _powers(p_star)
+    tail = gamma_power_law(model.m, z)[1]
     log_all = model.log_all_empty()
-    num = math.exp(model.b * math.log1p(-model.p * (1.0 - g))) - math.exp(log_all)
-    den = -math.expm1(log_all)
-    return min(1.0, max(0.0, num / den))
+    num = np.exp(model.b * np.log1p(-model.p * tail)) - math.exp(log_all)
+    cdf = np.clip(num / -math.expm1(log_all), 0.0, 1.0)
+    return _like(p_star, np.where(z > 0.0, cdf, 0.0))
 
 
 def surrogate_rate(m: float) -> float:
@@ -132,50 +155,39 @@ def surrogate_rate(m: float) -> float:
     return m * math.exp(-ln_gamma(m + 1.0) / m)
 
 
-def opt_power_pdf_bound(p_star: float, model: SparseModel) -> float:
-    """Density of the surrogate optimal-power model (conditional on >= 1 path).
+def opt_power_pdf_bound(p_star, model: SparseModel):
+    """Density of the surrogate optimal-power model (conditional on >= 1 path),
+    elementwise over an array of powers (a float for a float).
 
     Replaces the Gamma CDF by (1 - e^{-a P})^m with a = m Gamma(m+1)^(-1/m);
     the result is a proper density (integrates to 1) that upper-bounds the
     spectral efficiency when pushed through ln(1 + rho P).  For m < 1 the
     density diverges (integrably) at P = 0 and +inf is returned there.
     """
-    if p_star < 0.0:
-        raise ValueError(f"power must be >= 0, got {p_star!r}")
+    z = _powers(p_star)
     m, p, b = model.m, model.p, model.b
     a = surrogate_rate(m)
-    if p_star == 0.0 and m != 1.0:
-        return 0.0 if m > 1.0 else math.inf
-    u = -math.expm1(-a * p_star)
+    u = -np.expm1(-a * z)
     lead = m * a * p * b / model.prob_any()
-    shape_term = 1.0 if m == 1.0 else u ** (m - 1.0)
-    bracket = math.exp((b - 1) * math.log1p(-p * (1.0 - u**m)))
-    return lead * shape_term * bracket * math.exp(-a * p_star)
+    with np.errstate(divide="ignore"):
+        shape_term = 1.0 if m == 1.0 else u ** (m - 1.0)
+    bracket = np.exp((b - 1) * np.log1p(-p * (1.0 - u**m)))
+    return _like(p_star, lead * shape_term * bracket * np.exp(-a * z))
 
 
-def opt_power_pdf_exact(p_star: float, model: SparseModel) -> float:
-    """Exact conditional density matching :func:`opt_power_cdf`.
+def opt_power_pdf_exact(p_star, model: SparseModel):
+    """Exact conditional density matching :func:`opt_power_cdf`, elementwise
+    over an array of powers (a float for a float).
 
     f(P) = B p m g(mP) (1 - p(1 - G(P)))^{B-1} / (1 - (1-p)^B) with g and
-    G the unit-scale Gamma(m) pdf and CDF.  Used as the reference when the
-    surrogate density is assessed.
+    G the unit-scale Gamma(m) pdf and CDF; at P = 0 it is 0 for m > 1 and
+    +inf for m < 1.  Used as the reference when the surrogate density is
+    assessed.
     """
-    if p_star < 0.0:
-        raise ValueError(f"power must be >= 0, got {p_star!r}")
-    m, p, b = model.m, model.p, model.b
-    if p_star == 0.0:
-        if m > 1.0:
-            return 0.0
-        if m < 1.0:
-            return math.inf
-        gamma_pdf = 1.0
-        bracket = math.exp((b - 1) * math.log1p(-p))
-        return b * p * gamma_pdf * bracket / model.prob_any()
-    x = m * p_star
-    gamma_pdf = math.exp((m - 1.0) * math.log(x) - x - ln_gamma(m))
-    g = _gamma_cdf(m, x)
-    bracket = math.exp((b - 1) * math.log1p(-p * (1.0 - g)))
-    return b * p * m * gamma_pdf * bracket / model.prob_any()
+    z = _powers(p_star)
+    _, tail, density = gamma_power_law(model.m, z)
+    bracket = np.exp((model.b - 1) * np.log1p(-model.p * tail))
+    return _like(p_star, model.b * model.p * density * bracket / model.prob_any())
 
 
 # =====================================================================

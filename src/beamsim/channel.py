@@ -152,55 +152,16 @@ def rician_k_to_nakagami_m(k_linear: float) -> float:
         ) from None
 
 
-_TWO_PI_F32 = np.float32(2.0 * math.pi)
-
-
 def sample_path_powers(model: FadingModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` i.i.d. normalized path powers |g|^2 with E[|g|^2] = 1.
 
     Nakagami-m amplitudes give Gamma(m, 1/m) powers; Rayleigh is the m=1
     special case; a Rician amplitude with factor K gives a scaled
     noncentral chi-square power (2 degrees of freedom, noncentrality 2K,
-    scaled by 1/(2(1+K))).
-
-    The Rician power ((Z1 + sqrt(2K))^2 + Z2^2) / (2(1+K)), Z1 and Z2
-    standard normal, is drawn in polar form: Z1 + i Z2 = sqrt(2E) e^(i Theta)
-    with E ~ Exp(1) and Theta ~ U[0, 2 pi), which makes it
-
-        (E + K + 2 sqrt(K E) cos(Theta)) / (1 + K),
-
-    clamped at 0 against rounding; at K = 0 it is E exactly.  The phase and
-    its cosine are float32 (numpy vectorizes only the float32 cosine), so
-    cos(Theta) carries a relative error of ~1e-7 and the phase a resolution
-    of 2^-24 turns; every other operation is float64.  That is this random
-    stream's tolerance against an exact draw, far below any Monte Carlo
-    error.
+    scaled by 1/(2(1+K))).  These are :func:`sample_pair_power_sums` of
+    ``n`` pairs holding one path each.
     """
-    if model.family is FadingFamily.NAKAGAMI_M:
-        m = float(model.parameter)  # type: ignore[arg-type]
-        # the same floats as rng.gamma(m, 1/m), which is 1/m * standard_gamma(m)
-        power = rng.standard_gamma(m, size=n)
-        power *= 1.0 / m
-        return power
-    if model.family is FadingFamily.RAYLEIGH:
-        return rng.standard_exponential(size=n)
-    k = float(model.parameter)  # type: ignore[arg-type]
-    # The result is row 0 of one float64 buffer and row 1 its scratch, so
-    # malloc reuses one block per call.
-    buf = np.empty((2, n))
-    power, term = buf
-    rng.standard_exponential(out=power)
-    cos_theta = rng.random(n, dtype=np.float32)
-    cos_theta *= _TWO_PI_F32
-    np.cos(cos_theta, out=cos_theta)
-    np.multiply(power, 4.0 * k, out=term)  # 2 sqrt(K E) = sqrt(4 K E), exactly
-    np.sqrt(term, out=term)
-    term *= cos_theta
-    power += k
-    power += term
-    power /= 1.0 + k
-    np.maximum(power, 0.0, out=power)
-    return power
+    return sample_pair_power_sums(model, np.ones(n), rng)
 
 
 def sample_pair_power_sums(

@@ -4,8 +4,9 @@
 i.i.d. path powers as F^-1(u^(1/k)).  For Nakagami and Rician fading F^-1
 has no closed form, so :func:`build` tabulates it once per fading law:
 4096 nodes of ln z on a uniform grid of xi = ln(s) + s, s = -ln F(z),
-each solved by Newton's method on the power's CDF (``specfun.reg_gamma_pq``,
-and for Rician its Poisson mixture), with the slopes from the density.
+each solved by Newton's method on the power's CDF (for Nakagami
+``analytic.gamma_power_law``, for Rician a Poisson mixture of
+``specfun.reg_gamma_pq``), with the slopes from the density.
 Read by cubic Hermite interpolation, the table's relative error is below
 1e-10 for every u in [2^-53, 1) and k up to 2^63.  The module is imported
 on the first table build only, so runs that simulate neither law do not
@@ -18,6 +19,7 @@ import math
 
 import numpy as np
 
+from .analytic import gamma_power_law
 from .channel import FadingFamily, FadingModel
 from .errors import ConvergenceError
 from .specfun import reg_gamma_pq
@@ -35,14 +37,6 @@ _XI_MIN, _XI_MAX = math.log(_S_MIN) + _S_MIN, math.log(_S_MAX) + _S_MAX
 _XI_STEP = (_XI_MAX - _XI_MIN) / (_TABLE_NODES - 1)
 _NEWTON_STEPS = 60
 _RICIAN_BLOCK = 256
-
-
-def _gamma_power_law(m: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(CDF, complementary CDF, density) of the Gamma(m, 1/m) power at ``z`` > 0."""
-    x = m * z
-    cdf, tail = reg_gamma_pq(m, x)
-    density = np.exp(math.log(m) + (m - 1.0) * np.log(x) - x - math.lgamma(m))
-    return cdf, tail, density
 
 
 def _rician_power_law(k: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -100,7 +94,7 @@ def _xi_of_log_power(model: FadingModel, y: np.ndarray) -> tuple[np.ndarray, np.
     if model.family is FadingFamily.RICIAN_K:
         cdf, tail, density = _rician_power_law(float(model.parameter), z)  # type: ignore[arg-type]
     else:
-        cdf, tail, density = _gamma_power_law(model.effective_nakagami_m(), z)
+        cdf, tail, density = gamma_power_law(model.effective_nakagami_m(), z)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         s = np.where(tail < 0.5, -np.log1p(-tail), -np.log(cdf))
         # d s / dy = -z f(z) / F(z), and d xi / ds = 1 + 1/s

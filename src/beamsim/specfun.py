@@ -1,21 +1,22 @@
 """Self-contained special-function and numerical kernel.
 
-Provides the three scalar kernels the analytic layer is built on:
+Provides the special functions the analytic layer is built on:
 
-* ``ln_gamma``          -- log Gamma function, absolute error <= 1e-12 on
-                           [0.5, 200]
-* ``reg_lower_gamma``   -- regularized lower incomplete gamma P(m, x),
-                           absolute error <= 1e-10 for m in [0.5, 50],
-                           x in [0, 500]
-* ``exp_integral_e1``   -- exponential integral E1(x), relative error
-                           <= 1e-10 for x in [1e-8, 700]
+* ``ln_gamma``          -- log Gamma function (scalar), absolute error
+                           <= 1e-12 on [0.5, 200]
+* ``reg_gamma_pq``      -- regularized incomplete gammas P(a, x) and
+                           Q(a, x) = 1 - P(a, x), elementwise over arrays,
+                           each without cancellation where it is small
+* ``reg_lower_gamma``   -- its P half, absolute error <= 1e-10 for m in
+                           [0.5, 50], x in [0, 500]
+* ``exp_integral_e1``   -- exponential integral E1(x) (scalar), relative
+                           error <= 1e-10 for x in [1e-8, 700]
 
 ``exp_e1_scaled`` returns ``exp(x) * E1(x)`` without forming the
 over/underflowing factors separately; the bound evaluators depend on it
-for large arguments.  ``reg_gamma_pq`` is the array form of
-``reg_lower_gamma``: P(a, x) and Q(a, x) = 1 - P(a, x) elementwise, each
-without cancellation where it is small, for the Monte Carlo engine's
-quantile tables.
+for large arguments.  ``reg_gamma_pq`` is the one incomplete-gamma
+implementation: the optimal-power laws of ``analytic`` and the Monte
+Carlo engine's quantile tables both evaluate it over arrays.
 
 The module also holds the two numerical methods that the bounds, the
 planner and the validation oracles need, so the package depends on numpy
@@ -98,44 +99,34 @@ def _lanczos_ln_gamma(x: float) -> float:
     return (x + 0.5) * math.log(base) - base + math.log(_SQRT_TWO_PI * ser / x)
 
 
-def reg_lower_gamma(m: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(m, x) = gamma(m, x) / Gamma(m).
+def reg_lower_gamma(m, x):
+    """Regularized lower incomplete gamma P(m, x) = gamma(m, x) / Gamma(m),
+    elementwise over the broadcast arrays ``m`` > 0 and ``x`` >= 0.
 
-    Power series for x < m + 1, Lentz continued fraction of the upper
-    tail otherwise.  The result is clamped to [0, 1] to absorb the last
-    ulp of rounding.
+    The P half of :func:`reg_gamma_pq`; a float for scalar input.
     """
-    if not m > 0.0:
-        raise ValueError(f"reg_lower_gamma requires m > 0, got {m!r}")
-    if x < 0.0:
-        raise ValueError(f"reg_lower_gamma requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    # Prefactor x^m e^{-x} / Gamma(m), evaluated in log space.
-    log_pref = m * math.log(x) - x - ln_gamma(m)
-    if x < m + 1.0:
-        total = _lower_series(m, x)
-        return min(1.0, max(0.0, total * math.exp(log_pref) / m))
-    q = _upper_continued_fraction(m, x) * math.exp(log_pref)
-    return min(1.0, max(0.0, 1.0 - q))
+    p = reg_gamma_pq(m, x)[0]
+    return float(p) if p.ndim == 0 else p
 
 
 def reg_gamma_pq(a, x) -> tuple[np.ndarray, np.ndarray]:
     """Regularized incomplete gammas P(a, x) and Q(a, x) = 1 - P(a, x),
     elementwise over the broadcast arrays ``a`` > 0 and ``x`` >= 0.
 
-    The array form of :func:`reg_lower_gamma`: the power series gives P
-    where x < a + 1 and the Lentz continued fraction gives Q elsewhere, and
-    the other is one minus it.  That complement is at least ~0.08 for
-    a >= 0.5 (it is Q(a, x) >= Q(a, a + 1) in the series region, P >= 1/2
-    in the other), so it loses at most four bits; neither is formed by
-    cancellation where it is small, and Q keeps its relative accuracy down
-    to the double range.  Each loop runs until every element has converged.
+    The package's one incomplete-gamma kernel: the power series gives P
+    where x < a + 1 and the modified Lentz continued fraction gives Q
+    elsewhere, and the other is one minus it.  That complement is at least
+    ~0.08 for a >= 0.5 (it is Q(a, x) >= Q(a, a + 1) in the series region,
+    P >= 1/2 in the other), so it loses at most four bits; neither is formed
+    by cancellation where it is small, and Q keeps its relative accuracy
+    down to the double range.  Each loop runs until every element has
+    converged.  A NaN anywhere in ``a`` or ``x`` raises ``ValueError``.
     """
-    lgam = np.vectorize(math.lgamma, otypes=[float])(a)
-    a, x, lgam = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(x, dtype=float), lgam)
+    a, x = np.asarray(a, dtype=float), np.asarray(x, dtype=float)
     if not ((a > 0.0).all() and (x >= 0.0).all()):
-        raise ValueError("reg_gamma_pq requires a > 0 and x >= 0")
+        raise ValueError("the regularized incomplete gamma requires a > 0 and x >= 0 (no NaN)")
+    lgam = np.vectorize(math.lgamma, otypes=[float])(a)
+    a, x, lgam = np.broadcast_arrays(a, x, lgam)
     p, q = np.zeros(a.shape), np.ones(a.shape)
     p[x == math.inf], q[x == math.inf] = 1.0, 0.0
     series = (x > 0.0) & (x < a + 1.0)
@@ -169,7 +160,8 @@ def _lower_series_array(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _upper_fraction_array(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # _upper_continued_fraction over arrays; x >= a + 1 keeps b >= 2
+    # modified Lentz evaluation of the upper-tail continued fraction;
+    # x >= a + 1 keeps b >= 2
     b = x + 1.0 - a
     c = np.full_like(b, 1.0 / _FPMIN)
     d = 1.0 / b
@@ -190,47 +182,6 @@ def _upper_fraction_array(a: np.ndarray, x: np.ndarray) -> np.ndarray:
         if done.all():
             return h
     raise ConvergenceError("reg_gamma_pq continued fraction did not converge")
-
-
-def _lower_series(m: float, x: float) -> float:
-    # sum_{k>=0} x^k / ((m+1)...(m+k)), so that P = pref/m * sum
-    term = 1.0
-    total = 1.0
-    ap = m
-    for _ in range(MAX_ITERATIONS):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total
-    raise ConvergenceError(
-        f"reg_lower_gamma series did not converge for m={m!r}, x={x!r}"
-    )
-
-
-def _upper_continued_fraction(m: float, x: float) -> float:
-    # Modified Lentz evaluation of the upper-tail continued fraction.
-    b = x + 1.0 - m
-    c = 1.0 / _FPMIN
-    d = 1.0 / max(b, _FPMIN)
-    h = d
-    for i in range(1, MAX_ITERATIONS + 1):
-        an = -i * (i - m)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            return h
-    raise ConvergenceError(
-        f"reg_lower_gamma continued fraction did not converge for m={m!r}, x={x!r}"
-    )
 
 
 def exp_integral_e1(x: float) -> float:

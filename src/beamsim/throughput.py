@@ -234,12 +234,6 @@ def coherence_time(velocity: float, carrier_freq: float) -> float:
 def throughput_curve(
     b_values: np.ndarray | list[float], cfg: ThroughputConfig
 ) -> np.ndarray:
-    """Vectorized continuous throughput over a grid of beam counts."""
+    """:func:`throughput_continuous` at each of a grid of beam counts."""
     b = np.asarray(b_values, dtype=float)
-    if (b < 1.0).any():
-        raise ValueError("beam pair counts must be >= 1")
-    prefactor = 1.0 - cfg.f_t * (2.0 * np.sqrt(b) + cfg.n_b**2)
-    with np.errstate(over="ignore"):
-        x = b * cfg.k
-    rate = np.where(np.isfinite(x), np.log1p(x), np.log(b) + math.log(cfg.k))
-    return prefactor * (-math.expm1(-cfg.lambda0)) * rate
+    return np.array([throughput_continuous(float(v), cfg) for v in b.flat]).reshape(b.shape)

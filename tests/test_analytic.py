@@ -96,6 +96,34 @@ class TestOptPowerCdf:
         assert opt_power_cdf(x, model) == pytest.approx(direct, rel=1e-12)
 
 
+class TestArrayLaws:
+    LAWS = (opt_power_cdf, opt_power_pdf_exact, opt_power_pdf_bound)
+
+    @pytest.mark.parametrize("m", [0.5, 1.0, 3.2])
+    def test_array_is_elementwise_bit_for_bit(self, m):
+        model = SparseModel.from_occupancy(1.9, 121, m)
+        grid = np.concatenate([[0.0], np.geomspace(1e-12, 1e3, 200), np.linspace(0.0, 12.0, 121)])
+        for law in self.LAWS:
+            whole = law(grid, model)
+            assert whole.shape == grid.shape
+            one_by_one = np.array([law(float(x), model) for x in grid])
+            assert whole.tobytes() == one_by_one.tobytes()
+
+    def test_float_in_float_out(self):
+        model = SparseModel.from_occupancy(1.9, 121, 3.2)
+        for law in self.LAWS:
+            assert type(law(0.7, model)) is float
+            assert type(law(0.0, model)) is float
+
+    def test_negative_element_raises(self):
+        model = SparseModel.from_occupancy(1.9, 121, 3.2)
+        for law in self.LAWS:
+            with pytest.raises(ValueError):
+                law(np.array([0.5, -1e-9, 2.0]), model)
+            with pytest.raises(ValueError):
+                law(-0.1, model)
+
+
 class TestSurrogateDensity:
     def test_m1_reduction(self):
         # at m = 1 the surrogate rate is 1 and the density collapses

@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate, optimize, special
 
 from beamsim import analytic, validation
 from beamsim.analytic import SparseModel
@@ -136,6 +136,18 @@ class TestRegLowerGamma:
             reg_lower_gamma(-2.0, 1.0)
         with pytest.raises(ValueError):
             reg_lower_gamma(1.0, -0.1)
+        with pytest.raises(ValueError):
+            reg_lower_gamma(3.2, math.nan)
+        with pytest.raises(ValueError):
+            reg_lower_gamma(np.array([1.0, 3.2]), np.array([0.5, math.nan]))
+
+    def test_broadcast_grid_against_scipy(self):
+        m = np.array([0.5, 0.9, 1.0, 2.5, 3.2, 8.0, 20.0, 50.0])[:, None]
+        x = np.concatenate([[0.0], np.geomspace(1e-6, 500.0, 60)])
+        got = reg_lower_gamma(m, x)
+        assert got.shape == (8, 61)
+        np.testing.assert_allclose(got, special.gammainc(m, x), rtol=0.0, atol=1e-10)
+        assert isinstance(reg_lower_gamma(3.2, 2.24), float)
 
 
 class TestExpIntegral:
@@ -258,11 +270,8 @@ class TestValidationOraclesAgainstScipy:
     def test_surrogate_density_normalization(self):
         for p, b, m in ((0.0156, 121, 1.0), (0.0156, 121, 3.0), (0.003, 625, 3.0)):
             model = SparseModel.from_p(p, b, m)
-            pdf = validation._pointwise(lambda x: analytic.opt_power_pdf_bound(x, model))
-            ref, _ = integrate.quad(
-                lambda x: analytic.opt_power_pdf_bound(x, model), 0.0, np.inf,
-                epsabs=1e-12, epsrel=1e-10, limit=400,
-            )
+            pdf = lambda x: analytic.opt_power_pdf_bound(x, model)
+            ref, _ = integrate.quad(pdf, 0.0, np.inf, epsabs=1e-12, epsrel=1e-10, limit=400)
             got = validation._integral(pdf, 0.0, math.inf, rtol=1e-10, atol=1e-12)
             assert got == pytest.approx(ref, rel=1e-10)
 

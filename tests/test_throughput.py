@@ -90,8 +90,15 @@ class TestThroughput:
         cfg = make_cfg(k=1e306)
         want = (1.0 - cfg.f_t * (2.0 * 20.0 + 16.0)) * -math.expm1(-1.9) * (math.log(400.0) + math.log(1e306))
         assert tp.throughput_continuous(400.0, cfg) == pytest.approx(want, rel=1e-15)
-        assert tp.throughput_curve([400.0], cfg)[0] == tp.throughput_continuous(400.0, cfg)
-        assert tp.throughput_curve([16.0], cfg)[0] == tp.throughput_continuous(16.0, cfg)
+        # the curve is the scalar objective, bit for bit, on both sides of
+        # the overflow and at an ordinary K
+        grid = np.geomspace(1.0, 1e6, 2_000)
+        overflows = grid > np.finfo(float).max / cfg.k
+        assert overflows.any() and not overflows.all()
+        for c in (cfg, make_cfg()):
+            scalar = np.array([tp.throughput_continuous(float(b), c) for b in grid])
+            assert np.isfinite(scalar).all()
+            assert tp.throughput_curve(grid, c).tobytes() == scalar.tobytes()
 
     def test_upper_envelope(self):
         cfg = make_cfg()
