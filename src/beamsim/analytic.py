@@ -11,9 +11,10 @@ three evaluate arrays of powers elementwise), and four spectral-efficiency
 expressions:
 
 * an upper bound for Nakagami-m fading (integer-shape surrogate, evaluated
-  by double-exponential (tanh-sinh) quadrature, ``specfun.de_quad``; the
-  closed binomial mixture of exponential order statistics is kept only as
-  a small-B oracle in ``validation``),
+  by double-exponential (tanh-sinh) quadrature, ``specfun.de_quad``, over
+  a sequence of points in one row-batched call; the closed binomial
+  mixture of exponential order statistics is kept only as a small-B oracle
+  in ``validation``),
 * a simplified large-B upper bound for Rayleigh fading,
 * a no-fading lower bound,
 * and the common small-lambda0 limit of both, lambda0 * ln(1 + rho).
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -231,7 +233,9 @@ def se_upper_rayleigh(model: SparseModel, rho: float) -> float:
     )
 
 
-def se_upper_nakagami(model: SparseModel, rho: float) -> float:
+def se_upper_nakagami(
+    model: SparseModel | Sequence[SparseModel], rho: float | Sequence[float]
+) -> float | np.ndarray:
     """Upper bound on SE under Nakagami-m fading (nats per channel use).
 
     The Gamma power of an occupied pair is replaced by the surrogate CDF
@@ -240,17 +244,41 @@ def se_upper_nakagami(model: SparseModel, rho: float) -> float:
     and shape = m for m < 1.  The bound is the SE of that surrogate model,
     evaluated by tanh-sinh quadrature (``specfun.de_quad``); raises
     :class:`NumericalError` when its error estimate exceeds 1e-7 relative.
+
+    ``model`` and ``rho`` may be equal-length sequences of points: the
+    points are one row-batched quadrature and the result is an array, each
+    element the bits of that point's own call.  A sequence raises the
+    ``ValueError`` of its first rho <= 0, else the ``NumericalError`` of its
+    first point whose quadrature fails, with that point's position as the
+    error's ``index``.
     """
-    if not rho > 0.0:
-        raise ValueError(f"rho must be > 0, got {rho!r}")
-    shape = float(math.floor(model.m)) if model.m >= 1.0 else model.m
-    return _upper_bound_quadrature(model.p, model.b, shape, surrogate_rate(shape), rho)
+    models = [model] if isinstance(model, SparseModel) else list(model)
+    rhos = [rho] if np.ndim(rho) == 0 else list(rho)
+    for r in rhos:
+        if not r > 0.0:
+            raise ValueError(f"rho must be > 0, got {r!r}")
+    if len(models) != len(rhos):
+        raise ValueError(f"{len(models)} models do not pair with {len(rhos)} rho values")
+    shapes = [float(math.floor(mdl.m)) if mdl.m >= 1.0 else mdl.m for mdl in models]
+    values, errors = _upper_bound_quadrature(
+        [mdl.p for mdl in models], [mdl.b for mdl in models], shapes, rhos
+    )
+    for index, (value, err) in enumerate(zip(values.tolist(), errors.tolist())):
+        if not (math.isfinite(err) and err <= 1e-7 * max(abs(value), 1e-12)):
+            exc = NumericalError(
+                f"se_upper_nakagami: quadrature failed to converge (estimate {value!r}, "
+                f"error {err!r})"
+            )
+            exc.index = index
+            raise exc
+    return float(values[0]) if isinstance(model, SparseModel) and np.ndim(rho) == 0 else values
 
 
 def _upper_bound_quadrature(
-    p: float, b: int, shape: float, a: float, rho: float
-) -> float:
-    """Quadrature of the surrogate-density SE integrand.
+    p: list[float], b: list[int], shape: list[float], rho: list[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row-batched quadrature of the surrogate-density SE integrand, one row
+    per point: the ``de_quad`` values and error estimates.
 
     Substituting y = (1 - e^{-aP})^shape turns the integrand into
     p B ln(1 + rho P(y)) (1 - p(1-y))^{B-1} on (0, 1), which is smooth up
@@ -259,24 +287,37 @@ def _upper_bound_quadrature(
     beside y; near y = 1, 1 - y^(1/shape) is formed as
     -expm1(log1p(-c)/shape), so the log never sees a y rounded to 1.
     """
-    inv_shape = 1.0 / shape
+    # per-row columns, each formed as a one-row call's scalar arithmetic forms it
+    columns = np.array([
+        [1.0 / s for s in shape],
+        [surrogate_rate(s) for s in shape],
+        [pr * br for pr, br in zip(p, b)],
+        [float(br - 1) for br in b],
+        p,
+        rho,
+    ], dtype=float)
 
-    def integrand(y: np.ndarray, c: np.ndarray) -> np.ndarray:
-        # P(y) = -ln(1 - y^(1/shape)) / a, from whichever of y, c is small;
-        # the clamps keep the branch np.where discards finite.  Inputs near
-        # the float range overflow here; the non-finite result fails the
-        # convergence check below, which reports it once, so numpy's
-        # per-operation warnings are silenced.
+    def integrand(y: np.ndarray, c: np.ndarray, rows: list[int]) -> np.ndarray:
+        inv_shape, a, pb, b_less_one, p, rho = columns[:, rows, np.newaxis]
+        # P(y) = -ln(1 - y^(1/shape)) / a, from whichever of y, c is small
+        # (the clamp is a no-op unless y rounds above 1/2 where c does not
+        # fall below it).  Inputs near the float range overflow here; the
+        # non-finite result fails the caller's convergence check, which
+        # reports it once, so numpy's per-operation warnings are silenced.
+        near_one = c < 0.5
+        near_zero = ~near_one
+        power = np.empty((len(rows), y.size))
         with np.errstate(all="ignore"):
-            near_one = -np.log(-np.expm1(np.log1p(-np.minimum(c, 0.5)) * inv_shape))
-            near_zero = -np.log1p(-(np.minimum(y, 0.5) ** inv_shape))
-            power = np.where(c < 0.5, near_one, near_zero) / a
-            return p * b * np.log1p(rho * power) * np.exp((b - 1) * np.log1p(-p * c))
+            power[:, near_one] = -np.log(-np.expm1(np.log1p(-c[near_one]) * inv_shape))
+            power[:, near_zero] = -np.log1p(-(np.minimum(y[near_zero], 0.5) ** inv_shape))
+            # p B ln(1 + rho P) (1 - p c)^(B-1), in place on the (rows x nodes) arrays
+            power /= a
+            power *= rho
+            np.log1p(power, out=power)
+            power *= pb
+            tail = np.log1p(-p * c)
+            tail *= b_less_one
+            power *= np.exp(tail, out=tail)
+            return power
 
-    value, err = de_quad(integrand, 0.0, 1.0, rtol=1e-11, atol=1e-13)
-    if not (math.isfinite(err) and err <= 1e-7 * max(abs(value), 1e-12)):
-        raise NumericalError(
-            f"se_upper_nakagami: quadrature failed to converge (estimate {value!r}, "
-            f"error {err!r})"
-        )
-    return value
+    return de_quad(integrand, 0.0, 1.0, rtol=1e-11, atol=1e-13, rows=len(p))

@@ -427,10 +427,31 @@ def _tp_rows(cfg: throughput.ThroughputConfig, b_values: list[float], units: str
     return rows
 
 
-def _evaluate(columns: Sequence[str], inputs: tuple, section: Section, units: str) -> dict[str, Any]:
+def _evaluate_rows(columns: Sequence[str], points: list[tuple], section: Section, units: str) -> list[dict]:
+    """Named cells of each point (a ``_point_from`` tuple) by :func:`_evaluate`.
+
+    The ``upper_nakagami`` cells are one call, made first; an error it raises
+    is raised at its failing point's cell, so a section still fails on its
+    first failing cell in row-major order.
+    """
+    upper: list[Any] = [None] * len(points)
+    if "upper_nakagami" in columns:
+        try:
+            # looked up per call, so wrappers put on the analytic module (perfbench's tracer) see it
+            values = analytic.se_upper_nakagami([p[1] for p in points], [p[0].rho for p in points])
+            upper = [value * _unit_scale(units) for value in values.tolist()]
+        except (BeamsimError, ValueError) as exc:
+            upper[getattr(exc, "index", None) or 0] = exc
+    return [_evaluate(columns, inputs, section, units, up) for inputs, up in zip(points, upper)]
+
+
+def _evaluate(
+    columns: Sequence[str], inputs: tuple, section: Section, units: str, upper: Any = None
+) -> dict[str, Any]:
     """Named cells of one point (the ``_point_from`` tuple ``inputs``): its
     ``lambda0``, ``b``, ``m_eff``, ``rho`` and ``units``, plus every cell
-    ``columns`` names.
+    ``columns`` names; ``upper`` is its ``upper_nakagami`` cell, or the
+    exception that cell raises.
 
     ``sim_se`` comes with ``sim_ci95`` and ``trials``; any planner column
     brings every planner optimum plus ``f_t`` and ``n_b``.  ``tp`` holds the
@@ -451,14 +472,14 @@ def _evaluate(columns: Sequence[str], inputs: tuple, section: Section, units: st
             if column in ("sim_se", "sim_ci95", "trials"):
                 est = estimate_se(sim)
                 cells.update(sim_se=est.mean * scale, sim_ci95=est.ci95 * scale, trials=est.trials)
+            elif column == "upper_nakagami":
+                if isinstance(upper, Exception):
+                    raise upper
+                cells[column] = upper
             elif column in BOUND_COLUMNS:
                 # Looked up per call, so wrappers put on the analytic module
                 # (perfbench's tracer) see these calls.
-                bound = {
-                    "upper_nakagami": analytic.se_upper_nakagami,
-                    "upper_rayleigh": analytic.se_upper_rayleigh,
-                    "lower": analytic.se_lower,
-                }[column]
+                bound = {"upper_rayleigh": analytic.se_upper_rayleigh, "lower": analytic.se_lower}[column]
                 cells[column] = bound(model, point.rho) * scale
             elif column == "sparse":
                 cells[column] = analytic.se_sparse_approx(point.lambda0, point.rho) * scale
@@ -613,7 +634,7 @@ def _cmd_point(kind: str, args: argparse.Namespace) -> int:
 
     columns, line = POINT_COMMANDS[kind]
     inputs = _point_from(section, columns, run, run["seed"])
-    cells = _evaluate(columns, inputs, section, run["units"])
+    cells = _evaluate_rows(columns, [inputs], section, run["units"])[0]
     if "b_max_feasible" in cells and cells["b_max_feasible"] is None:
         raise InfeasibleConfigError(
             "no beam count achieves positive throughput "
@@ -685,8 +706,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         header = [variable] + [c for c in columns if c != "tp"]
         rows = []
         tp_rows = []
-        for value, inputs in points:
-            cells = _evaluate(columns, inputs, section, run["units"])
+        cell_rows = _evaluate_rows(columns, [inputs for _, inputs in points], section, run["units"])
+        for (value, _), cells in zip(points, cell_rows):
             rows.append([value] + [cells[c] for c in header[1:]])
             tp_rows += [[value, *row] for row in cells.get("tp", [])]
 

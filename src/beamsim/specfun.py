@@ -25,8 +25,9 @@ alone:
 * ``de_quad``           -- double-exponential quadrature (Takahasi & Mori
                            1974): tanh-sinh on a finite interval, exp-sinh
                            on a half-line, numpy-vectorized over the nodes
-                           of each level, with the change between step-halved
-                           levels as its error estimate
+                           of each level and over rows of integrands, with the
+                           change between step-halved levels as its error
+                           estimate
 * ``brent_root``        -- Brent's bracketed root finder (Brent 1973)
 
 All routines are pure functions and are safe for unrestricted concurrent
@@ -254,6 +255,9 @@ _DE_H0 = 0.5
 _DE_T_MAX = 4.5
 DE_MIN_LEVEL = 2
 DE_MAX_LEVEL = 8
+# Most rows times nodes in one integrand call of a row-batched quadrature,
+# which bounds its temporaries however many rows a caller passes.
+_DE_BLOCK = 1 << 16
 
 
 @functools.cache
@@ -287,12 +291,13 @@ def _de_level(half_line: bool, level: int) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def de_quad(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    f: Callable[..., np.ndarray],
     a: float,
     b: float,
     rtol: float = 1e-11,
     atol: float = 1e-13,
-) -> tuple[float, float]:
+    rows: int | None = None,
+) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
     """Integral of ``f`` over [a, b] by double-exponential quadrature.
 
     ``f(x, c)`` is called on arrays of nodes, where ``c = b - x`` is
@@ -308,25 +313,58 @@ def de_quad(
     ``max(atol, rtol * |value|)``, or after ``DE_MAX_LEVEL`` with whatever
     estimate it reached; a non-finite sum has estimate +inf.  Callers
     decide what estimate they accept.
+
+    With ``rows`` given, ``f(x, c, active)`` evaluates that many integrands
+    at once: it returns a (len(active) x nodes) array for ``active``, the
+    list of the row indices still running, and ``de_quad`` returns per-row
+    arrays ``(values, errors)``.  Each row stops by the rule above at its
+    own level and gets the bits of its one-row call (the scalar form is that
+    one-row case); a level is evaluated in blocks of rows, so its
+    temporaries stay near ``_DE_BLOCK`` elements.
     """
     if not (math.isfinite(a) and b > a):
         raise ValueError(f"de_quad needs finite a < b, got [{a!r}, {b!r}]")
+    if rows is None:
+        (value,), (err,) = _de_rows(lambda x, c, active: (f(x, c),), a, b, rtol, atol, 1)
+        return value, err
+    values, errors = _de_rows(f, a, b, rtol, atol, rows)
+    return np.array(values), np.array(errors)
+
+
+def _de_rows(
+    f: Callable[..., np.ndarray], a: float, b: float, rtol: float, atol: float, rows: int
+) -> tuple[list[float], list[float]]:
+    """The levels of :func:`de_quad` for ``rows`` integrands: per-row lists
+    of values and error estimates."""
     half_line = b == math.inf
     width = 1.0 if half_line else b - a
-    total = 0.0
-    value = err = math.inf
+    totals = [0.0] * rows
+    values = [math.inf] * rows
+    errors = [math.inf] * rows
+    active = list(range(rows))
     for level in range(DE_MAX_LEVEL + 1):
+        if not active:
+            break
         offset, complement, weight = _de_level(half_line, level)
         x = a + width * offset
         c = complement if half_line else width * complement
-        total += float(np.dot(weight, f(x, c)))
-        previous, value = value, total * width * _DE_H0 / 2**level
-        if not math.isfinite(value):
-            return value, math.inf
-        err = abs(value - previous)
-        if level >= DE_MIN_LEVEL and err <= max(atol, rtol * abs(value)):
-            break
-    return value, err
+        block = max(1, _DE_BLOCK // weight.size)
+        running = []
+        for start in range(0, len(active), block):
+            part = active[start:start + block]
+            # one dot per row: a matrix product may round differently
+            for i, fx in zip(part, f(x, c, part)):
+                totals[i] += float(np.dot(weight, fx))
+                value = totals[i] * width * _DE_H0 / 2**level
+                if math.isfinite(value):
+                    err = abs(value - values[i])
+                    if level < DE_MIN_LEVEL or err > max(atol, rtol * abs(value)):
+                        running.append(i)
+                else:
+                    err = math.inf
+                values[i], errors[i] = value, err
+        active = running
+    return values, errors
 
 
 # =====================================================================

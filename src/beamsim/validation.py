@@ -69,12 +69,12 @@ def _c01_nakagami_bound_accuracy(seed: int, trials: int) -> CriterionResult:
     fading = FadingModel.nakagami(3.2)
     details = []
     passed = True
+    lam0s = [float(lam0) for lam0 in np.linspace(1.0, 3.5, 11)]
     for b, limit in limits.items():
         worst = 0.0
-        for j, lam0 in enumerate(np.linspace(1.0, 3.5, 11)):
-            lam0 = float(lam0)
-            model = SparseModel.from_occupancy(lam0, b, 3.2)
-            upper = analytic.se_upper_nakagami(model, _rho(lam0, b))
+        models = [SparseModel.from_occupancy(lam0, b, 3.2) for lam0 in lam0s]
+        uppers = analytic.se_upper_nakagami(models, [_rho(lam0, b) for lam0 in lam0s]).tolist()
+        for j, (lam0, upper) in enumerate(zip(lam0s, uppers)):
             sim = _sim_se(lam0, b, fading, trials, child_seed(seed, 1, b, j)).mean
             worst = max(worst, abs(upper - sim) / sim)
         details.append(f"B={b}: max rel err {100 * worst:.2f}% (limit {100 * limit:.0f}%)")
@@ -106,10 +106,9 @@ def _c03_beam_count_trend(seed: int, trials: int) -> CriterionResult:
         b: _sim_se(lam0, b, fading, trials, child_seed(seed, 3, b)).mean
         for b in (100, 1000, 1024)
     }
-    err_up = {}
-    for b in (100, 1000):
-        model = SparseModel.from_occupancy(lam0, b, 3.2)
-        err_up[b] = abs(analytic.se_upper_nakagami(model, _rho(lam0, b)) - sims[b]) / sims[b]
+    models = [SparseModel.from_occupancy(lam0, b, 3.2) for b in (100, 1000)]
+    uppers = analytic.se_upper_nakagami(models, [_rho(lam0, b) for b in (100, 1000)]).tolist()
+    err_up = {b: abs(upper - sims[b]) / sims[b] for b, upper in zip((100, 1000), uppers)}
     err_lo = {}
     for b in (100, 1024):
         model = SparseModel.from_occupancy(lam0, b, 3.2)
@@ -220,16 +219,18 @@ def _c06_small_instance_oracle(seed: int, trials: int) -> CriterionResult:
     """Pattern-enumeration SE equals density-quadrature SE to 1e-6, and the
     Nakagami upper bound equals its closed binomial mixture to 1e-6 (m = 1, 2, 3)."""
     worst = 0.0
-    worst_upper = 0.0
+    points = []
     for b in (1, 2, 3):
         for p in (0.2, 0.5):
             for rho in (1.0, 5.0):
                 gap = abs(_pattern_se(p, b, rho) - _density_se(p, b, rho))
                 worst = max(worst, gap)
-                for m in (1.0, 2.0, 3.0):
-                    model = SparseModel.from_p(p, b, m)
-                    gap = abs(analytic.se_upper_nakagami(model, rho) - _mixture_upper_se(model, rho))
-                    worst_upper = max(worst_upper, gap)
+                points += [(SparseModel.from_p(p, b, m), rho) for m in (1.0, 2.0, 3.0)]
+    models, rhos = zip(*points)
+    uppers = analytic.se_upper_nakagami(models, rhos).tolist()
+    worst_upper = 0.0
+    for (model, rho), upper in zip(points, uppers):
+        worst_upper = max(worst_upper, abs(upper - _mixture_upper_se(model, rho)))
     detail = (
         f"max |pattern - density| = {worst:.2e}, "
         f"max |upper - mixture| = {worst_upper:.2e} (limit 1e-06)"

@@ -351,6 +351,55 @@ class TestSeUpperNakagami:
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
+def _bounds_sweep_points():
+    """(model, rho) of the m, B and rho sections of the bounds benchmark
+    sweep, as the CLI builds them: 296 points, m < 1 among them."""
+    points = [(1.9, 121, float(m), 121 * 0.01 / 1.9) for m in np.linspace(0.6, 4.0, 69)]
+    points += [(1.9, int(round(b)), 3.2, int(round(b)) * 0.01 / 1.9) for b in np.linspace(16, 1024, 127)]
+    points += [(1.9, 121, 1.5, float(rho)) for rho in np.linspace(0.5, 50.0, 100)]
+    return [(SparseModel.from_occupancy(lam0, b, m), rho) for lam0, b, m, rho in points]
+
+
+class TestSeUpperNakagamiSequence:
+    """A sequence of points is one row-batched quadrature with the bits of
+    the per-point calls."""
+
+    def test_bounds_sweep_points_bit_for_bit(self):
+        points = _bounds_sweep_points()
+        assert len(points) == 296 and any(model.m < 1.0 for model, _ in points)
+        models, rhos = zip(*points)
+        batched = se_upper_nakagami(models, rhos)
+        assert isinstance(batched, np.ndarray) and batched.shape == (296,)
+        for (model, rho), value in zip(points, batched.tolist()):
+            single = se_upper_nakagami(model, rho)
+            assert type(single) is float
+            assert value.hex() == single.hex(), (model, rho)
+
+    def test_one_point_sequence_is_an_array(self):
+        model = SparseModel.from_occupancy(1.9, 121, 3.2)
+        batched = se_upper_nakagami([model], [0.6])
+        assert isinstance(batched, np.ndarray) and batched.tolist() == [se_upper_nakagami(model, 0.6)]
+        assert se_upper_nakagami([], []).shape == (0,)
+
+    def test_failing_point_raises_its_scalar_error(self):
+        model = SparseModel.from_occupancy(1.9, 121, 3.2)
+        with pytest.raises(NumericalError) as scalar:
+            se_upper_nakagami(model, math.inf)
+        with pytest.raises(NumericalError) as batched:
+            se_upper_nakagami([model] * 4, [0.6, 1.0, math.inf, math.inf])
+        assert str(batched.value) == str(scalar.value)
+        assert batched.value.index == 2 and scalar.value.index == 0
+
+    def test_bad_rho_in_a_sequence(self):
+        model = SparseModel.from_occupancy(1.9, 121, 3.2)
+        with pytest.raises(ValueError, match=r"rho must be > 0, got -1\.0"):
+            se_upper_nakagami([model] * 2, [0.6, -1.0])
+        with pytest.raises(ValueError, match="do not pair"):
+            se_upper_nakagami([model] * 2, [0.6] * 3)
+        with pytest.raises(ValueError, match="do not pair"):
+            se_upper_nakagami(model, [0.6] * 2)
+
+
 class TestSmallInstanceOracle:
     def test_pattern_vs_exact_density(self):
         # exhaustive occupancy patterns against the closed-form max density

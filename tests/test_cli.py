@@ -652,6 +652,48 @@ class TestExitCodes:
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert not (out / "run_manifest.jsonl").exists()
 
+    def test_failing_upper_column_after_a_good_section(self, tmp_path):
+        # the upper_nakagami column of a section is one call; its failure at
+        # rho = 121 * 0.01 / 1e-308 is reported once, with no numpy warning,
+        # and the section before it keeps its bytes
+        good = "[sweep:a]\nvariable = lambda0\nvalues = 1.0, 1.9\nb = 121\nm = 3.2\nsnr_coeff = 0.01\n" \
+               "outputs = upper_nakagami, lower\n"
+        bad = good.replace("[sweep:a]", "[sweep:b]").replace("1.0, 1.9", "1e-308, 1.9")
+        head = "[run]\nschema_version = 1\n"
+        alone, both = tmp_path / "alone.ini", tmp_path / "both.ini"
+        alone.write_text(head + good)
+        both.write_text(head + good + bad)
+        res = run_cli("sweep", "--config", str(alone), "--out-dir", str(tmp_path / "alone"))
+        assert res.returncode == 0, res.stderr
+        res = run_cli("sweep", "--config", str(both), "--out-dir", str(tmp_path / "both"))
+        assert res.returncode == 1, res.stderr
+        assert res.stderr == (
+            "numerical failure: se_upper_nakagami: quadrature failed to converge (estimate inf, error inf)\n"
+        )
+        assert sorted(path.name for path in (tmp_path / "both").glob("*.csv")) == ["a.csv"]
+        assert (tmp_path / "both" / "a.csv").read_bytes() == (tmp_path / "alone" / "a.csv").read_bytes()
+
+    @pytest.mark.parametrize("sim_row, reported", [(0, "boom"), (1, "se_upper_nakagami")])
+    def test_first_failing_cell_in_row_major_order(self, tmp_path, monkeypatch, sim_row, reported):
+        # upper_nakagami fails at row 1 (rho = 1e307); a sim_se cell that
+        # fails in an earlier row is the one reported, one in the same row is not
+        def estimate_se(config):
+            if config.rho == rhos[sim_row]:
+                raise cli.NumericalError("boom")
+            return real(config)
+
+        real, rhos = cli.estimate_se, (1.0, 1e307)
+        monkeypatch.setattr(cli, "estimate_se", estimate_se)
+        cfg = tmp_path / "order.ini"
+        cfg.write_text(
+            "[run]\nschema_version = 1\ntrials = 100\n[sweep:s]\nvariable = rho\nvalues = 1.0, 1e307\n"
+            "lambda0 = 1.9\nb = 121\nm = 3.2\noutputs = upper_nakagami, sim_se\n"
+        )
+        rc, _, err = run_main("sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert rc == 1
+        assert err.startswith(f"numerical failure: {reported}"), err
+        assert len(err.splitlines()) == 1, err
+
     def test_infeasible_is_3(self, tmp_path):
         cfg = tmp_path / "infeasible.ini"
         cfg.write_text(

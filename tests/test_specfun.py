@@ -7,13 +7,15 @@ quadrature for the incomplete gamma and the exponential integral.  scipy
 double-exponential quadrature and Brent root finder.
 """
 
+import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate, optimize, special
 
-from beamsim import analytic, validation
+from beamsim import analytic, specfun, validation
 from beamsim.analytic import SparseModel
 from beamsim.errors import ConvergenceError, NumericalError
 from beamsim.specfun import (
@@ -262,6 +264,71 @@ class TestDeQuad:
     def test_domain(self, a, b):
         with pytest.raises(ValueError):
             de_quad(lambda x, c: x, a, b)
+
+
+def _bits(value) -> str:
+    return float(value).hex()
+
+
+class TestRowBatchedDeQuad:
+    """A (rows x nodes) integrand: each row stops at its own level and gets
+    the bits of its own one-row call."""
+
+    @staticmethod
+    def integrands():
+        # a node of level 1 only, where 1 / (x - x1) turns the sum infinite
+        x1 = float(specfun._de_level(False, 1)[0][3])
+        return [
+            lambda x, c: np.ones_like(x),
+            lambda x, c: np.exp(-x * x),
+            lambda x, c: np.sin(1.0 / x),
+            lambda x, c: 1.0 / (x - x1),
+            lambda x, c: 1.0 / np.sqrt(x),
+            lambda x, c: np.sin(3.0 / x),
+            lambda x, c: np.log(c),
+        ]
+
+    def batched(self, calls):
+        fs = self.integrands()
+
+        def f(x, c, active):
+            calls.update(active)
+            with np.errstate(divide="ignore"):
+                return np.array([fs[i](x, c) for i in active])
+
+        return f
+
+    @pytest.mark.parametrize("block", [specfun._DE_BLOCK, 40], ids=["one_block", "many_blocks"])
+    def test_rows_are_their_own_calls(self, monkeypatch, block):
+        monkeypatch.setattr(specfun, "_DE_BLOCK", block)
+        calls = collections.Counter()
+        fs = self.integrands()
+        values, errors = de_quad(self.batched(calls), 0.0, 1.0, rows=len(fs))
+        assert values.shape == errors.shape == (len(fs),)
+        for i, f in enumerate(fs):
+            with np.errstate(divide="ignore"):
+                value, err = de_quad(f, 0.0, 1.0)
+            assert (_bits(values[i]), _bits(errors[i])) == (_bits(value), _bits(err)), i
+        # levels evaluated per row: the constant converges at the first level
+        # allowed, sin(k/x) runs to the cap, and 1/(x - x1) stops at level 1
+        assert calls[0] == specfun.DE_MIN_LEVEL + 1
+        assert calls[2] == calls[5] == specfun.DE_MAX_LEVEL + 1
+        assert calls[3] == 2 and errors[3] == math.inf and not math.isfinite(values[3])
+        for i in (0, 1, 4, 6):
+            assert errors[i] <= 1e-11 * abs(values[i]), i
+
+    def test_non_finite_row_warns_nothing(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, errors = de_quad(
+                lambda x, c, active: np.where(np.array(active)[:, None] == 1, math.inf, np.exp(-x)),
+                0.0, math.inf, rows=3,
+            )
+        assert errors[1] == math.inf and (errors[[0, 2]] < 1e-11).all()
+
+    def test_no_rows(self):
+        values, errors = de_quad(lambda x, c, active: np.empty((len(active), x.size)), 0.0, 1.0, rows=0)
+        assert values.shape == errors.shape == (0,)
 
 
 class TestValidationOraclesAgainstScipy:
