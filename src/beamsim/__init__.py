@@ -1,8 +1,9 @@
 """NLOS mmWave link modeling under optimal analog beamforming.
 
-Sparse multipath channel realizations, power-maximizing beam-pair
-selection, closed-form spectral-efficiency bounds, and a beam-count
-planner that trades training overhead against beamforming gain.
+Fading laws of the sparse multipath channel, a Monte Carlo engine for the
+spectral efficiency of the power-maximizing beam pair, closed-form
+spectral-efficiency bounds, and a beam-count planner that trades training
+overhead against beamforming gain.
 """
 
 import os as _os
@@ -32,22 +33,7 @@ from .analytic import (
     se_upper_nakagami,
     se_upper_rayleigh,
 )
-from .beam import (
-    BeamGrid,
-    BeamSelection,
-    beam_grid,
-    pair_received_power,
-    select_optimal_pair,
-)
-from .channel import (
-    ChannelRealization,
-    FadingFamily,
-    FadingModel,
-    LinkBudget,
-    per_beam_intensity,
-    realize_channel,
-    rician_k_to_nakagami_m,
-)
+from .channel import FadingFamily, FadingModel, rician_k_to_nakagami_m
 from .errors import (
     ApproximationInvalidError,
     BeamsimError,

@@ -1,4 +1,4 @@
-"""Sparse multipath channel generation.
+"""Fading laws of the sparse multipath channel and their power draws.
 
 The propagation model is a per-beam-pair view of an extended
 Saleh-Valenzuela channel: with ``B`` transmit/receive beam pairs and a
@@ -7,7 +7,10 @@ Poisson(lambda0 / B) number of multipath components, and every component
 carries an i.i.d. small-scale fading power normalized to unit mean.  The
 large-scale link budget (path loss, noise) enters only through the SNR
 scale rho that the Monte Carlo engine and the bounds take, so fading
-powers here are dimensionless.
+powers here are dimensionless.  This module holds the fading families,
+the Rician-K to Nakagami-m moment mapping, and the two draws the engine
+makes: a pair's summed power in one draw, and the largest of k
+single-path powers from one uniform.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -76,70 +79,6 @@ class FadingModel:
         return rician_k_to_nakagami_m(float(self.parameter))  # type: ignore[arg-type]
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Large-scale link parameters; transmit power is normalized to 1.
-
-    ``intercept_c`` and ``alpha`` are the path-loss intercept and exponent,
-    ``distance_d`` is in meters, ``noise_power`` is linear watts, and
-    ``lambda0`` is the mean total multipath count of the link.
-    """
-
-    intercept_c: float
-    distance_d: float
-    alpha: float
-    noise_power: float
-    lambda0: float
-
-    def __post_init__(self) -> None:
-        for name in ("intercept_c", "distance_d", "alpha", "noise_power", "lambda0"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"LinkBudget.{name} must be finite and > 0, got {value!r}")
-
-    @property
-    def path_gain(self) -> float:
-        """c * d^(-alpha), the distance-dependent power attenuation."""
-        return self.intercept_c * self.distance_d ** (-self.alpha)
-
-
-@dataclass(frozen=True)
-class ChannelRealization:
-    """One Monte Carlo draw of the per-pair multipath structure.
-
-    ``per_pair_powers[i]`` holds the normalized (unit-mean) fading powers
-    of the paths falling inside beam pair ``i``; ``counts[i]`` is its
-    length.
-    """
-
-    per_pair_powers: tuple[np.ndarray, ...]
-    counts: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        if len(self.per_pair_powers) != len(self.counts):
-            raise ValueError("counts and per_pair_powers disagree in length")
-        for i, arr in enumerate(self.per_pair_powers):
-            if len(arr) != self.counts[i]:
-                raise ValueError(f"counts[{i}] does not match stored paths")
-
-    @property
-    def num_pairs(self) -> int:
-        return len(self.per_pair_powers)
-
-    def pair_sums(self) -> np.ndarray:
-        """Summed normalized fading power per beam pair."""
-        return np.array([arr.sum() for arr in self.per_pair_powers])
-
-
-def per_beam_intensity(lambda0: float, b: int) -> float:
-    """Mean path count per beam pair when lambda0 paths split over b pairs."""
-    if not lambda0 > 0.0:
-        raise ValueError(f"lambda0 must be > 0, got {lambda0!r}")
-    if b < 1:
-        raise ValueError(f"beam pair count must be >= 1, got {b!r}")
-    return lambda0 / b
-
-
 def rician_k_to_nakagami_m(k_linear: float) -> float:
     """Moment-matched Nakagami shape for a Rician factor K: (K+1)^2/(2K+1)."""
     if k_linear < 0.0:
@@ -150,18 +89,6 @@ def rician_k_to_nakagami_m(k_linear: float) -> float:
         raise ValueError(
             f"Rician K factor {k_linear!r} is too large: its moment-matched Nakagami shape overflows"
         ) from None
-
-
-def sample_path_powers(model: FadingModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw ``n`` i.i.d. normalized path powers |g|^2 with E[|g|^2] = 1.
-
-    Nakagami-m amplitudes give Gamma(m, 1/m) powers; Rayleigh is the m=1
-    special case; a Rician amplitude with factor K gives a scaled
-    noncentral chi-square power (2 degrees of freedom, noncentrality 2K,
-    scaled by 1/(2(1+K))).  These are :func:`sample_pair_power_sums` of
-    ``n`` pairs holding one path each.
-    """
-    return sample_pair_power_sums(model, np.ones(n), rng)
 
 
 def sample_pair_power_sums(
@@ -247,19 +174,3 @@ def sample_max_path_power(model: FadingModel, k1: np.ndarray, rng: np.random.Gen
     z *= t
     z += c0.take(i, mode="clip")
     return np.exp(z, out=z)
-
-
-def realize_channel(
-    lambda0: float, b: int, model: FadingModel, rng: np.random.Generator
-) -> ChannelRealization:
-    """Draw one channel realization: B independent Poisson beam pairs.
-
-    The per-pair intensity is lambda0 / b, so the total path count over
-    all pairs is Poisson(lambda0) by superposition.
-    """
-    lam_d = per_beam_intensity(lambda0, b)
-    counts = rng.poisson(lam_d, size=b)
-    powers = tuple(
-        sample_path_powers(model, int(c), rng) if c else np.empty(0) for c in counts
-    )
-    return ChannelRealization(per_pair_powers=powers, counts=counts)

@@ -146,7 +146,9 @@ KEYS: dict[str, Key] = {
     "snr_coeff": Key(float, _positive, POSITIVE, POINT),
     **{key: Key(float, math.isfinite, FINITE, POINT) for key in LINK_KEYS},
     "t_f": Key(float, _positive, POSITIVE, PLANNER),
-    "n_b": Key(int, lambda v: v >= 1, "an integer >= 1", PLANNER, 4),
+    # the training overhead takes n_b^2 as a float
+    "n_b": Key(int, lambda v: v >= 1 and v * v <= sys.float_info.max,
+               f"an integer in [1, {math.sqrt(sys.float_info.max):g}]", PLANNER, 4),
     "t_total": Key(float, _positive, POSITIVE, PLANNER),
     "velocity": Key(float, _positive, POSITIVE, PLANNER),
     "carrier_freq": Key(float, _positive, POSITIVE, PLANNER),
@@ -407,7 +409,7 @@ def _tp_config(section: Section, point: PointSpec) -> throughput.ThroughputConfi
         raise ConfigError(
             f"[{section.name}] needs 't_total' or 'velocity' (+ carrier_freq) for throughput outputs"
         )
-    with _blame(section, "F_t", "K", "n_b"):
+    with _blame(section, "F_t", "K"):
         return throughput.ThroughputConfig(
             t_f=t_f, t_total=t_total, k=point.k, lambda0=point.lambda0, n_b=section.get("n_b")
         )

@@ -37,10 +37,11 @@ moments count the empty trials without storing them.
 
 Trials in a chunk are exchangeable and only order-free statistics (moments,
 empirical CDF) are kept, so this matches B independent Poisson(mu) pairs
-(as :func:`beamsim.channel.realize_channel` draws them) exactly in
-distribution, at O(1) draws per occupied trial plus O(1) per multi-path
-pair.  The Rayleigh F^-1 is closed form; the Nakagami and Rician ones are
-a cubic Hermite table whose relative error is below 1e-10 (held to 1e-9
+exactly in distribution, at O(1) draws per occupied trial plus O(1) per
+multi-path pair.  (``tests/per_pair_reference.py`` draws those pairs
+literally, path by path, and the tests hold the engine to it.)  The
+Rayleigh F^-1 is closed form; the Nakagami and Rician ones are a cubic
+Hermite table whose relative error is below 1e-10 (held to 1e-9
 against scipy by the tests), which is random stream 5's tolerance against
 an exact draw.  That table is built on first use, once per fading law and
 process, and its cost grows with the shape: the engine takes Nakagami (or

@@ -1,4 +1,4 @@
-"""Channel generation statistics and reproducibility."""
+"""Fading laws, power draws, and the Poisson facts of the per-pair model."""
 
 import math
 
@@ -9,42 +9,30 @@ from scipy import special, stats
 from beamsim.channel import (
     FadingFamily,
     FadingModel,
-    LinkBudget,
-    per_beam_intensity,
-    realize_channel,
     rician_k_to_nakagami_m,
     sample_max_path_power,
     sample_pair_power_sums,
-    sample_path_powers,
 )
 from beamsim.montecarlo import MAX_SHAPE, _occupancy_tables
 from beamsim.rng import substream
+from per_pair_reference import path_powers, realize_channels
 
 
-class TestPerBeamIntensity:
-    def test_values(self):
-        assert per_beam_intensity(1.9, 121) == pytest.approx(1.9 / 121)
-        assert per_beam_intensity(1.9, 121) == pytest.approx(0.0157025, abs=1e-7)
-        assert per_beam_intensity(3.3, 625) == pytest.approx(0.00528)
-        assert per_beam_intensity(2.7, 1) == 2.7
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            per_beam_intensity(0.0, 10)
-        with pytest.raises(ValueError):
-            per_beam_intensity(1.0, 0)
+def single_path_powers(model, n, rng):
+    """``n`` single-path powers: the power sums of ``n`` one-path pairs."""
+    return sample_pair_power_sums(model, np.ones(n), rng)
 
 
 class TestFadingPowers:
     def test_rayleigh_mean(self):
         rng = substream(1, 0)
-        w = sample_path_powers(FadingModel.rayleigh(), 1_000_000, rng)
+        w = single_path_powers(FadingModel.rayleigh(), 1_000_000, rng)
         assert abs(w.mean() - 1.0) <= 3e-3
 
     def test_nakagami_variance(self):
         m = 3.2
         rng = substream(2, 0)
-        w = sample_path_powers(FadingModel.nakagami(m), 1_000_000, rng)
+        w = single_path_powers(FadingModel.nakagami(m), 1_000_000, rng)
         assert abs(w.mean() - 1.0) <= 3e-3
         # var = 1/m for unit-mean Gamma(m); allow 4 sigma of the variance estimator
         kurt_excess = 6.0 / m
@@ -53,7 +41,7 @@ class TestFadingPowers:
 
     def test_rician_zero_k_is_rayleigh(self):
         rng = substream(3, 0)
-        w = sample_path_powers(FadingModel.rician(0.0), 100_000, rng)
+        w = single_path_powers(FadingModel.rician(0.0), 100_000, rng)
         # KS against the exponential law at significance 0.01
         res = stats.kstest(w, "expon")
         assert res.pvalue > 0.01
@@ -61,7 +49,7 @@ class TestFadingPowers:
     def test_rician_mean_one(self):
         rng = substream(4, 0)
         for k in (0.5, 5.0, 30.0):
-            w = sample_path_powers(FadingModel.rician(k), 400_000, rng)
+            w = single_path_powers(FadingModel.rician(k), 400_000, rng)
             assert abs(w.mean() - 1.0) <= 4.0 * w.std() / math.sqrt(len(w))
 
     def test_rician_variance(self):
@@ -69,7 +57,7 @@ class TestFadingPowers:
         # whose variance is (1 + 2K) / (1 + K)^2
         rng = substream(6, 0)
         for k in (0.0, 0.5, 5.0, 30.0):
-            w = sample_path_powers(FadingModel.rician(k), 400_000, rng)
+            w = single_path_powers(FadingModel.rician(k), 400_000, rng)
             n = len(w)
             assert abs(w.mean() - 1.0) <= 4.0 * w.std() / math.sqrt(n)
             se_var = math.sqrt(((w - w.mean()) ** 2).var() / n)
@@ -78,25 +66,25 @@ class TestFadingPowers:
     @pytest.mark.parametrize("index, k", enumerate([0.0, 1.0, 3.16, 10.0]))
     def test_rician_ks(self, index, k):
         # ((Z1 + sqrt(2K))^2 + Z2^2) / (2(1+K)) is ncx2(2, 2K) / (2(1+K))
-        w = sample_path_powers(FadingModel.rician(k), 100_000, substream(8, index))
+        w = single_path_powers(FadingModel.rician(k), 100_000, substream(8, index))
         law = stats.ncx2(2, 2.0 * k, scale=1.0 / (2.0 * (1.0 + k)))
         assert stats.kstest(w, law.cdf).pvalue > 0.01
 
     def test_rician_nonnegative(self):
         for k in (0.0, 1.0, 3.16, 1e6):
-            w = sample_path_powers(FadingModel.rician(k), 200_000, substream(9, 0))
+            w = single_path_powers(FadingModel.rician(k), 200_000, substream(9, 0))
             assert w.min() >= 0.0
 
     def test_rician_zero_k_is_the_rayleigh_draw(self):
-        w = sample_path_powers(FadingModel.rician(0.0), 5_000, substream(7, 1))
-        e = sample_path_powers(FadingModel.rayleigh(), 5_000, substream(7, 1))
+        w = single_path_powers(FadingModel.rician(0.0), 5_000, substream(7, 1))
+        e = single_path_powers(FadingModel.rayleigh(), 5_000, substream(7, 1))
         assert w.tobytes() == e.tobytes()
 
     def test_gamma_draws_are_rng_gamma_bit_for_bit(self):
         # standard_gamma scaled by 1/m is numpy's gamma(m, 1/m), float for float
         counts = np.array([1, 1, 2, 1, 5, 1, 3, 1] * 100)
         for m in (0.7, 1.0, 3.2):
-            w = sample_path_powers(FadingModel.nakagami(m), 5_000, substream(7, 2))
+            w = single_path_powers(FadingModel.nakagami(m), 5_000, substream(7, 2))
             reference = substream(7, 2).gamma(shape=m, scale=1.0 / m, size=5_000)
             assert w.tobytes() == reference.tobytes()
             sums = sample_pair_power_sums(FadingModel.nakagami(m), counts, substream(7, 3))
@@ -116,10 +104,6 @@ class TestFadingPowers:
                 FadingModel.nakagami(bad)
             with pytest.raises(ValueError, match="finite"):
                 FadingModel.rician(bad)
-            with pytest.raises(ValueError, match="finite"):
-                LinkBudget(intercept_c=bad, distance_d=1.0, alpha=2.0, noise_power=1.0, lambda0=1.9)
-            with pytest.raises(ValueError, match="finite"):
-                LinkBudget(intercept_c=0.01, distance_d=1.0, alpha=2.0, noise_power=1.0, lambda0=bad)
 
 
 class TestRicianMapping:
@@ -145,51 +129,39 @@ class TestRicianMapping:
 
 
 class TestRealizeChannel:
+    """The Poisson facts of B independent pairs, on the literal reference."""
+
     def test_structure(self):
-        rng = substream(10, 0)
-        real = realize_channel(2.0, 1, FadingModel.rayleigh(), rng)
-        assert real.num_pairs == 1
-        assert real.counts[0] == len(real.per_pair_powers[0])
+        counts, sums = realize_channels(1.9, 16, FadingModel.nakagami(2.0), 2_000, substream(10, 0))
+        assert counts.shape == sums.shape == (2_000, 16)
+        assert np.all((sums > 0.0) == (counts > 0))
 
     def test_single_pair_is_poisson(self):
-        rng = substream(11, 0)
-        counts = [
-            realize_channel(2.0, 1, FadingModel.rayleigh(), rng).counts[0]
-            for _ in range(20_000)
-        ]
+        counts, _ = realize_channels(2.0, 1, FadingModel.rayleigh(), 20_000, substream(11, 0))
         assert abs(np.mean(counts) - 2.0) <= 4.0 * math.sqrt(2.0 / 20_000)
 
     def test_total_power_mean(self):
         # E[sum of all normalized path powers] = lambda0
-        rng = substream(12, 0)
         lam0 = 1.9
-        totals = [
-            sum(float(arr.sum()) for arr in realize_channel(lam0, 16, FadingModel.rayleigh(), rng).per_pair_powers)
-            for _ in range(20_000)
-        ]
+        _, sums = realize_channels(lam0, 16, FadingModel.rayleigh(), 20_000, substream(12, 0))
+        totals = sums.sum(axis=1)
         # variance of the compound Poisson total is lam0 * E[w^2] = 2 lam0
         assert abs(np.mean(totals) - lam0) <= 4.0 * math.sqrt(2.0 * lam0 / 20_000)
 
     def test_all_empty_fraction(self):
-        rng = substream(13, 0)
         lam0 = 1.9
         n = 50_000
-        empty = sum(
-            realize_channel(lam0, 121, FadingModel.rayleigh(), rng).counts.sum() == 0
-            for _ in range(n)
-        ) / n
+        counts, _ = realize_channels(lam0, 121, FadingModel.rayleigh(), n, substream(13, 0))
+        empty = np.mean(counts.sum(axis=1) == 0)
         p0 = math.exp(-lam0)
         assert abs(empty - p0) <= 4.0 * math.sqrt(p0 * (1 - p0) / n)
 
     def test_total_count_superposition(self):
         # Summed over pairs, counts are Poisson(lambda0): chi-square GoF at 0.01
         lam0 = 1.9
-        rng = substream(14, 0)
         n = 100_000
-        totals = np.array([
-            int(realize_channel(lam0, 7, FadingModel.rayleigh(), rng).counts.sum())
-            for _ in range(n)
-        ])
+        counts, _ = realize_channels(lam0, 7, FadingModel.rayleigh(), n, substream(14, 0))
+        totals = counts.sum(axis=1)
         kmax = 9
         observed = np.bincount(np.minimum(totals, kmax), minlength=kmax + 1)
         pmf = np.array([stats.poisson.pmf(k, lam0) for k in range(kmax)])
@@ -198,10 +170,9 @@ class TestRealizeChannel:
         assert res.pvalue > 0.01
 
     def test_seed_reproducibility(self):
-        a = realize_channel(1.9, 32, FadingModel.nakagami(2.0), substream(99, 4))
-        b = realize_channel(1.9, 32, FadingModel.nakagami(2.0), substream(99, 4))
-        assert np.array_equal(a.counts, b.counts)
-        for x, y in zip(a.per_pair_powers, b.per_pair_powers):
+        a = realize_channels(1.9, 32, FadingModel.nakagami(2.0), 100, substream(99, 4))
+        b = realize_channels(1.9, 32, FadingModel.nakagami(2.0), 100, substream(99, 4))
+        for x, y in zip(a, b):
             assert np.array_equal(x, y)
 
 
@@ -270,8 +241,8 @@ class TestMaxPathPower:
         ids=["nakagami", "rician", "rayleigh"],
     )
     def test_is_the_max_of_k_path_powers(self, model):
-        # against the largest of 5 per-path draws, an independent sampler
+        # against the largest of 5 per-path draws of the literal reference
         n, k = 20_000, 5
-        direct = sample_path_powers(model, n * k, substream(9, 0)).reshape(n, k).max(axis=1)
+        direct = path_powers(model, n * k, substream(9, 0)).reshape(n, k).max(axis=1)
         drawn = sample_max_path_power(model, np.full(n, float(k)), substream(9, 1))
         assert stats.ks_2samp(direct, drawn).pvalue > 1e-3

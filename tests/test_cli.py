@@ -504,6 +504,9 @@ class TestExitCodes:
             for key in ("intercept_c", "distance_d", "alpha", "noise_power"):
                 assert f"{key} = " in res.stderr, res.stderr
             assert "snr_coeff = " not in res.stderr, res.stderr
+        if new.startswith("n_b = "):
+            # its own key rejects it, not the planner, which would blame t_f and t_total too
+            assert "n_b = " in res.stderr and "t_f = " not in res.stderr, res.stderr
         assert new.split(" = ")[0] in res.stderr, res.stderr
         assert not list(out.glob("*.csv"))
         assert not (out / "run_manifest.jsonl").exists()

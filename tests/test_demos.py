@@ -1,5 +1,5 @@
 """The demos run end to end: each sweep config through ``beamsim sweep``,
-the channel-model walk-through script, and the README's config example."""
+and the README's config example."""
 
 import configparser
 import csv
@@ -65,12 +65,6 @@ def test_sweep_config_writes_finite_cells(tmp_path, name):
                     assert cell == "", (csv_name, col, row)
                 else:
                     assert math.isfinite(float(cell)), (csv_name, col, row)
-
-
-def test_channel_statistics_script_runs(tmp_path):
-    res = run_python(str(DEMOS / "channel_statistics.py"), cwd=tmp_path)
-    assert res.returncode == 0, res.stderr
-    assert "optimal pair index" in res.stdout
 
 
 def readme_config_block():

@@ -10,8 +10,7 @@ from scipy import integrate, stats
 from scipy.special import gammaincc
 
 from beamsim.analytic import SparseModel, se_lower, se_upper_rayleigh
-from beamsim.beam import BeamGrid, select_optimal_pair
-from beamsim.channel import FadingFamily, FadingModel, LinkBudget, realize_channel
+from beamsim.channel import FadingFamily, FadingModel
 from beamsim.errors import ConfigError, DegenerateSampleError, NumericalError
 from beamsim.montecarlo import (
     CHUNK_TRIALS,
@@ -25,6 +24,7 @@ from beamsim.montecarlo import (
     resolve_workers,
 )
 from beamsim.rng import substream
+from per_pair_reference import strongest_pair_powers
 
 
 def make_config(lambda0, b, fading, trials, seed):
@@ -360,16 +360,7 @@ class TestEngineMatchesPerPairSampler:
     def test_distributional_agreement(self):
         # the occupancy engine vs literal per-pair realizations
         lam0, b = 1.9, 121
-        link = LinkBudget(intercept_c=0.01, distance_d=1.0, alpha=2.0, noise_power=1.0, lambda0=lam0)
-        grid = BeamGrid.from_counts(11, 11)
-        coeff = link.path_gain / lam0 * grid.gain_t * grid.gain_r
-
-        rng = substream(555, 0)
-        direct = []
-        for _ in range(4_000):
-            real = realize_channel(lam0, b, FadingModel.rayleigh(), rng)
-            direct.append(select_optimal_pair(real, link, grid).opt_power / coeff)
-        direct = np.array(direct)
+        direct = strongest_pair_powers(lam0, b, FadingModel.rayleigh(), 4_000, substream(555, 0))
 
         cfg = SimConfig(lam0, b, b * 0.01 / lam0, FadingModel.rayleigh(), 4_000, 556)
         grid_pts = np.linspace(0.0, 20.0, 101)
@@ -394,19 +385,10 @@ class TestEngineMatchesPerPairSampler:
     def test_agreement_with_multipath_pairs(self, fading):
         # mu = 1 path per pair: 42% of the occupied pairs hold two or
         # more paths, so the multiplicity table and summed draws are in play
-        lam0 = 16.0
-        link = LinkBudget(intercept_c=0.01, distance_d=1.0, alpha=2.0, noise_power=1.0, lambda0=lam0)
-        grid = BeamGrid.from_counts(4, 4)
-        coeff = link.path_gain / lam0 * grid.gain_t * grid.gain_r
+        lam0, b = 16.0, 16
+        direct = strongest_pair_powers(lam0, b, fading, 4_000, substream(557, 0))
 
-        rng = substream(557, 0)
-        direct = np.array([
-            select_optimal_pair(realize_channel(lam0, grid.b, fading, rng), link, grid).opt_power
-            / coeff
-            for _ in range(4_000)
-        ])
-
-        cfg = SimConfig(lam0, grid.b, grid.b * 0.01 / lam0, fading, 4_000, 558)
+        cfg = SimConfig(lam0, b, b * 0.01 / lam0, fading, 4_000, 558)
         grid_pts = np.linspace(0.0, 12.0, 121)
         ecdf = empirical_opt_power_cdf(cfg, grid_pts)
 
