@@ -98,18 +98,16 @@ def sample_pair_power_sums(
     count >= 1.
 
     Uses the additivity of the per-family power laws: a sum of n
-    Gamma(m, 1/m) powers is Gamma(n*m, 1/m), and a sum of n Rician powers
-    is noncentral chi-square with 2n degrees of freedom and noncentrality
-    2nK (same 1/(2(1+K)) scale).
+    Gamma(m, 1/m) powers (Rayleigh: m = 1) is Gamma(n*m, 1/m), and a sum of
+    n Rician powers is noncentral chi-square with 2n degrees of freedom and
+    noncentrality 2nK (same 1/(2(1+K)) scale).
     """
     n = np.asarray(counts, dtype=float)
-    if model.family is FadingFamily.NAKAGAMI_M:
-        m = float(model.parameter)  # type: ignore[arg-type]
+    if model.family is not FadingFamily.RICIAN_K:
+        m = model.effective_nakagami_m()
         sums = rng.standard_gamma(m * n)
         sums *= 1.0 / m
         return sums
-    if model.family is FadingFamily.RAYLEIGH:
-        return rng.standard_gamma(n)
     k = float(model.parameter)  # type: ignore[arg-type]
     return rng.noncentral_chisquare(2.0 * n, 2.0 * k * n) / (2.0 * (1.0 + k))
 

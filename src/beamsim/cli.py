@@ -15,11 +15,14 @@ unknown section or key and checks every value against its row before
 anything is evaluated.  A value the library rejects is a config error
 naming the keys the user wrote behind it (``DERIVED``).
 
-There is one evaluation path: a section becomes a point (``_point_from``,
-with the swept value substituted in a sweep) and ``_evaluate`` computes
-that point's named cells.  A sweep writes one row per value; ``simulate``,
-``bounds`` and ``throughput`` are one-row evaluations with a fixed column
-tuple each (``POINT_COMMANDS``).
+There is one evaluation path: a section becomes a ``Point`` (``_point_from``,
+with the swept value substituted in a sweep), the cells the section fixes
+plus the bounds model, planner config and Monte Carlo config its columns
+need.  ``_evaluate_rows`` stores the cells computed for all points in one
+call (``upper_nakagami``) in the points' cells, and ``_evaluate`` computes
+the rest of each point's named cells.  A sweep writes one row per value;
+``simulate``, ``bounds`` and ``throughput`` are one-row evaluations with a
+fixed column tuple each (``POINT_COMMANDS``).
 
 Every run writes RFC-4180 CSV files plus a JSON-lines manifest recording
 the seed, trial count, units, version, wall time, those settings with the
@@ -83,9 +86,13 @@ OUTPUT_TAGS = (
     "hpbw_star",
 )
 BOUND_COLUMNS = ("upper_nakagami", "upper_rayleigh", "lower")
+# The cells that read a point's rho; a point that asks for one needs it finite.
+RHO_COLUMNS = ("sim_se", *BOUND_COLUMNS, "sparse")
 # The beam-count planner's cells; a point that asks for one needs a ThroughputConfig.
 PLANNER_COLUMNS = ("tp", "best_square_b", "f_t", "n_b", "b_max_feasible", "b_star_numeric",
                    "b_star_closed", "hpbw_star_numeric", "hpbw_star_closed", "tp_at_optimum")
+# The rows of the ``tp`` cell, the throughput curve; tp clamps tp_raw at zero.
+TP_CURVE_COLUMNS = ["b", "tp", "tp_raw", "units"]
 
 
 # =====================================================================
@@ -334,30 +341,17 @@ def _unit_scale(units: str) -> float:
     return 1.0 / LN2 if units == "bits" else 1.0
 
 
-class PointSpec:
-    """One point's SNR scales: rho, b * snr_coeff / lambda0 unless a rho
-    sweep gives it, which must be finite and > 0 with 1/rho finite (the
-    bounds read 1/rho), and the per-beam scale k = snr_coeff / lambda0."""
+class Point(NamedTuple):
+    """One point: ``cells`` holds the ``lambda0`` and ``m_eff`` it fixes,
+    its ``b`` (not in [throughput]), its ``rho`` where a column reads it,
+    and the cells :func:`_evaluate_rows` computes for all points in one
+    call; then its bounds model, planner config and Monte Carlo config,
+    each None when no column needs it."""
 
-    def __init__(
-        self, lambda0: float, b: int, fading: FadingModel, snr_coeff: float, rho: float | None = None
-    ):
-        self.lambda0 = lambda0
-        self.b = b
-        self.fading = fading
-        self.snr_coeff = snr_coeff
-        # a swept rho is kept as given: b * snr_coeff / lambda0 may round it
-        self.rho = b * snr_coeff / lambda0 if rho is None else rho
-        if not (math.isfinite(self.rho) and self.rho > 0.0 and math.isfinite(1.0 / self.rho)):
-            formula = "rho" if rho is not None else "rho = b * snr_coeff / lambda0"
-            raise ValueError(f"{formula} = {self.rho!r} must be finite and > 0, with 1/rho finite")
-
-    @property
-    def k(self) -> float:
-        return self.snr_coeff / self.lambda0
-
-    def sim_config(self, trials: int, seed: int) -> SimConfig:
-        return SimConfig(self.lambda0, self.b, self.rho, self.fading, trials, seed)
+    cells: dict[str, Any]
+    model: SparseModel | None
+    cfg: throughput.ThroughputConfig | None
+    sim: SimConfig | None
 
 
 def _point_from(
@@ -367,11 +361,14 @@ def _point_from(
     seed: int | None,
     variable: str | None = None,
     value: float = math.nan,
-) -> tuple[PointSpec, SparseModel | None, throughput.ThroughputConfig | None, SimConfig | None]:
+) -> Point:
     """The point ``section`` describes, with the sweep ``variable`` (if any)
-    set to ``value``, and what its columns need: its bounds model, planner
-    config and Monte Carlo config on ``seed``, each None when no column
-    needs it."""
+    set to ``value``; its Monte Carlo config runs on ``seed``.
+
+    rho is b * snr_coeff / lambda0 unless a rho sweep gives it, and must be
+    finite and > 0 with 1/rho finite (the bounds read 1/rho); the planner
+    reads only the per-beam scale K = snr_coeff / lambda0.
+    """
     if variable is not None:
         section = Section(section.name, {**section.values, variable: value})
     fading = _fading(section)
@@ -379,25 +376,30 @@ def _point_from(
         # after the fading law, so a swept m or k_db it rejects is named in its words
         section.values[variable] = _swept(section, variable, value)
     lambda0 = section.get("lambda0", required=True)
-    # the planner does not depend on b, which [throughput] does not take
-    b = 1 if section.name == "throughput" else section.get("b", required=True)
-    swept_rho = value if variable == "rho" else None
-    snr_coeff = value / b * lambda0 if swept_rho is not None else _snr_coeff(section)
-    with _blame(section, "rho"):
-        point = PointSpec(lambda0, b, fading, snr_coeff, swept_rho)
+    cells = {"lambda0": lambda0, "m_eff": fading.effective_nakagami_m()}
+    if section.name != "throughput":
+        cells["b"] = section.get("b", required=True)
+    snr_coeff = value / cells["b"] * lambda0 if variable == "rho" else _snr_coeff(section)
+    if any(column in RHO_COLUMNS for column in columns):
+        # a swept rho is kept as given: b * snr_coeff / lambda0 may round it
+        rho = cells["rho"] = value if variable == "rho" else cells["b"] * snr_coeff / lambda0
+        with _blame(section, "rho"):
+            if not (math.isfinite(rho) and rho > 0.0 and math.isfinite(1.0 / rho)):
+                formula = "rho" if variable == "rho" else "rho = b * snr_coeff / lambda0"
+                raise ValueError(f"{formula} = {rho!r} must be finite and > 0, with 1/rho finite")
     model = cfg = sim = None
     if "sim_se" in columns:
         with _blame(section, "lambda0", "b", "m", "k_db"):
-            sim = point.sim_config(run["trials"], seed)
+            sim = SimConfig(lambda0, cells["b"], cells["rho"], fading, run["trials"], seed)
     if any(column in BOUND_COLUMNS for column in columns):
         with _blame(section, "lambda0", "b"):
-            model = SparseModel.from_occupancy(lambda0, b, fading.effective_nakagami_m())
+            model = SparseModel.from_occupancy(lambda0, cells["b"], cells["m_eff"])
     if any(column in PLANNER_COLUMNS for column in columns):
-        cfg = _tp_config(section, point)
-    return point, model, cfg, sim
+        cfg = _tp_config(section, snr_coeff / lambda0)
+    return Point(cells, model, cfg, sim)
 
 
-def _tp_config(section: Section, point: PointSpec) -> throughput.ThroughputConfig:
+def _tp_config(section: Section, k: float) -> throughput.ThroughputConfig:
     t_f = section.get("t_f", required=True)
     if "t_total" in section.values:
         t_total = section.values["t_total"]
@@ -411,102 +413,82 @@ def _tp_config(section: Section, point: PointSpec) -> throughput.ThroughputConfi
         )
     with _blame(section, "F_t", "K"):
         return throughput.ThroughputConfig(
-            t_f=t_f, t_total=t_total, k=point.k, lambda0=point.lambda0, n_b=section.get("n_b")
+            t_f=t_f, t_total=t_total, k=k, lambda0=section.values["lambda0"], n_b=section.get("n_b")
         )
 
 
-TP_CURVE_COLUMNS = ["b", "tp", "tp_raw", "units"]
+def _evaluate_rows(columns: Sequence[str], points: list[Point], section: Section, units: str) -> list[dict]:
+    """Named cells of each point by :func:`_evaluate`.
 
-
-def _tp_rows(cfg: throughput.ThroughputConfig, b_values: list[float], units: str) -> list[list[Any]]:
-    """Throughput-curve rows (``TP_CURVE_COLUMNS``) over ``b_values``;
-    ``tp`` clamps ``tp_raw`` at zero."""
-    scale = _unit_scale(units)
-    rows = []
-    for b in b_values:
-        raw = throughput.throughput_continuous(b, cfg) * scale
-        rows.append([b, max(raw, 0.0), raw, units])
-    return rows
-
-
-def _evaluate_rows(columns: Sequence[str], points: list[tuple], section: Section, units: str) -> list[dict]:
-    """Named cells of each point (a ``_point_from`` tuple) by :func:`_evaluate`.
-
-    The ``upper_nakagami`` cells are one call, made first; an error it raises
-    is raised at its failing point's cell, so a section still fails on its
-    first failing cell in row-major order.
+    The ``upper_nakagami`` cells are one call, made first and stored in the
+    points' cells.  An error it raises is stored at its failing point's cell
+    (every other point's holds None), so a section still fails on its first
+    failing cell in row-major order.
     """
-    upper: list[Any] = [None] * len(points)
     if "upper_nakagami" in columns:
         try:
             # looked up per call, so wrappers put on the analytic module (perfbench's tracer) see it
-            values = analytic.se_upper_nakagami([p[1] for p in points], [p[0].rho for p in points])
+            values = analytic.se_upper_nakagami([p.model for p in points], [p.cells["rho"] for p in points])
             upper = [value * _unit_scale(units) for value in values.tolist()]
         except (BeamsimError, ValueError) as exc:
+            upper = [None] * len(points)
             upper[getattr(exc, "index", None) or 0] = exc
-    return [_evaluate(columns, inputs, section, units, up) for inputs, up in zip(points, upper)]
+        for point, cell in zip(points, upper):
+            point.cells["upper_nakagami"] = cell
+    return [_evaluate(columns, point, section, units) for point in points]
 
 
-def _evaluate(
-    columns: Sequence[str], inputs: tuple, section: Section, units: str, upper: Any = None
-) -> dict[str, Any]:
-    """Named cells of one point (the ``_point_from`` tuple ``inputs``): its
-    ``lambda0``, ``b``, ``m_eff``, ``rho`` and ``units``, plus every cell
-    ``columns`` names; ``upper`` is its ``upper_nakagami`` cell, or the
-    exception that cell raises.
+def _evaluate(columns: Sequence[str], point: Point, section: Section, units: str) -> dict[str, Any]:
+    """Named cells of one point: its ``cells`` and ``units``, plus every
+    cell ``columns`` names; a stored cell that is an exception raises it.
 
     ``sim_se`` comes with ``sim_ci95`` and ``trials``; any planner column
     brings every planner optimum plus ``f_t`` and ``n_b``.  ``tp`` holds the
-    throughput-curve rows of :func:`_tp_rows` over the section's
+    throughput-curve rows (``TP_CURVE_COLUMNS``) over the section's
     ``b_values``.  Planner cells of an infeasible point are None, as are the
     closed-form cells wherever that approximation does not apply.
     """
-    point, model, cfg, sim = inputs
+    _, model, cfg, sim = point
     scale = _unit_scale(units)
-    m_eff = point.fading.effective_nakagami_m()
-    cells: dict[str, Any] = {
-        "lambda0": point.lambda0, "b": point.b, "m_eff": m_eff, "rho": point.rho, "units": units,
-    }
+    cells = {**point.cells, "units": units}
     for column in columns:
-        if column in cells:
-            continue
         try:
-            if column in ("sim_se", "sim_ci95", "trials"):
+            if column in cells:
+                if isinstance(cells[column], Exception):
+                    raise cells[column]
+            elif column in ("sim_se", "sim_ci95", "trials"):
                 est = estimate_se(sim)
                 cells.update(sim_se=est.mean * scale, sim_ci95=est.ci95 * scale, trials=est.trials)
-            elif column == "upper_nakagami":
-                if isinstance(upper, Exception):
-                    raise upper
-                cells[column] = upper
             elif column in BOUND_COLUMNS:
                 # Looked up per call, so wrappers put on the analytic module
                 # (perfbench's tracer) see these calls.
                 bound = {"upper_rayleigh": analytic.se_upper_rayleigh, "lower": analytic.se_lower}[column]
-                cells[column] = bound(model, point.rho) * scale
+                cells[column] = bound(model, cells["rho"]) * scale
             elif column == "sparse":
-                cells[column] = analytic.se_sparse_approx(point.lambda0, point.rho) * scale
+                cells[column] = analytic.se_sparse_approx(cells["lambda0"], cells["rho"]) * scale
+            elif column == "tp":
+                b_values = section.get("b_values") or []
+                raws = [throughput.throughput_continuous(b, cfg) * scale for b in b_values]
+                cells[column] = [[b, max(raw, 0.0), raw, units] for b, raw in zip(b_values, raws)]
+            elif column == "best_square_b":
+                cells[column] = _maybe_infeasible(lambda: throughput.best_square_b(cfg))
             else:
-                if column == "tp":
-                    cells[column] = _tp_rows(cfg, section.get("b_values") or [], units)
-                elif column == "best_square_b":
-                    cells[column] = _maybe_infeasible(lambda: throughput.best_square_b(cfg))
-                else:
-                    region = throughput.feasible_region(cfg)
-                    b_num = _maybe_infeasible(lambda: throughput.optimal_b_numeric(cfg))
-                    b_cf = _maybe_infeasible(lambda: throughput.optimal_b_closed_form(cfg))
-                    cells.update(
-                        f_t=cfg.f_t,
-                        n_b=cfg.n_b,
-                        b_max_feasible=region[1] if region else None,
-                        b_star_numeric=b_num,
-                        b_star_closed=b_cf,
-                        hpbw_star_numeric=None if b_num is None else throughput.optimal_hpbw(b_num),
-                        hpbw_star_closed=None if b_cf is None else throughput.optimal_hpbw(b_cf),
-                        tp_at_optimum=(
-                            None if b_num is None
-                            else throughput.throughput_continuous(b_num, cfg) * scale
-                        ),
-                    )
+                region = throughput.feasible_region(cfg)
+                b_num = _maybe_infeasible(lambda: throughput.optimal_b_numeric(cfg))
+                b_cf = _maybe_infeasible(lambda: throughput.optimal_b_closed_form(cfg))
+                cells.update(
+                    f_t=cfg.f_t,
+                    n_b=cfg.n_b,
+                    b_max_feasible=region[1] if region else None,
+                    b_star_numeric=b_num,
+                    b_star_closed=b_cf,
+                    hpbw_star_numeric=None if b_num is None else throughput.optimal_hpbw(b_num),
+                    hpbw_star_closed=None if b_cf is None else throughput.optimal_hpbw(b_cf),
+                    tp_at_optimum=(
+                        None if b_num is None
+                        else throughput.throughput_continuous(b_num, cfg) * scale
+                    ),
+                )
         except (ConfigError, InfeasibleConfigError, NumericalError):
             raise
         except (BeamsimError, ValueError) as exc:
@@ -635,8 +617,8 @@ def _cmd_point(kind: str, args: argparse.Namespace) -> int:
     t0 = time.monotonic()
 
     columns, line = POINT_COMMANDS[kind]
-    inputs = _point_from(section, columns, run, run["seed"])
-    cells = _evaluate_rows(columns, [inputs], section, run["units"])[0]
+    point = _point_from(section, columns, run, run["seed"])
+    cells = _evaluate_rows(columns, [point], section, run["units"])[0]
     if "b_max_feasible" in cells and cells["b_max_feasible"] is None:
         raise InfeasibleConfigError(
             "no beam count achieves positive throughput "
@@ -669,11 +651,9 @@ def _sweep_stem(name: str) -> str:
     return name.split(":", 1)[1] or "sweep"
 
 
-def _sweep_plan(
-    section: Section, run: dict[str, Any]
-) -> tuple[str, list[str], list[tuple[float, tuple]]]:
-    """A sweep section's variable, cell columns and (value, point inputs)
-    pairs, after every check that needs no evaluation."""
+def _sweep_plan(section: Section, run: dict[str, Any]) -> tuple[str, list[str], list[tuple[float, Point]]]:
+    """A sweep section's variable, cell columns and (value, point) pairs,
+    after every check that needs no evaluation."""
     variable = section.get("variable", required=True)
     values = _sweep_values(section)
     tags = section.get("outputs", required=True)
@@ -708,7 +688,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         header = [variable] + [c for c in columns if c != "tp"]
         rows = []
         tp_rows = []
-        cell_rows = _evaluate_rows(columns, [inputs for _, inputs in points], section, run["units"])
+        cell_rows = _evaluate_rows(columns, [point for _, point in points], section, run["units"])
         for (value, _), cells in zip(points, cell_rows):
             rows.append([value] + [cells[c] for c in header[1:]])
             tp_rows += [[value, *row] for row in cells.get("tp", [])]
@@ -732,11 +712,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     seed = args.seed if args.seed is not None else 0
     trials = 20_000 if args.trials is None else _read("run", "trials", str(args.trials))
     criteria = None
-    if args.criteria:
+    if args.criteria is not None:
         try:
-            criteria = [int(tok) for tok in args.criteria.replace(",", " ").split()]
+            criteria = [int(tok) for tok in _words(args.criteria)]
         except ValueError:
             raise ConfigError(f"--criteria expects integers, got {args.criteria!r}") from None
+        if not criteria:
+            raise ConfigError(f"--criteria names no criterion, got {args.criteria!r}")
     results = validation.run_validation(seed=seed, trials=trials, criteria=criteria)
     sys.stdout.write(validation.render_report(results, seed, trials))
     failure = validation.first_failure(results)

@@ -261,16 +261,29 @@ def _trial_maxima(
     return maxima
 
 
-def _map_chunks(fn, n_chunks: int, workers: int) -> list:
-    if workers <= 1 or n_chunks <= 1:
-        return [fn(i) for i in range(n_chunks)]
+def _reduce_chunks(config: SimConfig, workers: int | None, reduce) -> list:
+    """``reduce(maxima, n)`` of each chunk of ``config``'s trials, in chunk
+    order, where ``maxima`` are the :func:`_trial_maxima` of the chunk's
+    ``n`` trials.  Each chunk is reduced as it is drawn, so no more than
+    one chunk's maxima per worker is held at a time."""
+    sizes = _chunk_sizes(config.trials)
+    nworkers = resolve_workers(workers)
+    tables = _occupancy_tables(config.lambda0, config.b)
+    # built here, once and before any chunk's arrays, rather than by the first chunks
+    max_power_table(config.fading)
+
+    def run_chunk(i: int):
+        return reduce(_trial_maxima(config.seed, i, sizes[i], tables, config.fading), sizes[i])
+
+    if nworkers <= 1 or len(sizes) <= 1:
+        return [run_chunk(i) for i in range(len(sizes))]
     # Imported here, not at the top: with the logging it pulls in it costs
     # several ms of import that a single-worker process would pay for nothing.
     from concurrent.futures import ThreadPoolExecutor
 
     # one thread per chunk at most, however many workers were asked for
-    with ThreadPoolExecutor(max_workers=min(workers, n_chunks)) as pool:
-        return list(pool.map(fn, range(n_chunks)))
+    with ThreadPoolExecutor(max_workers=min(nworkers, len(sizes))) as pool:
+        return list(pool.map(run_chunk, range(len(sizes))))
 
 
 def _merge_moments(parts: list[tuple[int, float, float]]) -> tuple[int, float, float]:
@@ -295,15 +308,8 @@ def estimate_se(config: SimConfig, workers: int | None = None) -> SEEstimate:
     Deterministic for a fixed seed regardless of worker count.
     """
     rho = config.rho
-    sizes = _chunk_sizes(config.trials)
-    nworkers = resolve_workers(workers)
-    tables = _occupancy_tables(config.lambda0, config.b)
-    # built here, once and before any chunk's arrays, rather than by the first chunks
-    max_power_table(config.fading)
 
-    def run_chunk(i: int) -> tuple[int, float, float]:
-        n = sizes[i]
-        rates = _trial_maxima(config.seed, i, n, tables, config.fading)
+    def moments(rates: np.ndarray, n: int) -> tuple[int, float, float]:
         # rho z overflows for rho near the float range; the estimate is then
         # not finite and rejected below, once, so numpy's warnings are silenced.
         with np.errstate(over="ignore", invalid="ignore"):
@@ -316,7 +322,7 @@ def estimate_se(config: SimConfig, workers: int | None = None) -> SEEstimate:
             m2 = float(rates.sum()) + (n - len(rates)) * mean * mean
         return n, mean, m2
 
-    n, mean, m2 = _merge_moments(_map_chunks(run_chunk, len(sizes), nworkers))
+    n, mean, m2 = _merge_moments(_reduce_chunks(config, workers, moments))
     var = m2 / (n - 1) if n > 1 else 0.0
     std_error = math.sqrt(var / n)
     if not (math.isfinite(mean) and math.isfinite(std_error)):
@@ -338,19 +344,14 @@ def empirical_opt_power_cdf(
         raise ValueError("grid_points must be a nonempty 1-D sequence")
     if (np.diff(grid) < 0).any() or grid[0] < 0:
         raise ValueError("grid_points must be sorted and nonnegative")
-    sizes = _chunk_sizes(config.trials)
-    nworkers = resolve_workers(workers)
-    tables = _occupancy_tables(config.lambda0, config.b)
-    max_power_table(config.fading)
 
-    def run_chunk(i: int) -> tuple[np.ndarray, int]:
-        kept = _trial_maxima(config.seed, i, sizes[i], tables, config.fading)
+    def below_grid(kept: np.ndarray, n: int) -> tuple[np.ndarray, int]:
         kept.sort()
         return np.searchsorted(kept, grid, side="right"), len(kept)
 
     below = np.zeros(len(grid), dtype=np.int64)
     kept_total = 0
-    for counts_leq, kept in _map_chunks(run_chunk, len(sizes), nworkers):
+    for counts_leq, kept in _reduce_chunks(config, workers, below_grid):
         below += counts_leq
         kept_total += kept
     if kept_total == 0:

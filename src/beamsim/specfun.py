@@ -188,8 +188,9 @@ def _upper_fraction_array(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 def exp_integral_e1(x: float) -> float:
     """Exponential integral E1(x) = int_x^inf exp(-t)/t dt for x > 0.
 
-    For x > ~745 the result underflows the double range and 0.0 is
-    returned; the stated accuracy contract covers x in [1e-8, 700].
+    For x > ~745, +inf included, the result underflows the double range
+    and 0.0 is returned; the stated accuracy contract covers x in
+    [1e-8, 700].
     """
     if not x > 0.0:
         raise ValueError(f"exp_integral_e1 requires x > 0, got {x!r}")
@@ -202,7 +203,8 @@ def exp_e1_scaled(x: float) -> float:
     """Scaled exponential integral exp(x) * E1(x).
 
     Stays well-conditioned for arbitrarily large x (value ~ 1/x), where
-    the unscaled E1 underflows.  Satisfies exp(x)*E1(x) <= log(1 + 1/x).
+    the unscaled E1 underflows, and is 0.0, its limit, at x = +inf.
+    Satisfies exp(x)*E1(x) <= log(1 + 1/x).
     """
     if not x > 0.0:
         raise ValueError(f"exp_e1_scaled requires x > 0, got {x!r}")
@@ -226,6 +228,8 @@ def _e1_series(x: float) -> float:
 
 def _e1_continued_fraction(x: float) -> float:
     # Lentz evaluation of E1(x) * exp(x) = 1/(x+1- 1/(x+3- 4/(x+5- ...)))
+    if x == math.inf:
+        return 0.0  # the limit of E1(x) * exp(x) ~ 1/x
     b = x + 1.0
     c = 1.0 / _FPMIN
     d = 1.0 / b

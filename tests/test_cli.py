@@ -362,25 +362,60 @@ class TestOnePath:
                 assert float(cells[column]) == bound(rho), (rho, column)
 
 
-class TestPointSpec:
-    """The one SNR scale of a point, rho = b * snr_coeff / lambda0, and k = rho / b."""
+class TestPoint:
+    """The one SNR scale of a point, rho = b * snr_coeff / lambda0, and the planner's K = rho / b."""
+
+    @staticmethod
+    def point(b):
+        values = {"lambda0": 1.9, "b": b, "snr_coeff": 0.01, "t_f": 5e-6, "t_total": 0.01}
+        return cli._point_from(cli.Section("sweep:p", values), ["sim_se", "b_star_numeric"], {"trials": 10}, 1)
 
     def test_reference_point(self):
-        point = cli.PointSpec(1.9, 121, FadingModel.rayleigh(), 0.01)
-        assert point.k == pytest.approx(0.0052632, abs=1e-7)
-        assert point.rho == pytest.approx(0.636842, abs=1e-6)
-        assert point.rho == pytest.approx(121 * point.k, rel=1e-14)
-        assert point.sim_config(10, 1).rho == point.rho
+        point = self.point(121)
+        assert point.cfg.k == pytest.approx(0.0052632, abs=1e-7)
+        assert point.cells["rho"] == pytest.approx(0.636842, abs=1e-6)
+        assert point.cells["rho"] == pytest.approx(121 * point.cfg.k, rel=1e-14)
+        assert point.sim.rho == point.cells["rho"]
 
     def test_omni(self):
-        point = cli.PointSpec(1.9, 1, FadingModel.rayleigh(), 0.01)
-        assert point.rho == point.k
+        point = self.point(1)
+        assert point.cells["rho"] == point.cfg.k
 
     def test_gain_linearity(self):
-        p1 = cli.PointSpec(1.9, 100, FadingModel.rayleigh(), 0.01)
-        p2 = cli.PointSpec(1.9, 200, FadingModel.rayleigh(), 0.01)
-        assert p2.rho == pytest.approx(2 * p1.rho, rel=1e-14)
-        assert p2.k == p1.k
+        p1, p2 = self.point(100), self.point(200)
+        assert p2.cells["rho"] == pytest.approx(2 * p1.cells["rho"], rel=1e-14)
+        assert p2.cfg.k == p1.cfg.k
+
+    # rho = b * snr_coeff / lambda0 is subnormal, so 1/rho overflows; the
+    # planner reads only K = snr_coeff / lambda0, which is finite and > 0
+    TINY = "snr_coeff = 1e-310"
+
+    def test_throughput_reads_only_k(self, tmp_path):
+        cfg = tmp_path / "tiny.ini"
+        cfg.write_text(BASE_CONFIG.replace("snr_coeff = 0.01", self.TINY))
+        rc, out, err = run_main("throughput", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert rc == 0, err
+        assert out.startswith("B* numeric = ")
+
+    def test_planner_sweep_reads_only_k(self, tmp_path):
+        plan = (
+            "[run]\nschema_version = 1\n[sweep:plan]\nvariable = velocity\nvalues = 1.0, 2.0\nlambda0 = 1.9\n"
+            f"b = 1\n{self.TINY}\nt_f = 5e-6\ncarrier_freq = 60e9\nb_values = 16, 121\n"
+            "outputs = tp, b_star_numeric, b_star_closed, hpbw_star\n"
+        )
+        cfg = tmp_path / "tiny.ini"
+        cfg.write_text(plan)
+        rc, _, err = run_main("sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert rc == 0, err
+        header, *rows = read_csv(tmp_path / "out" / "plan.csv")
+        for row in rows:
+            cells = dict(zip(header, row))
+            assert float(cells["b_star_numeric"]) >= 1.0 and math.isfinite(float(cells["hpbw_star_numeric"]))
+        # a column that reads rho still rejects it
+        cfg.write_text(plan.replace("outputs = tp", "outputs = lower, tp"))
+        rc, _, err = run_main("sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "bad"))
+        assert rc == 2, err
+        assert err.startswith("config error: [sweep:plan] b = 1, snr_coeff = 1e-310, lambda0 = 1.9: rho = "), err
 
 
 class TestDeterminism:
@@ -697,6 +732,21 @@ class TestExitCodes:
         assert err.startswith(f"numerical failure: {reported}"), err
         assert len(err.splitlines()) == 1, err
 
+    def test_rayleigh_upper_where_two_over_rho_overflows(self, tmp_path):
+        # 1/rho is finite but 2/rho is not: e^x E1(x) is 0, its limit, at x = inf
+        cfg = tmp_path / "tiny.ini"
+        cfg.write_text(
+            "[run]\nschema_version = 1\n[sweep:r]\nvariable = rho\nvalues = 6e-309, 1\nlambda0 = 1.9\n"
+            "b = 121\nm = 3.2\noutputs = upper_nakagami, upper_rayleigh, lower\n"
+        )
+        rc, _, err = run_main("sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert rc == 0, err
+        header, *rows = read_csv(tmp_path / "out" / "r.csv")
+        for row in rows:
+            for column, cell in zip(header, row):
+                if column != "units":
+                    assert 0.0 < float(cell) < math.inf, (column, cell)
+
     def test_infeasible_is_3(self, tmp_path):
         cfg = tmp_path / "infeasible.ini"
         cfg.write_text(
@@ -840,6 +890,13 @@ class TestValidateCommand:
     def test_unknown_criterion_is_2(self, tmp_path):
         res = run_cli("validate", "--criteria", "99", cwd=tmp_path)
         assert res.returncode == 2, res.stderr
+
+    @pytest.mark.parametrize("criteria", [",", ""], ids=["comma", "empty"])
+    def test_no_criterion_is_2(self, criteria):
+        rc, out, err = run_main("validate", "--criteria", criteria, "--trials", "200")
+        assert rc == 2, out + err
+        assert out == ""
+        assert err == f"config error: --criteria names no criterion, got {criteria!r}\n"
 
 
 class TestImportHygiene:

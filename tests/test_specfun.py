@@ -192,7 +192,12 @@ class TestExpIntegral:
         assert exp_integral_e1(750.0) == 0.0
         assert exp_e1_scaled(750.0) > 0.0
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0])
+    def test_infinity_is_the_limit(self):
+        # e^x E1(x) ~ 1/x, so both are 0 at x = inf, where 1/rho of a bound is finite but 2/rho is not
+        assert exp_e1_scaled(math.inf) == 0.0
+        assert exp_integral_e1(math.inf) == 0.0
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, -math.inf])
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             exp_integral_e1(bad)
