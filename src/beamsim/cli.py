@@ -25,10 +25,11 @@ the rest of each point's named cells.  A sweep writes one row per value;
 fixed column tuple each (``POINT_COMMANDS``).
 
 Every run writes RFC-4180 CSV files plus a JSON-lines manifest recording
-the seed, trial count, units, version, wall time, those settings with the
-section's parsed values, and the Python and numpy versions and worker and
-OpenBLAS thread settings the run had.  CSV bytes depend only on config +
-seed, never on timing.
+the seed, trial count, units, version (with the checked-out commit, read
+from the checkout's files: no git process runs), a CRC-32 of the package's
+source, wall time, those settings with the section's parsed values, and the
+Python and numpy versions and worker and OpenBLAS thread settings the run
+had.  CSV bytes depend only on config + seed, never on timing.
 
 Exit codes: 0 success, 1 numerical failure, 2 config error, 3 infeasible
 throughput configuration.  The ``BEAMSIM_THREADS`` environment variable
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import csv
 import functools
 import json
@@ -257,15 +257,26 @@ def _user_keys(values: dict[str, Any], quantities: Sequence[str]) -> list[str]:
     return list(dict.fromkeys(keys))
 
 
-@contextlib.contextmanager
-def _blame(section: Section, *quantities: str):
+class _blame:
     """Report a value the library rejects as a config error of ``section``
-    naming the keys the user set behind ``quantities``."""
-    try:
-        yield
-    except ValueError as exc:
-        given = ", ".join(f"{key} = {section.values[key]!r}" for key in _user_keys(section.values, quantities))
-        raise ConfigError(f"[{section.name}] {given}: {exc}") from None
+    naming the keys the user set behind ``quantities``; every other
+    exception passes through.  A class, not a generator: points enter it
+    a few times each."""
+
+    __slots__ = ("section", "quantities")
+
+    def __init__(self, section: Section, *quantities: str):
+        self.section = section
+        self.quantities = quantities
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None and issubclass(kind, ValueError):
+            values = self.section.values
+            given = ", ".join(f"{key} = {values[key]!r}" for key in _user_keys(values, self.quantities))
+            raise ConfigError(f"[{self.section.name}] {given}: {exc}") from None
 
 
 def _fading(section: Section) -> FadingModel:
@@ -343,7 +354,7 @@ def _unit_scale(units: str) -> float:
 
 class Point(NamedTuple):
     """One point: ``cells`` holds the ``lambda0`` and ``m_eff`` it fixes,
-    its ``b`` (not in [throughput]), its ``rho`` where a column reads it,
+    its ``b`` and ``rho`` where a column reads rho (``b`` also in a rho sweep),
     and the cells :func:`_evaluate_rows` computes for all points in one
     call; then its bounds model, planner config and Monte Carlo config,
     each None when no column needs it."""
@@ -377,10 +388,12 @@ def _point_from(
         section.values[variable] = _swept(section, variable, value)
     lambda0 = section.get("lambda0", required=True)
     cells = {"lambda0": lambda0, "m_eff": fading.effective_nakagami_m()}
-    if section.name != "throughput":
+    reads_rho = any(column in RHO_COLUMNS for column in columns)
+    # the planner reads b only through a swept rho, K = rho / b
+    if reads_rho or variable == "rho":
         cells["b"] = section.get("b", required=True)
     snr_coeff = value / cells["b"] * lambda0 if variable == "rho" else _snr_coeff(section)
-    if any(column in RHO_COLUMNS for column in columns):
+    if reads_rho:
         # a swept rho is kept as given: b * snr_coeff / lambda0 may round it
         rho = cells["rho"] = value if variable == "rho" else cells["b"] * snr_coeff / lambda0
         with _blame(section, "rho"):
@@ -524,23 +537,64 @@ def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
             writer.writerow([_fmt_cell(v) for v in row])
 
 
-@functools.cache
-def _version_string() -> str:
-    import subprocess  # only manifests need it; importing it costs every process
+PACKAGE_DIR = Path(__file__).resolve().parent
+
+
+def _git_commit(start: Path) -> str | None:
+    """The commit checked out in the git checkout that holds ``start``, read
+    from its files; None outside a checkout, on an unborn branch, or when a
+    file is unreadable or garbled.
+
+    The checkout is the nearest ``.git`` from ``start`` upward.  A ``.git``
+    file (a worktree) names its git directory on a ``gitdir:`` line, and
+    that directory's ``commondir`` holds the refs.  ``HEAD`` is a commit
+    (detached) or ``ref: NAME``, read from the loose ref file, else from
+    ``packed-refs``.
+    """
+    def text(path: Path) -> str:
+        return path.read_text(encoding="utf-8").strip()
 
     try:
-        out = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--tags"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if out.returncode == 0 and out.stdout.strip():
-            return f"beamsim-{__version__}+{out.stdout.strip()}"
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return f"beamsim-{__version__}"
+        dot_git = next((d / ".git" for d in (start, *start.parents) if (d / ".git").exists()), None)
+        if dot_git is None:
+            return None
+        git_dir = dot_git
+        if dot_git.is_file():
+            key, _, path = text(dot_git).partition(":")
+            if key != "gitdir":
+                return None
+            git_dir = dot_git.parent / path.strip()
+        common = git_dir / text(git_dir / "commondir") if (git_dir / "commondir").is_file() else git_dir
+        head = text(git_dir / "HEAD")
+        if head.startswith("ref:"):
+            ref = head[len("ref:"):].strip()
+            if (common / ref).is_file():
+                head = text(common / ref)
+            elif (common / "packed-refs").is_file():
+                # "<commit> <name>" lines, with "#" headers and "^<commit>" peeled tags
+                packed = map(str.split, text(common / "packed-refs").splitlines())
+                head = next((entry[0] for entry in packed if entry[1:] == [ref]), "")
+    except (OSError, ValueError):  # ValueError covers undecodable bytes
+        return None
+    return head if len(head) in (40, 64) and set(head) <= set("0123456789abcdef") else None
+
+
+@functools.cache
+def _version_string() -> str:
+    """``beamsim-VERSION+COMMIT`` (its first 7 hex digits) in a git checkout,
+    else ``beamsim-VERSION``; read from files, so no git process runs."""
+    commit = _git_commit(PACKAGE_DIR)
+    return f"beamsim-{__version__}" + (f"+{commit[:7]}" if commit else "")
+
+
+@functools.cache
+def _source_crc32() -> int:
+    """CRC-32 of the package's ``*.py`` files in name order: the exact code
+    that ran, edits in a checkout included."""
+    crc = 0
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        crc = zlib.crc32(path.read_bytes(), crc)
+    return crc
 
 
 def _runtime() -> dict[str, Any]:
@@ -565,7 +619,7 @@ class Manifest:
         self.path = out_dir / "run_manifest.jsonl"
 
     def record(self, **fields: Any) -> None:
-        entry = {"version": _version_string(), **_runtime(), **fields}
+        entry = {"version": _version_string(), "source_crc32": _source_crc32(), **_runtime(), **fields}
         with open(self.path, "a", encoding="utf-8") as fh:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 

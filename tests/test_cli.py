@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import beamsim
 from beamsim import analytic, cli, specfun
 from beamsim.analytic import SparseModel
 from beamsim.channel import FadingModel
@@ -263,6 +265,10 @@ class TestSubcommands:
             assert entry["trials"] == 5000
             assert entry["units"] == "nats"
             assert "version" in entry and "wall_time_s" in entry
+            crc = 0
+            for path in sorted((SRC_DIR / "beamsim").glob("*.py")):
+                crc = zlib.crc32(path.read_bytes(), crc)
+            assert entry["source_crc32"] == crc
             # the Monte Carlo stream version goes with sim_se only
             assert entry.get("stream") == (5 if entry["name"] == "demo" else None)
             assert entry["python"] == sys.version.split()[0]
@@ -416,6 +422,144 @@ class TestPoint:
         rc, _, err = run_main("sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "bad"))
         assert rc == 2, err
         assert err.startswith("config error: [sweep:plan] b = 1, snr_coeff = 1e-310, lambda0 = 1.9: rho = "), err
+
+
+    PLAN_NO_B = (
+        "[run]\nschema_version = 1\n[sweep:plan]\nvariable = {variable}\nvalues = {values}\nlambda0 = 1.9\n"
+        "snr_coeff = 0.01\nt_f = 5e-6\nt_total = 0.01\ncarrier_freq = 60e9\noutputs = {outputs}\n"
+    )
+
+    def test_planner_sweep_needs_no_b(self, tmp_path):
+        cfg = tmp_path / "plan.ini"
+        cfg.write_text(self.PLAN_NO_B.format(variable="lambda0", values="1.0, 1.9", outputs="b_star_numeric"))
+        rc, out, err = run_main("sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert rc == 0, err
+        header, *rows = read_csv(tmp_path / "out" / "plan.csv")
+        assert header == ["lambda0", "b_star_numeric", "units"] and len(rows) == 2
+        assert all(math.isfinite(float(row[1])) and float(row[1]) >= 1.0 for row in rows)
+
+    @pytest.mark.parametrize("variable, values, outputs", [
+        ("lambda0", "1.0, 1.9", "b_star_numeric, lower"),
+        ("lambda0", "1.0, 1.9", "sim_se"),
+        ("lambda0", "1.0, 1.9", "upper_nakagami"),
+        ("lambda0", "1.0, 1.9", "sparse"),
+        # K = rho / b in a rho sweep
+        ("rho", "0.5, 1.0", "b_star_numeric"),
+    ])
+    def test_b_still_required_where_read(self, tmp_path, variable, values, outputs):
+        cfg = tmp_path / "plan.ini"
+        cfg.write_text(self.PLAN_NO_B.format(variable=variable, values=values, outputs=outputs))
+        rc, out, err = run_main("sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert (rc, out, err) == (2, "", "config error: [sweep:plan] missing required key 'b'\n")
+        assert not (tmp_path / "out").exists()
+
+
+class TestBlame:
+    """A value the library rejects becomes a config error naming the user's keys; nothing else is caught."""
+
+    SECTION = cli.Section("sweep:s", {"b": 121, "snr_coeff": 0.01, "lambda0": 1.9})
+
+    def test_value_error_names_the_keys(self):
+        with pytest.raises(cli.ConfigError) as info:
+            with cli._blame(self.SECTION, "rho"):
+                raise ValueError("rho must be finite")
+        assert str(info.value) == "[sweep:s] b = 121, snr_coeff = 0.01, lambda0 = 1.9: rho must be finite"
+        assert info.value.__suppress_context__ and info.value.__cause__ is None
+
+    @pytest.mark.parametrize("exc", [cli.ConfigError("already a config error"), ZeroDivisionError("x / 0")])
+    def test_other_errors_pass_through(self, exc):
+        with pytest.raises(type(exc)) as info:
+            with cli._blame(self.SECTION, "rho"):
+                raise exc
+        assert info.value is exc
+
+
+class TestVersion:
+    """The manifest's version reads the checked-out commit from the checkout's files."""
+
+    COMMIT = "0123456789abcdef0123456789abcdef01234567"
+    OTHER = "fedcba9876543210fedcba9876543210fedcba98"
+
+    @staticmethod
+    def write(path, text):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+
+    def repo(self, root, head="ref: refs/heads/main\n"):
+        """A checkout at ``root`` whose HEAD is ``head``; returns a directory inside it."""
+        self.write(root / ".git" / "HEAD", head)
+        inner = root / "src" / "pkg"
+        inner.mkdir(parents=True)
+        return inner
+
+    def test_loose_ref(self, tmp_path):
+        inner = self.repo(tmp_path)
+        self.write(tmp_path / ".git" / "refs" / "heads" / "main", self.COMMIT + "\n")
+        # a loose ref wins over a stale packed one
+        self.write(tmp_path / ".git" / "packed-refs", f"{self.OTHER} refs/heads/main\n")
+        assert cli._git_commit(inner) == self.COMMIT
+
+    def test_packed_ref(self, tmp_path):
+        inner = self.repo(tmp_path)
+        self.write(
+            tmp_path / ".git" / "packed-refs",
+            "# pack-refs with: peeled fully-peeled sorted\n"
+            f"{self.OTHER} refs/heads/mainline\n{self.COMMIT} refs/heads/main\n"
+            f"{self.OTHER} refs/tags/v1\n^{self.OTHER}\n",
+        )
+        assert cli._git_commit(inner) == self.COMMIT
+
+    def test_detached_head(self, tmp_path):
+        assert cli._git_commit(self.repo(tmp_path, self.COMMIT + "\n")) == self.COMMIT
+
+    def test_worktree(self, tmp_path):
+        common = tmp_path / "main" / ".git"
+        self.write(common / "refs" / "heads" / "topic", self.COMMIT + "\n")
+        self.write(common / "worktrees" / "wt" / "HEAD", "ref: refs/heads/topic\n")
+        self.write(common / "worktrees" / "wt" / "commondir", "../..\n")
+        inner = tmp_path / "wt" / "src"
+        inner.mkdir(parents=True)
+        self.write(tmp_path / "wt" / ".git", f"gitdir: {common / 'worktrees' / 'wt'}\n")
+        assert cli._git_commit(inner) == self.COMMIT
+        # a relative gitdir is taken from the .git file's directory
+        self.write(tmp_path / "wt" / ".git", "gitdir: ../main/.git/worktrees/wt\n")
+        assert cli._git_commit(inner) == self.COMMIT
+
+    def test_no_checkout(self, tmp_path):
+        assert cli._git_commit(tmp_path) is None
+
+    @pytest.mark.parametrize("head, ref", [
+        ("ref: refs/heads/main\n", None),                  # unborn branch
+        ("ref: refs/heads/main\n", "0123abc\n"),           # short ref
+        ("ref: refs/heads/main\n", "\udcff" * 40),         # undecodable ref
+        ("not a ref\n", None),
+        ("0123456789abcdefg123456789abcdef01234567\n", None),
+        ("", None),
+    ], ids=["unborn", "short_ref", "undecodable_ref", "garbled_head", "non_hex_head", "empty_head"])
+    def test_garbled_falls_back(self, tmp_path, head, ref):
+        inner = self.repo(tmp_path, head)
+        if ref is not None:
+            path = tmp_path / ".git" / "refs" / "heads" / "main"
+            path.parent.mkdir(parents=True)
+            path.write_bytes(ref.encode("utf-8", "surrogateescape"))
+        assert cli._git_commit(inner) is None
+
+    @pytest.mark.parametrize("dot_git", [b"gitdir: missing\n", b"worktree\n", b"\xff\xfe"],
+                             ids=["missing_gitdir", "no_gitdir_line", "undecodable"])
+    def test_garbled_dot_git_file(self, tmp_path, dot_git):
+        (tmp_path / ".git").write_bytes(dot_git)
+        assert cli._git_commit(tmp_path) is None
+
+    def test_matches_git(self):
+        git = shutil.which("git")
+        if git is None:
+            pytest.skip("git is not installed")
+        res = subprocess.run(
+            [git, "rev-parse", "--short=7", "HEAD"], cwd=cli.PACKAGE_DIR, capture_output=True, text=True
+        )
+        if res.returncode != 0:
+            pytest.skip("the package is not in a git checkout")
+        assert cli._version_string() == f"beamsim-{beamsim.__version__}+{res.stdout.strip()}"
 
 
 class TestDeterminism:
@@ -939,7 +1083,8 @@ class TestImportHygiene:
     def test_import_caps_blas_threads_and_defers_stdlib(self, tmp_path, preset, expected):
         # The package caps OpenBLAS at one thread before numpy loads unless a
         # thread variable is set, and `import beamsim.cli` leaves the stdlib
-        # modules only a manifest or a multi-worker run needs unloaded.
+        # modules only a multi-worker run needs unloaded (`subprocess` stays
+        # unloaded through a run: see test_run_spawns_no_process).
         script = (
             "import os, sys\n"
             "import beamsim.cli\n"
@@ -957,3 +1102,30 @@ class TestImportHygiene:
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines() == [repr(expected), "[]", "True"]
+
+    def test_run_spawns_no_process(self, tmp_path, config_path):
+        # The manifest reads its version from the checkout's files: a sweep or
+        # point command neither imports subprocess nor starts a git process.
+        cfg = tmp_path / "bounds.ini"
+        cfg.write_text(
+            "[run]\nschema_version = 1\n"
+            "[sweep:b]\nvariable = lambda0\nvalues = 1.0, 1.9\nb = 121\nm = 3.2\n"
+            "snr_coeff = 0.01\noutputs = upper_nakagami, upper_rayleigh, lower, sparse\n"
+        )
+        out = tmp_path / "out"
+        script = (
+            "import sys\n"
+            "import beamsim.cli\n"
+            f"assert beamsim.cli.main(['sweep', '--config', {str(cfg)!r}, '--out-dir', {str(out)!r}]) == 0\n"
+            f"assert beamsim.cli.main(['bounds', '--config', {str(config_path)!r}, '--out-dir', {str(out)!r}]) == 0\n"
+            "print(sorted(m for m in ('subprocess', '_posixsubprocess') if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        res = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[]"
+        entries = [json.loads(line) for line in (out / "run_manifest.jsonl").read_text().splitlines()]
+        assert [entry["kind"] for entry in entries] == ["sweep", "bounds"]
+        assert all(entry["version"] == cli._version_string() for entry in entries)
