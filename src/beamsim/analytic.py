@@ -114,7 +114,7 @@ def gamma_power_law(m: float, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     cdf, tail = reg_gamma_pq(m, x)
     with np.errstate(divide="ignore"):
         shape_term = 0.0 if m == 1.0 else (m - 1.0) * np.log(x)
-    density = np.exp(math.log(m) + shape_term - x - math.lgamma(m))
+    density = np.exp(math.log(m) + shape_term - x - ln_gamma(m))
     return cdf, tail, density
 
 

@@ -45,6 +45,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import time
 import zlib
@@ -137,6 +138,8 @@ SECTION_KINDS = ("run", "simulate", "bounds", "throughput", "sweep:NAME")
 RUN, POINT, PLANNER, SWEEP = ("run",), SECTION_KINDS[1:], ("throughput", "sweep:NAME"), ("sweep:NAME",)
 # the pairs and the fading law; the planner reads neither
 SE_POINT = ("simulate", "bounds", "sweep:NAME")
+# A sweep's NAME is the stem of its CSV files in --out-dir.
+SWEEP_NAME = re.compile(r"[A-Za-z0-9_-]+")
 LINK_KEYS = ("intercept_c", "distance_d", "alpha", "noise_power")
 FINITE, POSITIVE = "a finite number", "a number, finite and > 0"
 
@@ -232,6 +235,8 @@ def load_config(path: str | Path) -> dict[str, Section]:
         kind = "sweep:NAME" if name.startswith("sweep:") else name
         if kind not in SECTION_KINDS:
             raise ConfigError(f"unknown section [{name}]; known: {', '.join(SECTION_KINDS)}")
+        if kind == "sweep:NAME" and not SWEEP_NAME.fullmatch(_sweep_stem(name)):
+            raise ConfigError(f"[{name}] the sweep name must match {SWEEP_NAME.pattern}: it names the CSV file")
         known = [key for key, row in KEYS.items() if kind in row.sections]
         raw = parser[name]
         for key in raw:
@@ -650,6 +655,17 @@ POINT_COMMANDS = {
 }
 
 
+def _output(args: argparse.Namespace) -> tuple[Path, Manifest]:
+    """``--out-dir``, created if missing, and the run manifest in it; a
+    path that cannot be a directory is a config error."""
+    out_dir = Path(args.out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out-dir {args.out_dir}: {exc.strerror or exc}") from None
+    return out_dir, Manifest(out_dir)
+
+
 def _provenance(run: dict[str, Any], section: Section, columns: Sequence[str]) -> dict[str, Any]:
     """Manifest fields of a section's run: the run settings, those with the
     section's values and, with ``sim_se``, the Monte Carlo stream version."""
@@ -665,9 +681,7 @@ def _cmd_point(kind: str, args: argparse.Namespace) -> int:
     section = sections.get(kind)
     if section is None:
         raise ConfigError(f"config must contain a [{kind}] section for '{kind}'")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest(out_dir)
+    out_dir, manifest = _output(args)
     t0 = time.monotonic()
 
     columns, line = POINT_COMMANDS[kind]
@@ -702,7 +716,7 @@ def _columns(tags: Sequence[str]) -> list[str]:
 
 def _sweep_stem(name: str) -> str:
     """File stem of the ``[sweep:NAME]`` section ``name``."""
-    return name.split(":", 1)[1] or "sweep"
+    return name.split(":", 1)[1]
 
 
 def _sweep_plan(section: Section, run: dict[str, Any]) -> tuple[str, list[str], list[tuple[float, Point]]]:
@@ -731,9 +745,14 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # Every section is checked before any is evaluated, so a bad later
     # section leaves no output of the earlier ones behind.
     plans = {name: _sweep_plan(sections[name], run) for name in sweep_names}
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = Manifest(out_dir)
+    writers: dict[str, str] = {}
+    for name, (_, columns, _) in plans.items():
+        stem = _sweep_stem(name)
+        for file in [f"{stem}.csv"] + ([f"{stem}_tp.csv"] if "tp" in columns else []):
+            if file in writers:
+                raise ConfigError(f"[{writers[file]}] and [{name}] both write {file}")
+            writers[file] = name
+    out_dir, manifest = _output(args)
 
     for name, (variable, columns, points) in plans.items():
         section = sections[name]

@@ -22,7 +22,7 @@ import numpy as np
 from .analytic import gamma_power_law
 from .channel import FadingFamily, FadingModel
 from .errors import ConvergenceError
-from .specfun import reg_gamma_pq
+from .specfun import ln_gamma, reg_gamma_pq
 
 # The table's abscissa is xi = ln(s) + s for s = -ln(v), v the CDF value:
 # ln(s) spreads the upper tail (s -> 0, where ln z is nearly linear in
@@ -62,7 +62,8 @@ def _rician_power_law(k: float, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, 
     first_row = np.repeat(first, _RICIAN_BLOCK)[: len(x)]
     # Q(1 + first, x), which is e^-x for first = 0
     first_tail = reg_gamma_pq(first_row + 1.0, x)[1] if first.any() else np.exp(-x)
-    log_fact = np.vectorize(math.lgamma, otypes=[float])(np.arange(first.min(), last.max() + 1.0) + 1.0)
+    with np.errstate(over="ignore"):     # an overflowing element is +inf
+        log_fact = np.vectorize(ln_gamma, otypes=[float])(np.arange(first.min(), last.max() + 1.0) + 1.0)
     cdf, tail, density = np.empty_like(x), np.empty_like(x), np.empty_like(x)
     for lo, j0, j1 in zip(starts, first, last):
         block = slice(lo, lo + _RICIAN_BLOCK)

@@ -27,7 +27,7 @@ import beamsim.throughput as throughput
 from . import analytic, specfun
 from .analytic import SparseModel
 from .channel import FadingModel
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .montecarlo import SEEstimate, SimConfig, empirical_opt_power_cdf, estimate_se
 from .rng import child_seed
 
@@ -55,8 +55,14 @@ def _sim_se(lambda0: float, b: int, fading: FadingModel, trials: int, seed: int)
 def _integral(
     f: Callable[[np.ndarray], np.ndarray], a: float, b: float, rtol: float, atol: float
 ) -> float:
-    """``specfun.de_quad`` of an integrand ``f(x)`` over [a, b] (b may be inf)."""
-    return specfun.de_quad(lambda x, c: f(x), a, b, rtol=rtol, atol=atol)[0]
+    """``specfun.de_quad`` of an integrand ``f(x)`` over [a, b] (b may be inf);
+    a ``NumericalError`` unless its error estimate is within the tolerances."""
+    value, err = specfun.de_quad(lambda x, c: f(x), a, b, rtol=rtol, atol=atol)
+    if not err <= max(atol, rtol * abs(value)):
+        raise NumericalError(
+            f"oracle quadrature over [{a!r}, {b!r}] did not converge: {value!r} +- {err!r}"
+        )
+    return value
 
 
 # =====================================================================

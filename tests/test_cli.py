@@ -797,6 +797,50 @@ class TestExitCodes:
             assert not list(out.glob("*.csv")), key
             assert not (out / "run_manifest.jsonl").exists(), key
 
+    @pytest.mark.parametrize("name", ["", "../escaped", "{abs}/name", "a/b", "a.b", "a:b"],
+                             ids=["empty", "parent", "absolute", "subdir", "dot", "colon"])
+    def test_bad_sweep_name_is_2(self, tmp_path, name):
+        # the name is the CSV file's stem, so it is a plain word
+        name = name.format(abs=tmp_path / "abs")
+        cfg = tmp_path / "name.ini"
+        cfg.write_text(BASE_CONFIG.replace("[sweep:demo]", f"[sweep:{name}]"))
+        out = tmp_path / "sub" / "out"
+        rc, stdout, err = run_main("sweep", "--config", str(cfg), "--out-dir", str(out))
+        assert rc == 2, err
+        assert err == f"config error: [sweep:{name}] the sweep name must match [A-Za-z0-9_-]+: " \
+                      "it names the CSV file\n"
+        assert stdout == ""
+        assert not [path for path in tmp_path.rglob("*") if path.suffix in (".csv", ".jsonl")]
+
+    @pytest.mark.parametrize("first, second", [("x", "x_tp"), ("x_tp", "x")])
+    def test_sweeps_writing_one_file_is_2(self, tmp_path, first, second):
+        # [sweep:x] with tp writes x_tp.csv besides x.csv
+        tp = "variable = velocity\nvalues = 1, 2\nlambda0 = 1.9\nsnr_coeff = 0.01\nt_f = 5e-6\n" \
+             "carrier_freq = 60e9\nb_values = 16, 121\noutputs = tp\n"
+        plain = "variable = lambda0\nvalues = 1.0, 1.9\nb = 121\nsnr_coeff = 0.01\noutputs = lower\n"
+        body = {"x": tp, "x_tp": plain}
+        cfg = tmp_path / "two.ini"
+        cfg.write_text(f"[run]\nschema_version = 1\n[sweep:{first}]\n{body[first]}[sweep:{second}]\n{body[second]}")
+        out = tmp_path / "out"
+        rc, stdout, err = run_main("sweep", "--config", str(cfg), "--out-dir", str(out))
+        assert rc == 2, err
+        assert err == f"config error: [sweep:{first}] and [sweep:{second}] both write x_tp.csv\n"
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["sweep", "bounds"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under_file"])
+    def test_unusable_out_dir_is_2(self, config_path, tmp_path, kind, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "out" if under else blocker
+        rc, stdout, err = run_main(kind, "--config", str(config_path), "--out-dir", str(out))
+        assert rc == 2, err
+        reason = "Not a directory" if under else "File exists"
+        assert err == f"config error: --out-dir {out}: {reason}\n"
+        assert stdout == ""
+        assert blocker.read_text() == ""
+
     def test_validate_registers_no_coherence_model(self, tmp_path):
         # criterion 9 uses its calibrated 1/v law inline, so the sweep after
         # it in the same process rejects that model as a fresh process does

@@ -91,7 +91,12 @@ class TestLnGamma:
 
     def test_dense_grid_accuracy(self):
         for x in np.linspace(0.5, 200.0, 1201):
-            assert abs(ln_gamma(float(x)) - math.lgamma(float(x))) <= 1e-12
+            assert ln_gamma(float(x)) == math.lgamma(float(x))
+
+    @pytest.mark.parametrize("x", [1e308, math.inf])
+    def test_past_the_double_range_is_inf(self, x):
+        # math.lgamma overflows near 2.56e305; the limit is +inf
+        assert ln_gamma(x) == math.inf
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, -0.5])
     def test_domain(self, bad):
@@ -109,6 +114,12 @@ class TestRegLowerGamma:
 
     def test_zero_start(self):
         assert reg_lower_gamma(3.2, 0.0) == 0.0
+
+    def test_shape_past_the_double_range(self):
+        # Gamma(1e306) overflows; its log is +inf and P is 0, with no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert reg_lower_gamma(1e306, 1.0) == 0.0
 
     def test_against_quadrature_oracle(self):
         for m in (0.5, 0.9, 1.0, 2.5, 3.2, 8.0, 20.0, 50.0):
@@ -380,6 +391,12 @@ class TestValidationOraclesAgainstScipy:
                 lambda v: math.exp(-v) / (float(x) + v), 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=300
             )
             assert validation._e1_scaled_quad_oracle(float(x)) == pytest.approx(ref, rel=1e-12)
+
+    def test_unconverged_quadrature_is_an_error(self, monkeypatch):
+        # an oracle takes only an estimate within its tolerances
+        monkeypatch.setattr(specfun, "de_quad", lambda *args, **kwargs: (1.0, 1.0))
+        with pytest.raises(NumericalError, match="did not converge"):
+            validation.run_validation(criteria=[5])
 
     def test_incomplete_gamma_oracle(self):
         for m in (0.5, 1.0, 2.5, 3.2, 8.0, 20.0, 50.0):
