@@ -812,28 +812,26 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p: argparse.ArgumentParser, config_required: bool) -> None:
-        if config_required:
-            p.add_argument("--config", required=True, help="INI config file")
+    def add_run_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--seed", type=int, default=None, help="override [run] seed")
         p.add_argument("--trials", type=int, default=None, help="override [run] trials")
         p.add_argument("--out-dir", default=".", help="output directory")
-        p.add_argument("--units", choices=("nats", "bits"), default=None,
-                       help="override [run] units")
 
     for kind, desc in (
         ("simulate", "Monte Carlo spectral efficiency for one configuration"),
         ("bounds", "closed-form bound values for one configuration"),
         ("throughput", "optimal beam count and throughput for one configuration"),
+        ("sweep", "run every [sweep:NAME] section of the config"),
     ):
         p = sub.add_parser(kind, help=desc)
-        add_shared(p, config_required=True)
+        p.add_argument("--config", required=True, help="INI config file")
+        add_run_flags(p)
+        p.add_argument("--units", choices=("nats", "bits"), default=None,
+                       help="override [run] units")
 
-    p = sub.add_parser("sweep", help="run every [sweep:NAME] section of the config")
-    add_shared(p, config_required=True)
-
+    # The report is in nats: validate takes no --units.
     p = sub.add_parser("validate", help="run the built-in validation suite")
-    add_shared(p, config_required=False)
+    add_run_flags(p)
     p.add_argument("--criteria", default=None,
                    help="comma-separated criterion numbers (default: all)")
     return parser

@@ -4,12 +4,17 @@ Every stochastic routine takes an explicit :class:`numpy.random.Generator`.
 Independent substreams are derived from a 64-bit user seed plus an integer
 key path, so trials (or chunks of trials) can be distributed across workers
 while remaining bit-reproducible for any worker count.
+
+``numpy.random`` (and the OpenSSL-backed ``secrets`` it imports) loads on
+the first :func:`substream` or :func:`child_seed` call, not with this
+module: a command that neither draws nor derives a seed never loads it.
 """
 
 from __future__ import annotations
 
+# numpy >= 2 imports its random package on first attribute access (module
+# __getattr__), numpy 1.x with numpy itself: either way np.random.X works.
 import numpy as np
-import numpy.random  # numpy loads its random package lazily; load it at import
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 

@@ -1079,6 +1079,13 @@ class TestValidateCommand:
         res = run_cli("validate", "--criteria", "99", cwd=tmp_path)
         assert res.returncode == 2, res.stderr
 
+    def test_units_is_rejected(self, tmp_path):
+        # the report is in nats: --units is not one of validate's flags
+        res = run_cli("validate", "--criteria", "5", "--units", "bits", cwd=tmp_path)
+        assert res.returncode == 2, res.stdout + res.stderr
+        assert res.stdout == ""
+        assert "error: unrecognized arguments: --units bits" in res.stderr
+
     @pytest.mark.parametrize("criteria", [",", ""], ids=["comma", "empty"])
     def test_no_criterion_is_2(self, criteria):
         rc, out, err = run_main("validate", "--criteria", criteria, "--trials", "200")
@@ -1128,12 +1135,14 @@ class TestImportHygiene:
         # The package caps OpenBLAS at one thread before numpy loads unless a
         # thread variable is set, and `import beamsim.cli` leaves the stdlib
         # modules only a multi-worker run needs unloaded (`subprocess` stays
-        # unloaded through a run: see test_run_spawns_no_process).
+        # unloaded through a run: see test_run_spawns_no_process), and
+        # numpy.random with the secrets module it imports.
         script = (
             "import os, sys\n"
             "import beamsim.cli\n"
             "print(repr(os.environ.get('OPENBLAS_NUM_THREADS')))\n"
-            "print(sorted(m for m in ('subprocess', 'concurrent.futures') if m in sys.modules))\n"
+            "print(sorted(m for m in ('subprocess', 'concurrent.futures', 'numpy.random', 'secrets')\n"
+            "             if m in sys.modules))\n"
             "print('beamsim.validation' in sys.modules)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
@@ -1146,6 +1155,42 @@ class TestImportHygiene:
         )
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines() == [repr(expected), "[]", "True"]
+
+    def test_draw_free_run_loads_no_random_machinery(self, tmp_path, config_path):
+        # Commands that neither draw nor derive a seed leave numpy.random and
+        # the OpenSSL-backed secrets module it imports unloaded; a Monte
+        # Carlo run loads numpy.random on its first seed.
+        cfg = tmp_path / "bp.ini"
+        cfg.write_text(
+            "[run]\nschema_version = 1\n"
+            "[sweep:b]\nvariable = lambda0\nvalues = 1.0, 1.9\nb = 121\nm = 3.2\n"
+            "snr_coeff = 0.01\noutputs = upper_nakagami, upper_rayleigh, lower, sparse\n"
+            "[sweep:plan]\nvariable = velocity\nvalues = 1.0, 11.1\nlambda0 = 1.9\nb = 121\n"
+            "snr_coeff = 0.01\nt_f = 5e-6\nn_b = 4\ncarrier_freq = 60e9\nb_values = 16, 121\n"
+            "outputs = tp, b_star_numeric, b_star_closed, hpbw_star\n"
+        )
+        out = tmp_path / "out"
+        script = (
+            "import sys\n"
+            "import beamsim.cli\n"
+            "def loaded():\n"
+            "    print('loaded:', sorted(m for m in ('numpy.random', 'secrets', '_hashlib') if m in sys.modules))\n"
+            f"assert beamsim.cli.main(['sweep', '--config', {str(cfg)!r}, '--out-dir', {str(out)!r}]) == 0\n"
+            "for kind in ('bounds', 'throughput'):\n"
+            f"    assert beamsim.cli.main([kind, '--config', {str(config_path)!r}, '--out-dir', {str(out)!r}]) == 0\n"
+            "loaded()\n"
+            f"assert beamsim.cli.main(['simulate', '--config', {str(config_path)!r}, '--trials', '2000',\n"
+            f"                         '--out-dir', {str(out)!r}]) == 0\n"
+            "loaded()\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        res = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
+        )
+        assert res.returncode == 0, res.stderr
+        before, after = [line for line in res.stdout.splitlines() if line.startswith("loaded:")]
+        assert before == "loaded: []"
+        assert "'numpy.random'" in after
 
     def test_run_spawns_no_process(self, tmp_path, config_path):
         # The manifest reads its version from the checkout's files: a sweep or
