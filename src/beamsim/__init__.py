@@ -65,7 +65,6 @@ from .throughput import (
     optimal_hpbw,
     throughput_continuous,
     throughput_curve,
-    training_overhead,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

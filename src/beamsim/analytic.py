@@ -61,10 +61,6 @@ class SparseModel:
 
     @classmethod
     def from_occupancy(cls, lambda0: float, b: int, m: float) -> "SparseModel":
-        if not (math.isfinite(lambda0) and lambda0 > 0.0):
-            raise ValueError(f"lambda0 must be finite and > 0, got {lambda0!r}")
-        if b < 1:
-            raise ValueError(f"pair count must be >= 1, got {b!r}")
         p = bernoulli_p(lambda0, b)
         if not 0.0 < p < 1.0:
             raise ValueError(
@@ -211,8 +207,8 @@ def se_lower(model: SparseModel, rho: float) -> float:
 
 def se_sparse_approx(lambda0: float, rho: float) -> float:
     """Common small-lambda0 envelope of both bounds: lambda0 * ln(1 + rho)."""
-    if lambda0 < 0.0:
-        raise ValueError(f"lambda0 must be >= 0, got {lambda0!r}")
+    if not (math.isfinite(lambda0) and lambda0 >= 0.0):
+        raise ValueError(f"lambda0 must be finite and >= 0, got {lambda0!r}")
     if not rho > 0.0:
         raise ValueError(f"rho must be > 0, got {rho!r}")
     return lambda0 * math.log1p(rho)

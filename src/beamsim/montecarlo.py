@@ -290,8 +290,6 @@ def _merge_moments(parts: list[tuple[int, float, float]]) -> tuple[int, float, f
     """Fold per-chunk (count, mean, M2) in order; Chan's parallel update."""
     n, mean, m2 = 0, 0.0, 0.0
     for cn, cmean, cm2 in parts:
-        if cn == 0:
-            continue
         delta = cmean - mean
         tot = n + cn
         mean += delta * cn / tot
@@ -342,7 +340,8 @@ def empirical_opt_power_cdf(
     grid = np.asarray(grid_points, dtype=float)
     if grid.ndim != 1 or len(grid) == 0:
         raise ValueError("grid_points must be a nonempty 1-D sequence")
-    if (np.diff(grid) < 0).any() or grid[0] < 0:
+    # written so that a NaN fails it
+    if not (grid[0] >= 0.0 and (np.diff(grid) >= 0.0).all()):
         raise ValueError("grid_points must be sorted and nonnegative")
 
     def below_grid(kept: np.ndarray, n: int) -> tuple[np.ndarray, int]:

@@ -1,4 +1,4 @@
-"""Closed-form distribution and bound layer.
+"""Closed-form distribution and bound layer, and the library's input checks.
 
 The heavier oracle comparisons (pattern enumeration, density quadrature,
 simulation sweeps) live in test_acceptance; here each operation is checked
@@ -25,8 +25,11 @@ from beamsim.analytic import (
     se_upper_rayleigh,
     surrogate_rate,
 )
+from beamsim.channel import FadingModel
 from beamsim.errors import NumericalError
+from beamsim.montecarlo import SimConfig, empirical_opt_power_cdf
 from beamsim.specfun import EULER_GAMMA
+from beamsim.throughput import ThroughputConfig, throughput_continuous
 from beamsim.validation import _max_exp_log_moment, _mixture_upper_se
 
 
@@ -69,6 +72,48 @@ class TestSparseModelDomain:
             SparseModel.from_occupancy(lambda0, 121, 1.0)
         assert str(exc.value).startswith(f"lambda0 = {lambda0!r} over b = 121 ")
         assert f"round to {p}" in str(exc.value)
+
+
+MODEL = SparseModel.from_occupancy(1.9, 121, 1.0)
+SIM = SimConfig(1.9, 121, 10.0, FadingModel.rayleigh(), 100, 1)
+PLANNER = ThroughputConfig(t_f=5e-6, t_total=1e-3, k=0.005, lambda0=1.9)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: se_sparse_approx(math.nan, 1.0), "^lambda0 must be finite and >= 0"),
+        (lambda: se_sparse_approx(math.inf, 1.0), "^lambda0 must be finite and >= 0"),
+        (lambda: se_sparse_approx(-1.0, 1.0), "^lambda0 must be finite and >= 0"),
+        (lambda: empirical_opt_power_cdf(SIM, [0.0, math.nan, 1.0]), "^grid_points must be sorted"),
+        (lambda: empirical_opt_power_cdf(SIM, [math.nan]), "^grid_points must be sorted"),
+        (lambda: empirical_opt_power_cdf(SIM, [1.0, 0.5]), "^grid_points must be sorted"),
+        (lambda: empirical_opt_power_cdf(SIM, [-1.0, 0.5]), "^grid_points must be sorted"),
+        (lambda: empirical_opt_power_cdf(SIM, []), "^grid_points must be a nonempty 1-D"),
+        (lambda: empirical_opt_power_cdf(SIM, [[0.0, 1.0]]), "^grid_points must be a nonempty 1-D"),
+        (lambda: SparseModel(p=0.0, b=9, m=1.0, lambda0=1.0), "^occupancy probability must be in"),
+        (lambda: SparseModel(p=math.nan, b=9, m=1.0, lambda0=1.0), "^occupancy probability must be in"),
+        (lambda: SparseModel(p=0.1, b=0, m=1.0, lambda0=1.0), "^pair count must be >= 1"),
+        (lambda: SparseModel.from_p(1.0, 9, 1.0), "^occupancy probability must be in"),
+        (lambda: SparseModel.from_p(math.nan, 9, 1.0), "^occupancy probability must be in"),
+        (lambda: se_lower(MODEL, math.nan), "^rho must be > 0"),
+        (lambda: se_sparse_approx(1.9, 0.0), "^rho must be > 0"),
+        (lambda: se_upper_rayleigh(MODEL, -1.0), "^rho must be > 0"),
+        (lambda: ThroughputConfig(t_f=5e-6, t_total=1e-3, k=0.005, lambda0=1.9, n_b=0), "^n_b must be >= 1"),
+        (lambda: throughput_continuous(0.5, PLANNER), "^beam pair count must be >= 1"),
+        (lambda: throughput_continuous(math.nan, PLANNER), "^beam pair count must be >= 1"),
+    ],
+    ids=[
+        "sparse_lambda0_nan", "sparse_lambda0_inf", "sparse_lambda0_negative", "cdf_grid_nan_inside",
+        "cdf_grid_nan_only", "cdf_grid_unsorted", "cdf_grid_negative", "cdf_grid_empty", "cdf_grid_2d",
+        "model_p_zero", "model_p_nan", "model_b_zero", "from_p_one", "from_p_nan", "lower_rho_nan",
+        "sparse_rho_zero", "rayleigh_rho_negative", "planner_n_b_zero", "tp_b_below_one", "tp_b_nan",
+    ],
+)
+def test_library_rejects_bad_input(call, match):
+    # NaN and infinity included: each is a ValueError, never a NaN result
+    with pytest.raises(ValueError, match=match):
+        call()
 
 
 class TestOptPowerCdf:

@@ -946,6 +946,62 @@ class TestExitCodes:
         assert res.returncode == 3
         assert "infeasible" in res.stderr.lower()
 
+    def test_planner_where_its_gap_overflows(self, tmp_path):
+        # (1/F_t)^2 K ~ 3e311: the stationarity gap passes the float range
+        # inside the planner's bracket, and B* is still a finite value
+        cfg = tmp_path / "far.ini"
+        cfg.write_text(
+            "[run]\nschema_version = 1\n"
+            "[throughput]\nlambda0 = 1.9\nsnr_coeff = 5.7e11\nt_f = 5e-6\nt_total = 1e145\n"
+        )
+        rc, out, err = run_main("throughput", "--config", str(cfg), "--out-dir", str(tmp_path))
+        assert rc == 0, err
+        header, row = read_csv(tmp_path / "throughput.csv")
+        b_star = float(row[header.index("b_star_numeric")])
+        assert 1.0 < b_star < (1e145 / 1e-5) ** 2
+
+    SWEEP_HEAD = "[run]\nschema_version = 1\n[sweep:s]\nvariable = lambda0\nb = 121\nsnr_coeff = 0.01\n"
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("bounds", "lambda0 = 1.9\n", "cannot parse config {cfg}: "),
+            ("bounds", "[bounds]\nlambda0 = 1.9\n", "[run] section with schema_version is required"),
+            ("bounds", "[run]\nschema_version = 1\n[bounds]\nlambda0 = 1.9\nb = 121\n",
+             "[bounds] needs 'snr_coeff' or all of intercept_c, distance_d, alpha, noise_power"),
+            ("sweep", SWEEP_HEAD + "start = 1.0\nstop = 2.0\noutputs = lower\n",
+             "[sweep:s] needs 'values' or the triple start/stop/count"),
+            ("sweep", SWEEP_HEAD + "start = 1.0\nstop = 1.0\ncount = 3\noutputs = lower\n",
+             "[sweep:s] start = 1.0, stop = 1.0, count = 3: must give numbers, finite and strictly "
+             "increasing (the lambda0 grid)"),
+            ("throughput", "[run]\nschema_version = 1\n[throughput]\nlambda0 = 1.9\nsnr_coeff = 0.01\n"
+             "t_f = 5e-6\n", "[throughput] needs 't_total' or 'velocity' (+ carrier_freq) for throughput outputs"),
+            ("bounds", "[run]\nschema_version = 1\n", "config must contain a [bounds] section for 'bounds'"),
+            ("sweep", SWEEP_HEAD + "values = 1.0, 2.0\nt_f = 5e-6\nt_total = 0.01\noutputs = tp\n",
+             "[sweep:s] 'tp' output needs a 'b_values' list"),
+            ("sweep", "[run]\nschema_version = 1\n", "config contains no [sweep:NAME] sections"),
+            ("validate", None, "--criteria expects integers, got '1,x'"),
+        ],
+        ids=["unparsable", "no_run", "no_snr_coeff", "no_grid", "collapsed_grid", "no_t_total",
+             "no_point_section", "tp_without_b_values", "no_sweep", "criteria_not_integers"],
+    )
+    def test_config_error_writes_nothing(self, tmp_path, command, text, message):
+        cfg, out = tmp_path / "bad.ini", tmp_path / "out"
+        if text is None:
+            args = ["--criteria", "1,x"]
+        else:
+            cfg.write_text(text)
+            args = ["--config", str(cfg)]
+        rc, stdout, err = run_main(command, *args, "--out-dir", str(out))
+        assert rc == 2, stdout + err
+        line = f"config error: {message.format(cfg=cfg)}"
+        if message.endswith(": "):
+            # configparser's own words follow
+            assert err.startswith(line), err
+        else:
+            assert err == line + "\n"
+        assert not list(out.glob("*.csv")) and not (out / "run_manifest.jsonl").exists()
+
 
 # Values at and beyond the float range, and not numbers at all; then ordinary ones.
 EXTREME_VALUES = ["0", "-0", "5e-324", "1e-308", "1e308", "inf", "-inf", "nan", "abc", "1" + "0" * 199]

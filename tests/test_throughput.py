@@ -1,4 +1,4 @@
-"""Training overhead, throughput objective, and the beam-count optimum."""
+"""Throughput objective, its overhead-limited data fraction, and the beam-count optimum."""
 
 import math
 
@@ -47,28 +47,6 @@ class TestThroughputConfig:
         assert 1.0 < b_star < (1.0 / cfg.f_t) ** 2
 
 
-class TestTrainingOverhead:
-    def test_reference_value(self):
-        cfg = make_cfg()
-        assert tp.training_overhead(121, cfg) == pytest.approx(3.8e-4, rel=1e-12)
-
-    def test_single_beam_reduction(self):
-        cfg = tp.ThroughputConfig(t_f=2e-6, t_total=1e-3, k=0.01, lambda0=1.0, n_b=1)
-        # 2 (2 sqrt(1) + 1) t_f
-        assert tp.training_overhead(1, cfg) == pytest.approx(6 * 2e-6)
-
-    def test_monotone_in_b(self):
-        cfg = make_cfg()
-        vals = [tp.training_overhead(r * r, cfg) for r in range(1, 40)]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="perfect square"):
-            tp.training_overhead(120, make_cfg())
-        with pytest.raises(ValueError):
-            tp.training_overhead(0, make_cfg())
-
-
 class TestThroughput:
     def test_reference_value(self):
         assert tp.throughput(121, make_cfg()) == pytest.approx(0.40315, abs=2e-5)
@@ -79,6 +57,12 @@ class TestThroughput:
         t_total = 2 * (2 * 11 + 16) * t_f
         cfg = tp.ThroughputConfig(t_f=t_f, t_total=t_total, k=0.005, lambda0=1.9, n_b=4)
         assert tp.throughput(121, cfg) == pytest.approx(0.0, abs=1e-15)
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="perfect square"):
+            tp.throughput(120, make_cfg())
+        with pytest.raises(ValueError, match=">= 1"):
+            tp.throughput(0, make_cfg())
 
     def test_negative_beyond_budget(self):
         cfg = make_cfg(f_t=0.01)
@@ -165,6 +149,52 @@ class TestOptimalBNumeric:
                 assert tp.optimal_b_numeric(cfg) == pytest.approx(ref, rel=1e-12)
                 checked += 1
         assert checked >= 100
+
+    @pytest.mark.parametrize("k, b", [(1e306, 4.0), (1e300, 1e10), (1e200, 1e250)],
+                             ids=["product_overflows", "b_k_overflows", "k_sqrt_b_overflows"])
+    def test_gap_where_its_terms_overflow(self, k, b):
+        # (1 + x) ln(1 + x) / (K sqrt(B)), x = B K, rewritten in finite terms
+        cfg = make_cfg(k=k, f_t=1e-130)
+        lhs = (math.sqrt(b) + 1.0 / (k * math.sqrt(b))) * (math.log(b) + math.log(k) + math.log1p(1.0 / b / k))
+        want = lhs - (1.0 / cfg.f_t - (2.0 * math.sqrt(b) + 16.0))
+        assert tp._stationarity_gap(b, cfg) == pytest.approx(want, rel=1e-15)
+
+    def test_gap_increases_across_the_overflow(self):
+        # the gap's root is the maximizer only while the gap increases in B,
+        # also where it switches to its asymptote
+        cfg = make_cfg(k=1e300, f_t=1.0)
+        grid = np.geomspace(1e4, 1e7, 5_001)
+        with np.errstate(over="ignore"):
+            overflows = ~np.isfinite((1.0 + grid * cfg.k) * np.log1p(grid * cfg.k))
+        assert overflows.any() and not overflows.all()
+        gaps = np.array([tp._stationarity_gap(float(b), cfg) for b in grid])
+        assert np.isfinite(gaps).all()
+        assert (np.diff(gaps) > 0.0).all()
+
+    def test_root_is_the_maximum_over_the_config_domain(self):
+        # log-uniform draws over the config domain, a quarter of them with
+        # (1/F_t)^2 K past the float range: B* raises nothing but infeasible,
+        # and no point 0.1% either side of it has more throughput
+        rng = np.random.default_rng(7)
+        n = 20_000
+        ks = 10.0 ** rng.uniform(-300.0, 300.0, n)
+        f_ts = 10.0 ** rng.uniform(-154.1, 0.3, n)
+        n_bs = np.floor(10.0 ** rng.uniform(0.0, 6.0, n)).astype(int)
+        lambda0s = 10.0 ** rng.uniform(-3.0, 3.0, n)
+        solved = overflowing = 0
+        for k, f_t, n_b, lambda0 in zip(ks.tolist(), f_ts.tolist(), n_bs.tolist(), lambda0s.tolist()):
+            cfg = tp.ThroughputConfig(t_f=f_t / 2.0, t_total=1.0, k=k, lambda0=lambda0, n_b=n_b)
+            try:
+                b_star = tp.optimal_b_numeric(cfg)
+            except InfeasibleConfigError:
+                continue
+            tp_star = tp.throughput_continuous(b_star, cfg)
+            for probe in (b_star * (1.0 - 1e-3), b_star * (1.0 + 1e-3)):
+                if probe >= 1.0:
+                    assert tp.throughput_continuous(probe, cfg) <= tp_star * (1.0 + 1e-9) + 1e-15, cfg
+            solved += 1
+            overflowing += math.log10(k) - 2.0 * math.log10(cfg.f_t) > 306.0
+        assert solved > 19_000 and overflowing > 4_000, (solved, overflowing)
 
     def test_unimodal_on_grid(self):
         for k in (1e-3, 1e-2, 1e-1):
