@@ -24,12 +24,14 @@ the rest of each point's named cells.  A sweep writes one row per value;
 ``simulate``, ``bounds`` and ``throughput`` are one-row evaluations with a
 fixed column tuple each (``POINT_COMMANDS``).
 
-Every run writes RFC-4180 CSV files plus a JSON-lines manifest recording
-the seed, trial count, units, version (with the checked-out commit, read
-from the checkout's files: no git process runs), a CRC-32 of the package's
-source, wall time, those settings with the section's parsed values, and the
-Python and numpy versions and worker and OpenBLAS thread settings the run
-had.  CSV bytes depend only on config + seed, never on timing.
+Every run writes RFC-4180 CSV files plus a JSON-lines manifest with one
+entry per evaluated section.  An entry names the section's CSV files and
+records the seed, trial count, units, version (with the checked-out commit,
+read from the checkout's files: no git process runs), a CRC-32 of the
+package's source, wall time, those settings with the section's parsed
+values, and the Python and numpy versions and worker and OpenBLAS thread
+settings the run had.  CSV bytes depend only on config + seed, never on
+timing.
 
 Exit codes: 0 success, 1 numerical failure, 2 config error, 3 infeasible
 throughput configuration.  The ``BEAMSIM_THREADS`` environment variable
@@ -219,14 +221,17 @@ class Section:
 
 
 def load_config(path: str | Path) -> dict[str, Section]:
-    parser = configparser.ConfigParser(interpolation=None)
+    # No header line can name the section "\n", so [DEFAULT] is an ordinary
+    # section, rejected as unknown, rather than keys leaked into every section.
+    parser = configparser.ConfigParser(interpolation=None, default_section="\n")
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             parser.read_file(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
-    except (configparser.Error, OSError) as exc:
-        raise ConfigError(f"cannot parse config {path}: {exc}") from None
+    except (configparser.Error, OSError, UnicodeDecodeError) as exc:
+        reason = " ".join(line.strip() for line in str(exc).splitlines())
+        raise ConfigError(f"cannot parse config {path}: {reason}") from None
     if not parser.has_section("run"):
         raise ConfigError("[run] section with schema_version is required")
     sections = {}
@@ -486,7 +491,7 @@ def _evaluate(columns: Sequence[str], point: Point, section: Section, units: str
                 cells[column] = analytic.se_sparse_approx(cells["lambda0"], cells["rho"]) * scale
             elif column == "tp":
                 b_values = section.get("b_values") or []
-                raws = [throughput.throughput_continuous(b, cfg) * scale for b in b_values]
+                raws = [tp * scale for tp in throughput.throughput_curve(b_values, cfg).tolist()]
                 cells[column] = [[b, max(raw, 0.0), raw, units] for b, raw in zip(b_values, raws)]
             elif column == "best_square_b":
                 cells[column] = _maybe_infeasible(lambda: throughput.best_square_b(cfg))
@@ -526,20 +531,20 @@ def _maybe_infeasible(fn):
 #  Output writing
 # =====================================================================
 
-def _fmt_cell(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _open_output(path: Path, mode: str):
+    """A file of ``--out-dir`` opened to write; one that cannot be is a config error."""
+    try:
+        return open(path, mode, newline="", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"--out-dir {path.parent}: cannot write {path.name}: {exc.strerror or exc}") from None
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with _open_output(path, "w") as fh:
         writer = csv.writer(fh, quoting=csv.QUOTE_MINIMAL, lineterminator="\r\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt_cell(v) for v in row])
+        # csv writes None as an empty cell, a float as its repr, anything else by str
+        writer.writerows(rows)
 
 
 PACKAGE_DIR = Path(__file__).resolve().parent
@@ -625,7 +630,7 @@ class Manifest:
 
     def record(self, **fields: Any) -> None:
         entry = {"version": _version_string(), "source_crc32": _source_crc32(), **_runtime(), **fields}
-        with open(self.path, "a", encoding="utf-8") as fh:
+        with _open_output(self.path, "a") as fh:
             fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
 
@@ -692,19 +697,17 @@ def _cmd_point(kind: str, args: argparse.Namespace) -> int:
             "no beam count achieves positive throughput "
             f"(F_t={cells['f_t']!r} with N_b={cells['n_b']})"
         )
-    provenance = _provenance(run, section, columns)
-    if cells.get("tp"):
-        _write_csv(out_dir / "throughput_curve.csv", TP_CURVE_COLUMNS, cells["tp"])
-        manifest.record(
-            kind="throughput_curve", csv="throughput_curve.csv", **provenance,
-            wall_time_s=round(time.monotonic() - t0, 6),
-        )
     header = [c for c in columns if c != "tp"]
     _write_csv(out_dir / f"{kind}.csv", header, [[cells[c] for c in header]])
-    print(line.format(**cells))
+    written = [f"{kind}.csv"]
+    if cells.get("tp"):
+        _write_csv(out_dir / "throughput_curve.csv", TP_CURVE_COLUMNS, cells["tp"])
+        written.append("throughput_curve.csv")
     manifest.record(
-        kind=kind, csv=f"{kind}.csv", **provenance, wall_time_s=round(time.monotonic() - t0, 6),
+        kind=kind, csv=written, **_provenance(run, section, columns),
+        wall_time_s=round(time.monotonic() - t0, 6),
     )
+    print(line.format(**cells))
     return 0
 
 

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import beamsim
-from beamsim import analytic, cli, specfun
+from beamsim import analytic, cli, specfun, throughput
 from beamsim.analytic import SparseModel
 from beamsim.channel import FadingModel
 from beamsim.montecarlo import SimConfig, estimate_se
@@ -277,6 +277,39 @@ class TestSubcommands:
             assert entry["OPENBLAS_NUM_THREADS"] is not None
             # defaults the user did not set are recorded
             assert "seed" in entry["config_resolved"]
+
+
+    def test_csv_cells_use_the_csv_modules_conversion(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        row = [None, 1.0, 0.1 + 0.2, 5e-324, math.inf, math.nan, -0.0, 121, 2**70, "nats", "a,b", 'q"x']
+        cli._write_csv(path, ["h"], [row])
+        assert path.read_bytes() == (
+            b"h\r\n,1.0,0.30000000000000004,5e-324,inf,nan,-0.0,121,1180591620717411303424,"
+            b'nats,"a,b","q""x"\r\n'
+        )
+
+    @pytest.mark.parametrize("kind, written", [
+        ("simulate", ["simulate.csv"]),
+        ("bounds", ["bounds.csv"]),
+        ("throughput", ["throughput.csv", "throughput_curve.csv"]),
+    ])
+    def test_point_command_writes_one_manifest_entry(self, config_path, tmp_path, kind, written):
+        out = tmp_path / "out"
+        rc, _, err = run_main(kind, "--config", str(config_path), "--out-dir", str(out))
+        assert rc == 0, err
+        entries = [json.loads(line) for line in (out / "run_manifest.jsonl").read_text().splitlines()]
+        assert [(entry["kind"], entry["csv"]) for entry in entries] == [(kind, written)]
+        assert sorted(path.name for path in out.glob("*.csv")) == sorted(written)
+
+    def test_throughput_curve_rows_are_the_librarys_curve(self, config_path, tmp_path):
+        out = tmp_path / "out"
+        assert run_main("throughput", "--config", str(config_path), "--out-dir", str(out))[0] == 0
+        b_values = [16.0, 121.0, 400.0]
+        cfg = throughput.ThroughputConfig(t_f=5e-6, t_total=0.01, k=0.01 / 1.9, lambda0=1.9, n_b=4)
+        expected = [[b, max(tp, 0.0), tp] for b, tp in zip(b_values, throughput.throughput_curve(b_values, cfg))]
+        rows = read_csv(out / "throughput_curve.csv")[1:]
+        assert [[float(cell) for cell in row[:3]] for row in rows] == expected
+        assert all(row[3] == "nats" for row in rows)
 
 
 class TestOnePath:
@@ -841,6 +874,18 @@ class TestExitCodes:
         assert stdout == ""
         assert blocker.read_text() == ""
 
+    @pytest.mark.parametrize("kind, file", [
+        ("sweep", "demo.csv"), ("sweep", "run_manifest.jsonl"),
+        ("bounds", "bounds.csv"), ("bounds", "run_manifest.jsonl"),
+    ])
+    def test_unwritable_output_file_is_2(self, config_path, tmp_path, kind, file):
+        out = tmp_path / "out"
+        (out / file).mkdir(parents=True)
+        rc, stdout, err = run_main(kind, "--config", str(config_path), "--out-dir", str(out))
+        assert rc == 2, err
+        assert err == f"config error: --out-dir {out}: cannot write {file}: Is a directory\n"
+        assert stdout == ""
+
     def test_validate_registers_no_coherence_model(self, tmp_path):
         # criterion 9 uses its calibrated 1/v law inline, so the sweep after
         # it in the same process rejects that model as a fresh process does
@@ -965,7 +1010,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "command, text, message",
         [
-            ("bounds", "lambda0 = 1.9\n", "cannot parse config {cfg}: "),
+            ("bounds", "lambda0 = 1.9\n", "cannot parse config {cfg}: File contains no section headers. "
+             "file: '{cfg}', line: 1 'lambda0 = 1.9\\n'"),
             ("bounds", "[bounds]\nlambda0 = 1.9\n", "[run] section with schema_version is required"),
             ("bounds", "[run]\nschema_version = 1\n[bounds]\nlambda0 = 1.9\nb = 121\n",
              "[bounds] needs 'snr_coeff' or all of intercept_c, distance_d, alpha, noise_power"),
@@ -994,13 +1040,41 @@ class TestExitCodes:
             args = ["--config", str(cfg)]
         rc, stdout, err = run_main(command, *args, "--out-dir", str(out))
         assert rc == 2, stdout + err
-        line = f"config error: {message.format(cfg=cfg)}"
-        if message.endswith(": "):
-            # configparser's own words follow
-            assert err.startswith(line), err
-        else:
-            assert err == line + "\n"
+        assert err == f"config error: {message.format(cfg=cfg)}\n"
         assert not list(out.glob("*.csv")) and not (out / "run_manifest.jsonl").exists()
+
+    BOUNDS_BODY = b"[run]\nschema_version = 1\n[bounds]\nlambda0 = 1.9\nb = 121\nsnr_coeff = 0.01\n"
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"[run]\nschema_version = 1\n; caf\xe9\n",
+             "cannot parse config {cfg}: 'utf-8' codec can't decode byte 0xe9 in position 30: "
+             "invalid continuation byte"),
+            (b"[run]\nschema_version = 1\nxx\n",
+             "cannot parse config {cfg}: Source contains parsing errors: '{cfg}' [line  3]: 'xx\\n'"),
+            (b"[DEFAULT]\nlambda0 = 1.9\n" + BOUNDS_BODY,
+             "unknown section [DEFAULT]; known: run, simulate, bounds, throughput, sweep:NAME"),
+            (b"[DEFAULT]\n" + BOUNDS_BODY,
+             "unknown section [DEFAULT]; known: run, simulate, bounds, throughput, sweep:NAME"),
+        ],
+        ids=["not_utf8", "parsing_errors", "default_section", "empty_default_section"],
+    )
+    def test_unreadable_config_is_one_line(self, tmp_path, data, message):
+        cfg, out = tmp_path / "bad.ini", tmp_path / "out"
+        cfg.write_bytes(data)
+        rc, stdout, err = run_main("bounds", "--config", str(cfg), "--out-dir", str(out))
+        assert rc == 2, stdout + err
+        assert err == f"config error: {message.format(cfg=cfg)}\n"
+        assert stdout == ""
+        assert not list(out.glob("*.csv")) and not (out / "run_manifest.jsonl").exists()
+
+    def test_config_may_start_with_a_bom(self, tmp_path):
+        cfg, out = tmp_path / "bom.ini", tmp_path / "out"
+        cfg.write_bytes(b"\xef\xbb\xbf" + self.BOUNDS_BODY)
+        rc, _, err = run_main("bounds", "--config", str(cfg), "--out-dir", str(out))
+        assert rc == 0, err
+        assert read_csv(out / "bounds.csv")[1][0] == "1.9"
 
 
 # Values at and beyond the float range, and not numbers at all; then ordinary ones.
