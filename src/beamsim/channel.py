@@ -124,7 +124,19 @@ def max_power_table(model: FadingModel) -> tuple[float, float, np.ndarray, np.nd
     return quantile.build(model)
 
 
-def sample_max_path_power(model: FadingModel, k1: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+class MaxDrawWork:
+    """Float arrays ``u``, ``t``, ``z`` and an index array ``i`` of ``size``
+    entries each, through which :func:`sample_max_path_power` computes, so a
+    caller that draws batch after batch allocates them once."""
+
+    def __init__(self, size: int) -> None:
+        self.u, self.t, self.z = np.empty(size), np.empty(size), np.empty(size)
+        self.i = np.empty(size, dtype=np.intp)
+
+
+def sample_max_path_power(
+    model: FadingModel, k1: np.ndarray, rng: np.random.Generator, work: MaxDrawWork | None = None
+) -> np.ndarray:
     """The largest of ``k1[i]`` i.i.d. normalized path powers, for each i,
     from one uniform u each; 0 where ``k1[i]`` is 0.
 
@@ -135,9 +147,16 @@ def sample_max_path_power(model: FadingModel, k1: np.ndarray, rng: np.random.Gen
     xi = ln(s) + s, s = -ln(u) / k, whose relative error is below 1e-10
     (``tests/test_channel.py`` holds it to 1e-9 against scipy).  u = 0
     gives 0, and u < 1 keeps the power finite.
+
+    Every temporary of ``len(k1)`` entries is written into ``work`` (one
+    of that size by default), and the result is a view of one of its
+    arrays, valid until ``work`` is used again.
     """
+    n = len(k1)
+    if work is None:
+        work = MaxDrawWork(n)
     table = max_power_table(model)
-    u = rng.random(len(k1))
+    u = rng.random(out=work.u[:n])
     with np.errstate(divide="ignore", invalid="ignore"):
         np.log(u, out=u)
         np.divide(u, k1, out=u)        # ln v = ln(u) / k, -inf for k = 0
@@ -154,21 +173,19 @@ def sample_max_path_power(model: FadingModel, k1: np.ndarray, rng: np.random.Gen
             return u
         xi_min, xi_step, c0, c1, c2, c3 = table
         np.negative(u, out=u)          # s
-        t = np.log(u)
+        t = np.log(u, out=work.t[:n])
         t += u
         t -= xi_min
         t *= 1.0 / xi_step
     # t >= 0 as s is above the grid's least; s = inf (u = 0 or k = 0) reads
     # the last entry, ln 0
     np.minimum(t, len(c0) - 1.0, out=t)
-    i = np.floor(t)
-    t -= i
-    i = i.astype(np.intp)
-    z = c3.take(i, mode="clip")
-    z *= t
-    z += c2.take(i, mode="clip")
-    z *= t
-    z += c1.take(i, mode="clip")
-    z *= t
-    z += c0.take(i, mode="clip")
+    np.floor(t, out=u)                 # u is free from here: the entry, then each coefficient
+    t -= u
+    i = work.i[:n]
+    np.copyto(i, u, casting="unsafe")
+    z = c3.take(i, mode="clip", out=work.z[:n])
+    for c in (c2, c1, c0):
+        z *= t
+        z += c.take(i, mode="clip", out=u)
     return np.exp(z, out=z)

@@ -43,6 +43,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import errno
 import functools
 import json
 import math
@@ -531,12 +532,29 @@ def _maybe_infeasible(fn):
 #  Output writing
 # =====================================================================
 
+def _cannot_write(path: Path, reason: str) -> ConfigError:
+    return ConfigError(f"--out-dir {path.parent}: cannot write {path.name}: {reason}")
+
+
 def _open_output(path: Path, mode: str):
     """A file of ``--out-dir`` opened to write; one that cannot be is a config error."""
     try:
         return open(path, mode, newline="", encoding="utf-8")
     except OSError as exc:
-        raise ConfigError(f"--out-dir {path.parent}: cannot write {path.name}: {exc.strerror or exc}") from None
+        raise _cannot_write(path, exc.strerror or str(exc)) from None
+
+
+def _check_outputs(paths: Sequence[Path]) -> None:
+    """Raise the error :func:`_open_output` would for the first of ``paths``
+    that is a directory, or that (or, for a new file, whose directory) is
+    not writable.  Runs check every file they write before evaluating
+    anything, and the check creates none, so a rejected run leaves no
+    output behind."""
+    for path in paths:
+        if path.is_dir():
+            raise _cannot_write(path, os.strerror(errno.EISDIR))
+        if not os.access(path if path.exists() else path.parent, os.W_OK):
+            raise _cannot_write(path, os.strerror(errno.EACCES))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list[Any]]) -> None:
@@ -691,6 +709,8 @@ def _cmd_point(kind: str, args: argparse.Namespace) -> int:
 
     columns, line = POINT_COMMANDS[kind]
     point = _point_from(section, columns, run, run["seed"])
+    files = [f"{kind}.csv"] + (["throughput_curve.csv"] if "tp" in columns else [])
+    _check_outputs([out_dir / file for file in files] + [manifest.path])
     cells = _evaluate_rows(columns, [point], section, run["units"])[0]
     if "b_max_feasible" in cells and cells["b_max_feasible"] is None:
         raise InfeasibleConfigError(
@@ -756,6 +776,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 raise ConfigError(f"[{writers[file]}] and [{name}] both write {file}")
             writers[file] = name
     out_dir, manifest = _output(args)
+    _check_outputs([out_dir / file for file in writers] + [manifest.path])
 
     for name, (variable, columns, points) in plans.items():
         section = sections[name]

@@ -33,7 +33,11 @@ mu = lambda0 / B, each chunk therefore
    folds it into its trial's maximum with ``np.maximum.at``.
 
 Only the occupied trials are kept: an empty trial's power is 0, so the
-moments count the empty trials without storing them.
+moments count the empty trials without storing them.  Each worker thread
+keeps one set of chunk-sized work arrays for the call and draws every chunk
+of its share through it, so the chunks do not allocate, free and page in
+those arrays again and again; the per-chunk reduction receives a view into
+that set, valid only until it returns.
 
 Trials in a chunk are exchangeable and only order-free statistics (moments,
 empirical CDF) are kept, so this matches B independent Poisson(mu) pairs
@@ -52,11 +56,12 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import FadingModel, max_power_table, sample_max_path_power, sample_pair_power_sums
+from .channel import FadingModel, MaxDrawWork, max_power_table, sample_max_path_power, sample_pair_power_sums
 from .errors import ConfigError, DegenerateSampleError, NumericalError
 from .rng import substream
 
@@ -235,12 +240,14 @@ def _trial_maxima(
     n_trials: int,
     tables: tuple[int, np.ndarray, float, np.ndarray],
     fading: FadingModel,
+    work: MaxDrawWork,
 ) -> np.ndarray:
     """Max pair power sum of each occupied trial of one chunk.
 
     The chunk's other ``n_trials - len(result)`` trials are empty (power
     0).  Trials come out grouped by their occupied-pair count K, in
-    ascending order; see the module docstring.
+    ascending order; see the module docstring.  The result is a view into
+    ``work``, which the chunk's max draw writes through.
     """
     k0, pmf, q, cdf = tables
     rng = substream(seed, chunk_index)
@@ -256,7 +263,7 @@ def _trial_maxima(
     trial = (np.cumsum(counts) - counts)[g] + (multi - (ends - pairs)[g]) // k[g]
     single = np.repeat(k.astype(float), counts)
     np.subtract.at(single, trial, 1.0)   # each trial's single-path pairs
-    maxima = sample_max_path_power(fading, single, rng)
+    maxima = sample_max_path_power(fading, single, rng, work)
     np.maximum.at(maxima, trial, sample_pair_power_sums(fading, extra + 1, rng))
     return maxima
 
@@ -264,16 +271,23 @@ def _trial_maxima(
 def _reduce_chunks(config: SimConfig, workers: int | None, reduce) -> list:
     """``reduce(maxima, n)`` of each chunk of ``config``'s trials, in chunk
     order, where ``maxima`` are the :func:`_trial_maxima` of the chunk's
-    ``n`` trials.  Each chunk is reduced as it is drawn, so no more than
-    one chunk's maxima per worker is held at a time."""
+    ``n`` trials.  Each chunk is reduced as it is drawn.  Each worker
+    thread draws all its chunks through one work set, a
+    :class:`beamsim.channel.MaxDrawWork` of the largest chunk's size made
+    on its first chunk and dropped when this call returns, so the max
+    draws allocate no chunk-sized array; ``maxima`` is a view into the
+    worker's set, valid only until ``reduce`` returns."""
     sizes = _chunk_sizes(config.trials)
     nworkers = resolve_workers(workers)
     tables = _occupancy_tables(config.lambda0, config.b)
     # built here, once and before any chunk's arrays, rather than by the first chunks
     max_power_table(config.fading)
+    local = threading.local()
 
     def run_chunk(i: int):
-        return reduce(_trial_maxima(config.seed, i, sizes[i], tables, config.fading), sizes[i])
+        if not hasattr(local, "work"):
+            local.work = MaxDrawWork(sizes[0])
+        return reduce(_trial_maxima(config.seed, i, sizes[i], tables, config.fading, local.work), sizes[i])
 
     if nworkers <= 1 or len(sizes) <= 1:
         return [run_chunk(i) for i in range(len(sizes))]

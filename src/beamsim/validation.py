@@ -166,18 +166,22 @@ def _c05_surrogate_normalization(seed: int, trials: int) -> CriterionResult:
 
 
 def _pattern_se(p: float, b: int, rho: float) -> float:
-    """SE by exhaustive occupancy-pattern conditioning (m = 1, tiny B)."""
+    """SE by exhaustive occupancy-pattern conditioning (m = 1, tiny B).
+
+    A pattern's conditional SE depends only on its occupied count k, so
+    each k's integral is taken once."""
+    vals = {
+        k: _integral(
+            lambda x, k=k: np.log1p(rho * x) * k * (-np.expm1(-x)) ** (k - 1) * np.exp(-x),
+            0.0, math.inf, rtol=1e-11, atol=1e-12,
+        )
+        for k in range(1, b + 1)
+    }
     total = 0.0
     for pattern in itertools.product((0, 1), repeat=b):
         k = sum(pattern)
-        prob = p**k * (1.0 - p) ** (b - k)
-        if k == 0:
-            continue
-        integrand = lambda x, k=k: (
-            np.log1p(rho * x) * k * (-np.expm1(-x)) ** (k - 1) * np.exp(-x)
-        )
-        val = _integral(integrand, 0.0, math.inf, rtol=1e-11, atol=1e-12)
-        total += prob * val
+        if k:
+            total += p**k * (1.0 - p) ** (b - k) * vals[k]
     return total
 
 

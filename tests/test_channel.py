@@ -177,14 +177,19 @@ class TestRealizeChannel:
 
 
 class FixedUniforms:
-    """A generator stand-in whose ``random(n)`` returns the given uniforms."""
+    """A generator stand-in whose ``random(n)``, or ``random(out=a)``,
+    returns the given uniforms (written into ``a`` for the latter)."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
 
-    def random(self, n):
-        assert n == len(self.u)
-        return self.u.copy()
+    def random(self, n=None, out=None):
+        if out is None:
+            assert n == len(self.u)
+            return self.u.copy()
+        assert n is None and len(out) == len(self.u)
+        out[...] = self.u
+        return out
 
 
 def scipy_max_power(model, u, k):

@@ -879,12 +879,46 @@ class TestExitCodes:
         ("bounds", "bounds.csv"), ("bounds", "run_manifest.jsonl"),
     ])
     def test_unwritable_output_file_is_2(self, config_path, tmp_path, kind, file):
+        # checked before anything is evaluated: no other output is written
         out = tmp_path / "out"
         (out / file).mkdir(parents=True)
         rc, stdout, err = run_main(kind, "--config", str(config_path), "--out-dir", str(out))
         assert rc == 2, err
         assert err == f"config error: --out-dir {out}: cannot write {file}: Is a directory\n"
         assert stdout == ""
+        assert [path.name for path in out.iterdir()] == [file]
+
+    @pytest.mark.parametrize("kind, config, file", [
+        ("sweep", "[sweep:a]\nvariable = lambda0\nvalues = 1.0, 1.9\nb = 121\nsnr_coeff = 0.01\noutputs = lower\n"
+                  "[sweep:b]\nvariable = lambda0\nvalues = 1.0\nb = 16\nsnr_coeff = 0.01\noutputs = lower\n",
+         "b.csv"),
+        ("throughput", None, "throughput_curve.csv"),
+    ], ids=["sweep_second_csv", "throughput_curve"])
+    def test_unwritable_later_output_file_writes_nothing(self, tmp_path, kind, config, file):
+        cfg = tmp_path / "two.ini"
+        cfg.write_text(BASE_CONFIG if config is None else "[run]\nschema_version = 1\n" + config)
+        out = tmp_path / "out"
+        (out / file).mkdir(parents=True)
+        rc, stdout, err = run_main(kind, "--config", str(cfg), "--out-dir", str(out))
+        assert rc == 2, err
+        assert err == f"config error: --out-dir {out}: cannot write {file}: Is a directory\n"
+        assert stdout == ""
+        assert [path.name for path in out.iterdir()] == [file]
+
+    @pytest.mark.parametrize("kind", ["sweep", "bounds"])
+    def test_read_only_manifest_writes_nothing(self, config_path, tmp_path, monkeypatch, kind):
+        # a manifest the user may not write, as os.access reports it (root may write any)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "run_manifest.jsonl").write_text("")
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda path, mode: Path(path).name != "run_manifest.jsonl" and access(path, mode))
+        rc, stdout, err = run_main(kind, "--config", str(config_path), "--out-dir", str(out))
+        assert rc == 2, err
+        assert err == f"config error: --out-dir {out}: cannot write run_manifest.jsonl: Permission denied\n"
+        assert stdout == ""
+        assert [path.name for path in out.iterdir()] == ["run_manifest.jsonl"]
+        assert (out / "run_manifest.jsonl").read_text() == ""
 
     def test_validate_registers_no_coherence_model(self, tmp_path):
         # criterion 9 uses its calibrated 1/v law inline, so the sweep after

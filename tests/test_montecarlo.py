@@ -3,6 +3,10 @@
 import dataclasses
 import math
 import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,8 @@ from beamsim.montecarlo import (
 )
 from beamsim.rng import substream
 from per_pair_reference import strongest_pair_powers
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def make_config(lambda0, b, fading, trials, seed):
@@ -397,3 +403,58 @@ class TestEngineMatchesPerPairSampler:
         n_eff = min(len(pos), ecdf.trials_kept)
         band = math.sqrt(math.log(2.0 / 0.01) / (2.0 * n_eff)) * 2.0
         assert np.max(np.abs(direct_cdf - ecdf.cdf)) <= band
+
+
+# 20 full chunks and a one-trial last one, so the last chunk's draw uses a
+# sliver of a work set sized for the full ones
+PINNED_TRIALS = 20 * CHUNK_TRIALS + 1
+
+
+class TestWorkSetReuse:
+    """Each worker draws its chunks through one set of chunk-sized arrays;
+    the values are pinned as recorded when every chunk allocated its own."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize(
+        "lambda0, b, fading, seed, pinned",
+        [
+            (3.5, 121, FadingModel.nakagami(3.2), 2501, (0.4018724034260362, 0.00026978938486109665)),
+            (3.5, 625, FadingModel.rician(10.0), 2502, (1.1797009507013003, 0.0005292618335996575)),
+            (2.0, 625, FadingModel.rayleigh(), 2503, (1.3430584244574106, 0.0014058364095954421)),
+        ],
+        ids=["nakagami", "rician", "rayleigh"],
+    )
+    def test_estimate_se_pinned(self, lambda0, b, fading, seed, pinned, workers):
+        est = estimate_se(make_config(lambda0, b, fading, PINNED_TRIALS, seed), workers)
+        assert (est.mean, est.std_error, est.trials) == (*pinned, PINNED_TRIALS)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_empirical_cdf_pinned(self, workers):
+        # the reduction sorts each chunk's view of the work set in place
+        cfg = make_config(3.5, 121, FadingModel.nakagami(3.2), PINNED_TRIALS, 2504)
+        ecdf = empirical_opt_power_cdf(cfg, np.linspace(0.0, 4.0, 9), workers)
+        assert ecdf.trials_kept == 317_825
+        below = [0, 8884, 63199, 167839, 253594, 295087, 310385, 315462, 317106]
+        assert ecdf.cdf.tolist() == [count / 317_825 for count in below]
+
+    @pytest.mark.skipif(
+        sys.platform != "linux" or platform.libc_ver()[0] != "glibc", reason="counts glibc's page faults on Linux"
+    )
+    def test_chunks_fault_in_no_fresh_pages(self, tmp_path):
+        # glibc returns freed chunk-sized arrays to the kernel, so a chunk that
+        # allocated its own paged them in again: ~79 minor faults per chunk
+        # here; drawing through one reused set makes none after the first.
+        script = (
+            "import resource\n"
+            "from beamsim.channel import FadingModel\n"
+            "from beamsim.montecarlo import CHUNK_TRIALS, SimConfig, estimate_se\n"
+            "cfg = SimConfig(3.5, 121, 121 * 0.01 / 3.5, FadingModel.nakagami(3.2), 20 * CHUNK_TRIALS, 2501)\n"
+            "estimate_se(cfg, workers=1)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "estimate_se(cfg, workers=1)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert int(res.stdout) <= 10 * 20
