@@ -12,12 +12,11 @@ __version__ = "0.1.0"
 
 # OpenBLAS starts a worker-thread pool while numpy loads, and beamsim never
 # uses it: its only BLAS call is a dot product over at most a few thousand
-# quadrature nodes, and its parallelism is its own BEAMSIM_THREADS chunk
-# workers.  Starting that pool made `import numpy` take 146-179 ms against
-# 63-88 ms single-threaded (fresh processes on a 2-core VM), so cap it at one
-# thread before the first numpy import.  A thread count the user set in any
-# variable OpenBLAS reads wins.  The variable stays in os.environ, so child
-# processes inherit it.
+# quadrature nodes.  Starting that pool made `import numpy` take 146-179 ms
+# against 63-88 ms single-threaded (fresh processes on a 2-core VM), so cap
+# it at one thread before the first numpy import.  A thread count the user
+# set in any variable OpenBLAS reads wins.  The variable stays in os.environ,
+# so child processes inherit it.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 if not any(var in _os.environ for var in _BLAS_THREAD_VARS):
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"

@@ -29,13 +29,12 @@ entry per evaluated section.  An entry names the section's CSV files and
 records the seed, trial count, units, version (with the checked-out commit,
 read from the checkout's files: no git process runs), a CRC-32 of the
 package's source, wall time, those settings with the section's parsed
-values, and the Python and numpy versions and worker and OpenBLAS thread
-settings the run had.  CSV bytes depend only on config + seed, never on
+values, and the Python and numpy versions and the OpenBLAS thread setting
+the run had.  CSV bytes depend only on config + seed, never on
 timing.
 
 Exit codes: 0 success, 1 numerical failure, 2 config error, 3 infeasible
-throughput configuration.  The ``BEAMSIM_THREADS`` environment variable
-sets the Monte Carlo worker count (0 = auto).
+throughput configuration.
 """
 
 from __future__ import annotations
@@ -69,7 +68,7 @@ from .errors import (
     InfeasibleConfigError,
     NumericalError,
 )
-from .montecarlo import MAX_TRIALS, STREAM_VERSION, THREADS_ENV_VAR, SimConfig, estimate_se
+from .montecarlo import MAX_TRIALS, STREAM_VERSION, SimConfig, estimate_se
 from .rng import child_seed
 
 SCHEMA_VERSION = 1
@@ -627,12 +626,11 @@ def _source_crc32() -> int:
 
 def _runtime() -> dict[str, Any]:
     """What a run's speed depends on beyond its config: the interpreter and
-    numpy versions, the worker-count variable and the OpenBLAS thread count,
-    i.e. the first variable OpenBLAS reads that is set (None: one per core)."""
+    numpy versions and the OpenBLAS thread count, i.e. the first variable
+    OpenBLAS reads that is set (None: one per core)."""
     return {
         "python": sys.version.split()[0],
         "numpy": np.__version__,
-        THREADS_ENV_VAR: os.environ.get(THREADS_ENV_VAR),
         "OPENBLAS_NUM_THREADS": next(
             (os.environ[var] for var in _BLAS_THREAD_VARS if var in os.environ), None
         ),

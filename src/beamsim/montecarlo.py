@@ -5,10 +5,10 @@ count lambda0, the beam-pair count B, the fading law and the SNR scale rho.
 Each trial draws a sparse multipath channel, sweeps all B beam pairs for the
 power-maximizing one, and records ln(1 + rho z) in nats, z being that pair's
 summed normalized fading power; converting units is the caller's job.
-Trials are generated in fixed-size chunks, each chunk on its own derived
-substream, and per-chunk moment statistics are merged in chunk order -- so
-results are bit-identical for any worker count and fully determined by the
-seed.
+Trials are generated in fixed-size chunks, one after another, each chunk on
+its own derived substream, and per-chunk moment statistics are merged in
+chunk order (Chan, Golub & LeVeque's update) -- so results are fully
+determined by the config and seed.
 
 Sampling is sort-free and draws no power it does not need.  A trial's
 optimal power is the largest of its occupied pairs' power sums, and those
@@ -33,11 +33,12 @@ mu = lambda0 / B, each chunk therefore
    folds it into its trial's maximum with ``np.maximum.at``.
 
 Only the occupied trials are kept: an empty trial's power is 0, so the
-moments count the empty trials without storing them.  Each worker thread
-keeps one set of chunk-sized work arrays for the call and draws every chunk
-of its share through it, so the chunks do not allocate, free and page in
-those arrays again and again; the per-chunk reduction receives a view into
-that set, valid only until it returns.
+moments count the empty trials without storing them.  A call keeps one set
+of chunk-sized work arrays and draws every chunk through it, so the chunks
+do not allocate, free and page in those arrays again and again; the
+per-chunk reduction receives a view into that set, valid only until it
+returns.  The set belongs to the call, so concurrent callers share
+nothing.
 
 Trials in a chunk are exchangeable and only order-free statistics (moments,
 empirical CDF) are kept, so this matches B independent Poisson(mu) pairs
@@ -55,14 +56,12 @@ moment-matched Rician) shapes up to ``MAX_SHAPE``.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import FadingModel, MaxDrawWork, max_power_table, sample_max_path_power, sample_pair_power_sums
-from .errors import ConfigError, DegenerateSampleError, NumericalError
+from .errors import DegenerateSampleError, NumericalError
 from .rng import substream
 
 CHUNK_TRIALS = 16_384
@@ -87,8 +86,6 @@ MAX_TRIALS = 2**31 - 1
 # ~6 MB) for Rician K = 1998.5 on a 2-core Xeon VM; at m = 1e4 the Rician
 # table took 394 ms and ~56 MB.
 MAX_SHAPE = 1e3
-
-THREADS_ENV_VAR = "BEAMSIM_THREADS"
 
 
 @dataclass(frozen=True)
@@ -157,24 +154,6 @@ class EmpiricalCdf:
     @property
     def discard_fraction(self) -> float:
         return 1.0 - self.trials_kept / self.trials_total
-
-
-def resolve_workers(requested: int | None = None) -> int:
-    """Worker count: an explicit ``requested`` wins, else the BEAMSIM_THREADS
-    env var, else 1; 0 means one per CPU."""
-    if requested is None:
-        env = os.environ.get(THREADS_ENV_VAR)
-        if env is None:
-            return 1
-        try:
-            requested = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from exc
-    if requested < 0:
-        raise ConfigError(f"worker count must be >= 0, got {requested!r}")
-    if requested == 0:
-        return os.cpu_count() or 1
-    return requested
 
 
 def _chunk_sizes(trials: int) -> list[int]:
@@ -268,36 +247,23 @@ def _trial_maxima(
     return maxima
 
 
-def _reduce_chunks(config: SimConfig, workers: int | None, reduce) -> list:
+def _reduce_chunks(config: SimConfig, reduce) -> list:
     """``reduce(maxima, n)`` of each chunk of ``config``'s trials, in chunk
     order, where ``maxima`` are the :func:`_trial_maxima` of the chunk's
-    ``n`` trials.  Each chunk is reduced as it is drawn.  Each worker
-    thread draws all its chunks through one work set, a
-    :class:`beamsim.channel.MaxDrawWork` of the largest chunk's size made
-    on its first chunk and dropped when this call returns, so the max
-    draws allocate no chunk-sized array; ``maxima`` is a view into the
-    worker's set, valid only until ``reduce`` returns."""
+    ``n`` trials.  Each chunk is reduced as it is drawn.  All chunks are
+    drawn through one work set, a :class:`beamsim.channel.MaxDrawWork` of
+    the largest chunk's size made here and dropped when this call returns,
+    so the max draws allocate no chunk-sized array; ``maxima`` is a view
+    into that set, valid only until ``reduce`` returns."""
     sizes = _chunk_sizes(config.trials)
-    nworkers = resolve_workers(workers)
     tables = _occupancy_tables(config.lambda0, config.b)
-    # built here, once and before any chunk's arrays, rather than by the first chunks
+    # built here, once and before any chunk's arrays, rather than by the first chunk
     max_power_table(config.fading)
-    local = threading.local()
-
-    def run_chunk(i: int):
-        if not hasattr(local, "work"):
-            local.work = MaxDrawWork(sizes[0])
-        return reduce(_trial_maxima(config.seed, i, sizes[i], tables, config.fading, local.work), sizes[i])
-
-    if nworkers <= 1 or len(sizes) <= 1:
-        return [run_chunk(i) for i in range(len(sizes))]
-    # Imported here, not at the top: with the logging it pulls in it costs
-    # several ms of import that a single-worker process would pay for nothing.
-    from concurrent.futures import ThreadPoolExecutor
-
-    # one thread per chunk at most, however many workers were asked for
-    with ThreadPoolExecutor(max_workers=min(nworkers, len(sizes))) as pool:
-        return list(pool.map(run_chunk, range(len(sizes))))
+    work = MaxDrawWork(sizes[0])
+    return [
+        reduce(_trial_maxima(config.seed, i, n, tables, config.fading, work), n)
+        for i, n in enumerate(sizes)
+    ]
 
 
 def _merge_moments(parts: list[tuple[int, float, float]]) -> tuple[int, float, float]:
@@ -312,12 +278,12 @@ def _merge_moments(parts: list[tuple[int, float, float]]) -> tuple[int, float, f
     return n, mean, m2
 
 
-def estimate_se(config: SimConfig, workers: int | None = None) -> SEEstimate:
+def estimate_se(config: SimConfig) -> SEEstimate:
     """Mean spectral efficiency, in nats, over ``config.trials`` independent trials.
 
     Per trial the rate is ln(1 + config.rho * z) with z the maximum per-pair
     sum of normalized fading powers; all-empty trials contribute zero rate.
-    Deterministic for a fixed seed regardless of worker count.
+    Deterministic for a fixed config and seed.
     """
     rho = config.rho
 
@@ -334,7 +300,7 @@ def estimate_se(config: SimConfig, workers: int | None = None) -> SEEstimate:
             m2 = float(rates.sum()) + (n - len(rates)) * mean * mean
         return n, mean, m2
 
-    n, mean, m2 = _merge_moments(_reduce_chunks(config, workers, moments))
+    n, mean, m2 = _merge_moments(_reduce_chunks(config, moments))
     var = m2 / (n - 1) if n > 1 else 0.0
     std_error = math.sqrt(var / n)
     if not (math.isfinite(mean) and math.isfinite(std_error)):
@@ -342,9 +308,7 @@ def estimate_se(config: SimConfig, workers: int | None = None) -> SEEstimate:
     return SEEstimate(mean=mean, std_error=std_error, trials=n)
 
 
-def empirical_opt_power_cdf(
-    config: SimConfig, grid_points: np.ndarray, workers: int | None = None
-) -> EmpiricalCdf:
+def empirical_opt_power_cdf(config: SimConfig, grid_points: np.ndarray) -> EmpiricalCdf:
     """Empirical CDF of the normalized optimal power, given >= 1 path.
 
     ``config.rho`` does not enter.  ``grid_points`` must be sorted and
@@ -364,7 +328,7 @@ def empirical_opt_power_cdf(
 
     below = np.zeros(len(grid), dtype=np.int64)
     kept_total = 0
-    for counts_leq, kept in _reduce_chunks(config, workers, below_grid):
+    for counts_leq, kept in _reduce_chunks(config, below_grid):
         below += counts_leq
         kept_total += kept
     if kept_total == 0:

@@ -2,8 +2,8 @@
 
 Every stochastic routine takes an explicit :class:`numpy.random.Generator`.
 Independent substreams are derived from a 64-bit user seed plus an integer
-key path, so trials (or chunks of trials) can be distributed across workers
-while remaining bit-reproducible for any worker count.
+key path, so each chunk of trials draws from its own stream and a result is
+bit-reproducible from its seed.
 
 ``numpy.random`` (and the OpenSSL-backed ``secrets`` it imports) loads on
 the first :func:`substream` or :func:`child_seed` call, not with this

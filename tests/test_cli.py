@@ -272,7 +272,9 @@ class TestSubcommands:
             # the Monte Carlo stream version goes with sim_se only
             assert entry.get("stream") == (5 if entry["name"] == "demo" else None)
             assert entry["python"] == sys.version.split()[0]
-            assert "numpy" in entry and "BEAMSIM_THREADS" in entry
+            assert "numpy" in entry
+            # the engine has no worker count, so none is recorded
+            assert "BEAMSIM_THREADS" not in entry
             # set by the package import unless the environment sets a count
             assert entry["OPENBLAS_NUM_THREADS"] is not None
             # defaults the user did not set are recorded
@@ -1297,10 +1299,11 @@ class TestImportHygiene:
     @pytest.mark.parametrize("preset, expected", [(None, "1"), ("3", None)], ids=["unset", "omp_set"])
     def test_import_caps_blas_threads_and_defers_stdlib(self, tmp_path, preset, expected):
         # The package caps OpenBLAS at one thread before numpy loads unless a
-        # thread variable is set, and `import beamsim.cli` leaves the stdlib
-        # modules only a multi-worker run needs unloaded (`subprocess` stays
-        # unloaded through a run: see test_run_spawns_no_process), and
-        # numpy.random with the secrets module it imports.
+        # thread variable is set, and `import beamsim.cli` leaves
+        # `subprocess` and `concurrent.futures` unloaded (they stay unloaded
+        # through a run: see test_run_spawns_no_process and
+        # test_monte_carlo_runs_load_no_pool_modules), and numpy.random with
+        # the secrets module it imports.
         script = (
             "import os, sys\n"
             "import beamsim.cli\n"
@@ -1355,6 +1358,30 @@ class TestImportHygiene:
         before, after = [line for line in res.stdout.splitlines() if line.startswith("loaded:")]
         assert before == "loaded: []"
         assert "'numpy.random'" in after
+
+    def test_monte_carlo_runs_load_no_pool_modules(self, tmp_path):
+        # The engine draws its chunks in the caller, so neither the
+        # determinism criterion nor a sim_se sweep imports a thread pool or
+        # the logging it pulls in.
+        cfg = tmp_path / "mc.ini"
+        cfg.write_text(
+            "[run]\nschema_version = 1\ntrials = 40000\n"
+            "[sweep:mc]\nvariable = lambda0\nvalues = 1.0, 3.5\nb = 121\nm = 3.2\n"
+            "snr_coeff = 0.01\noutputs = sim_se\n"
+        )
+        script = (
+            "import sys\n"
+            "import beamsim.cli\n"
+            "assert beamsim.cli.main(['validate', '--criteria', '11', '--trials', '40000']) == 0\n"
+            f"assert beamsim.cli.main(['sweep', '--config', {str(cfg)!r}, '--out-dir', {str(tmp_path / 'out')!r}]) == 0\n"
+            "print('pool modules:', sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        res = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
+        )
+        assert res.returncode == 0, res.stdout + res.stderr
+        assert "pool modules: []" in res.stdout
 
     def test_run_spawns_no_process(self, tmp_path, config_path):
         # The manifest reads its version from the checkout's files: a sweep or

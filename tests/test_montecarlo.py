@@ -15,7 +15,7 @@ from scipy.special import gammaincc
 
 from beamsim.analytic import SparseModel, se_lower, se_upper_rayleigh
 from beamsim.channel import FadingFamily, FadingModel
-from beamsim.errors import ConfigError, DegenerateSampleError, NumericalError
+from beamsim.errors import DegenerateSampleError, NumericalError
 from beamsim.montecarlo import (
     CHUNK_TRIALS,
     MAX_PATHS_PER_PAIR,
@@ -25,7 +25,6 @@ from beamsim.montecarlo import (
     _occupancy_tables,
     empirical_opt_power_cdf,
     estimate_se,
-    resolve_workers,
 )
 from beamsim.rng import substream
 from per_pair_reference import strongest_pair_powers
@@ -205,64 +204,14 @@ class TestEstimateSe:
         assert (a.mean, a.std_error, a.trials) == (b.mean, b.std_error, b.trials)
 
     def test_worker_count_independence(self, monkeypatch):
-        cfg = make_config(1.9, 121, FadingModel.nakagami(2.0), 60_000, 99)
-        base = estimate_se(cfg, workers=1)
-        multi = estimate_se(cfg, workers=5)
-        assert (base.mean, base.std_error) == (multi.mean, multi.std_error)
-        monkeypatch.setenv("BEAMSIM_THREADS", "3")
-        env_run = estimate_se(cfg)
-        assert (base.mean, base.std_error) == (env_run.mean, env_run.std_error)
-
-    def test_resolve_workers(self, monkeypatch):
+        # the engine has no worker count and does not read BEAMSIM_THREADS:
+        # an exported value, even one that is no count at all, changes
+        # nothing and is not rejected
+        cfg = make_config(1.9, 121, FadingModel.rayleigh(), 2 * CHUNK_TRIALS + 5, 5)
         monkeypatch.delenv("BEAMSIM_THREADS", raising=False)
-        assert resolve_workers(None) == 1
-        assert resolve_workers(3) == 3
-        assert resolve_workers(0) >= 1
-        monkeypatch.setenv("BEAMSIM_THREADS", "7")
-        assert resolve_workers(None) == 7
-        # an explicit count wins over the variable, which only sets the default
-        assert resolve_workers(3) == 3
-        assert resolve_workers(1) == 1
-
-    @pytest.mark.parametrize(
-        "env, parsed",
-        [("-1", None), ("abc", None), ("0", os.cpu_count() or 1), ("1e3", None), ("1" * 30, int("1" * 30))],
-        ids=["negative", "text", "zero", "float_form", "thirty_digits"],
-    )
-    def test_threads_variable_parses(self, monkeypatch, env, parsed):
-        # the parsed value only: no thread is started here
-        monkeypatch.setenv("BEAMSIM_THREADS", env)
-        if parsed is None:
-            with pytest.raises(ConfigError):
-                resolve_workers(None)
-        else:
-            assert resolve_workers(None) == parsed
-
-    @pytest.mark.parametrize("workers, trials, threads", [("1" * 30, 3 * CHUNK_TRIALS, 3), ("2", 5_000, None)])
-    def test_pool_has_at_most_one_thread_per_chunk(self, monkeypatch, workers, trials, threads):
-        # a stand-in pool records its size and runs the chunks in the caller
-        import concurrent.futures
-
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
-        monkeypatch.setenv("BEAMSIM_THREADS", workers)
-        cfg = make_config(1.9, 121, FadingModel.rayleigh(), trials, 5)
-        assert estimate_se(cfg) == estimate_se(cfg, workers=1)
-        assert sizes == ([] if threads is None else [threads])
+        unset = estimate_se(cfg)
+        monkeypatch.setenv("BEAMSIM_THREADS", "abc")
+        assert estimate_se(cfg) == unset
 
     def test_se_decreases_with_path_count(self):
         # splitting fixed channel energy over more paths lowers the best pair
@@ -411,10 +360,9 @@ PINNED_TRIALS = 20 * CHUNK_TRIALS + 1
 
 
 class TestWorkSetReuse:
-    """Each worker draws its chunks through one set of chunk-sized arrays;
-    the values are pinned as recorded when every chunk allocated its own."""
+    """A call draws its chunks through one set of chunk-sized arrays; the
+    values are pinned as recorded when every chunk allocated its own."""
 
-    @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize(
         "lambda0, b, fading, seed, pinned",
         [
@@ -424,15 +372,14 @@ class TestWorkSetReuse:
         ],
         ids=["nakagami", "rician", "rayleigh"],
     )
-    def test_estimate_se_pinned(self, lambda0, b, fading, seed, pinned, workers):
-        est = estimate_se(make_config(lambda0, b, fading, PINNED_TRIALS, seed), workers)
+    def test_estimate_se_pinned(self, lambda0, b, fading, seed, pinned):
+        est = estimate_se(make_config(lambda0, b, fading, PINNED_TRIALS, seed))
         assert (est.mean, est.std_error, est.trials) == (*pinned, PINNED_TRIALS)
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_empirical_cdf_pinned(self, workers):
+    def test_empirical_cdf_pinned(self):
         # the reduction sorts each chunk's view of the work set in place
         cfg = make_config(3.5, 121, FadingModel.nakagami(3.2), PINNED_TRIALS, 2504)
-        ecdf = empirical_opt_power_cdf(cfg, np.linspace(0.0, 4.0, 9), workers)
+        ecdf = empirical_opt_power_cdf(cfg, np.linspace(0.0, 4.0, 9))
         assert ecdf.trials_kept == 317_825
         below = [0, 8884, 63199, 167839, 253594, 295087, 310385, 315462, 317106]
         assert ecdf.cdf.tolist() == [count / 317_825 for count in below]
@@ -449,9 +396,9 @@ class TestWorkSetReuse:
             "from beamsim.channel import FadingModel\n"
             "from beamsim.montecarlo import CHUNK_TRIALS, SimConfig, estimate_se\n"
             "cfg = SimConfig(3.5, 121, 121 * 0.01 / 3.5, FadingModel.nakagami(3.2), 20 * CHUNK_TRIALS, 2501)\n"
-            "estimate_se(cfg, workers=1)\n"
+            "estimate_se(cfg)\n"
             "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-            "estimate_se(cfg, workers=1)\n"
+            "estimate_se(cfg)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
         env = dict(os.environ, PYTHONPATH=str(SRC_DIR))

@@ -1,5 +1,5 @@
 """Random-stream derivation: pinned values of stream 5, and numpy.random
-loading on first use, also when that use is in a worker thread."""
+loading on first use, also when that use is in concurrent caller threads."""
 
 import os
 import subprocess
@@ -25,21 +25,30 @@ def test_substream_pinned():
 
 @pytest.mark.parametrize("fading", ["rayleigh()", "nakagami(3.2)"], ids=["rayleigh", "nakagami"])
 def test_first_draw_in_worker_threads_matches_one_worker(tmp_path, fading):
-    # In a fresh process the two workers' first substream calls are what
-    # load numpy.random; the result must not depend on it.
+    # In a fresh process two caller-made threads each run estimate_se, and
+    # their first substream calls are what load numpy.random; neither that
+    # nor the concurrent calls, each with its own work set, may change a bit.
     script = (
-        "import sys\n"
+        "import sys, threading\n"
         "from beamsim.channel import FadingModel\n"
         "from beamsim.montecarlo import CHUNK_TRIALS, SimConfig, estimate_se\n"
         "assert 'numpy.random' not in sys.modules\n"
         f"cfg = SimConfig(1.9, 121, 121 * 0.01 / 1.9, FadingModel.{fading}, 4 * CHUNK_TRIALS, 2024)\n"
-        "two = estimate_se(cfg, workers=2)\n"
-        "one = estimate_se(cfg, workers=1)\n"
-        "print(repr((two.mean, two.std_error, two.trials)))\n"
-        "print(repr((one.mean, one.std_error, one.trials)))\n"
+        "start = threading.Barrier(2)\n"
+        "results = [None, None]\n"
+        "def run(i):\n"
+        "    start.wait()\n"
+        "    results[i] = estimate_se(cfg)\n"
+        "threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join()\n"
+        "for est in (*results, estimate_se(cfg)):\n"
+        "    print(repr((est.mean, est.std_error, est.trials)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
     res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path)
     assert res.returncode == 0, res.stderr
-    two, one = res.stdout.splitlines()
-    assert two == one
+    first, second, serial = res.stdout.splitlines()
+    assert first == second == serial
