@@ -327,4 +327,4 @@ def _upper_bound_quadrature(
             power *= np.exp(tail, out=tail)
             return power
 
-    return de_quad(integrand, 0.0, 1.0, rtol=1e-11, atol=1e-13, rows=len(p))
+    return de_quad(integrand, 0.0, 1.0, rows=len(p))

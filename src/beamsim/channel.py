@@ -135,7 +135,7 @@ class MaxDrawWork:
 
 
 def sample_max_path_power(
-    model: FadingModel, k1: np.ndarray, rng: np.random.Generator, work: MaxDrawWork | None = None
+    model: FadingModel, k1: np.ndarray, rng: np.random.Generator, work: MaxDrawWork
 ) -> np.ndarray:
     """The largest of ``k1[i]`` i.i.d. normalized path powers, for each i,
     from one uniform u each; 0 where ``k1[i]`` is 0.
@@ -148,13 +148,11 @@ def sample_max_path_power(
     (``tests/test_channel.py`` holds it to 1e-9 against scipy).  u = 0
     gives 0, and u < 1 keeps the power finite.
 
-    Every temporary of ``len(k1)`` entries is written into ``work`` (one
-    of that size by default), and the result is a view of one of its
+    Every temporary of ``len(k1)`` entries is written into ``work``, which
+    holds at least that many, and the result is a view of one of its
     arrays, valid until ``work`` is used again.
     """
     n = len(k1)
-    if work is None:
-        work = MaxDrawWork(n)
     table = max_power_table(model)
     u = rng.random(out=work.u[:n])
     with np.errstate(divide="ignore", invalid="ignore"):

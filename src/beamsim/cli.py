@@ -702,11 +702,11 @@ def _cmd_point(kind: str, args: argparse.Namespace) -> int:
     section = sections.get(kind)
     if section is None:
         raise ConfigError(f"config must contain a [{kind}] section for '{kind}'")
-    out_dir, manifest = _output(args)
     t0 = time.monotonic()
 
     columns, line = POINT_COMMANDS[kind]
     point = _point_from(section, columns, run, run["seed"])
+    out_dir, manifest = _output(args)
     files = [f"{kind}.csv"] + (["throughput_curve.csv"] if "tp" in columns else [])
     _check_outputs([out_dir / file for file in files] + [manifest.path])
     cells = _evaluate_rows(columns, [point], section, run["units"])[0]

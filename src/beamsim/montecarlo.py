@@ -35,9 +35,9 @@ mu = lambda0 / B, each chunk therefore
 Only the occupied trials are kept: an empty trial's power is 0, so the
 moments count the empty trials without storing them.  A call keeps one set
 of chunk-sized work arrays and draws every chunk through it, so the chunks
-do not allocate, free and page in those arrays again and again; the
-per-chunk reduction receives a view into that set, valid only until it
-returns.  The set belongs to the call, so concurrent callers share
+do not allocate, free and page in those arrays again and again; each chunk's
+maxima are a view into that set, valid only until the next chunk is drawn.
+The set belongs to the chunk loop of one call, so concurrent callers share
 nothing.
 
 Trials in a chunk are exchangeable and only order-free statistics (moments,
@@ -56,6 +56,7 @@ moment-matched Rician) shapes up to ``MAX_SHAPE``.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,26 +248,24 @@ def _trial_maxima(
     return maxima
 
 
-def _reduce_chunks(config: SimConfig, reduce) -> list:
-    """``reduce(maxima, n)`` of each chunk of ``config``'s trials, in chunk
-    order, where ``maxima`` are the :func:`_trial_maxima` of the chunk's
-    ``n`` trials.  Each chunk is reduced as it is drawn.  All chunks are
-    drawn through one work set, a :class:`beamsim.channel.MaxDrawWork` of
-    the largest chunk's size made here and dropped when this call returns,
-    so the max draws allocate no chunk-sized array; ``maxima`` is a view
-    into that set, valid only until ``reduce`` returns."""
+def _chunk_maxima(config: SimConfig) -> Iterator[tuple[np.ndarray, int]]:
+    """``(maxima, n)`` for each chunk of ``config``'s trials, in chunk order,
+    where ``maxima`` are the :func:`_trial_maxima` of the chunk's ``n``
+    trials.  All chunks are drawn through one work set, a
+    :class:`beamsim.channel.MaxDrawWork` of the largest chunk's size made
+    here and dropped with the generator, so the max draws allocate no
+    chunk-sized array; ``maxima`` is a view into that set, valid only until
+    the next chunk is drawn."""
     sizes = _chunk_sizes(config.trials)
     tables = _occupancy_tables(config.lambda0, config.b)
     # built here, once and before any chunk's arrays, rather than by the first chunk
     max_power_table(config.fading)
     work = MaxDrawWork(sizes[0])
-    return [
-        reduce(_trial_maxima(config.seed, i, n, tables, config.fading, work), n)
-        for i, n in enumerate(sizes)
-    ]
+    for i, n in enumerate(sizes):
+        yield _trial_maxima(config.seed, i, n, tables, config.fading, work), n
 
 
-def _merge_moments(parts: list[tuple[int, float, float]]) -> tuple[int, float, float]:
+def _merge_moments(parts: Iterable[tuple[int, float, float]]) -> tuple[int, float, float]:
     """Fold per-chunk (count, mean, M2) in order; Chan's parallel update."""
     n, mean, m2 = 0, 0.0, 0.0
     for cn, cmean, cm2 in parts:
@@ -300,7 +299,7 @@ def estimate_se(config: SimConfig) -> SEEstimate:
             m2 = float(rates.sum()) + (n - len(rates)) * mean * mean
         return n, mean, m2
 
-    n, mean, m2 = _merge_moments(_reduce_chunks(config, moments))
+    n, mean, m2 = _merge_moments(moments(rates, n) for rates, n in _chunk_maxima(config))
     var = m2 / (n - 1) if n > 1 else 0.0
     std_error = math.sqrt(var / n)
     if not (math.isfinite(mean) and math.isfinite(std_error)):
@@ -322,15 +321,12 @@ def empirical_opt_power_cdf(config: SimConfig, grid_points: np.ndarray) -> Empir
     if not (grid[0] >= 0.0 and (np.diff(grid) >= 0.0).all()):
         raise ValueError("grid_points must be sorted and nonnegative")
 
-    def below_grid(kept: np.ndarray, n: int) -> tuple[np.ndarray, int]:
-        kept.sort()
-        return np.searchsorted(kept, grid, side="right"), len(kept)
-
     below = np.zeros(len(grid), dtype=np.int64)
     kept_total = 0
-    for counts_leq, kept in _reduce_chunks(config, below_grid):
-        below += counts_leq
-        kept_total += kept
+    for kept, _ in _chunk_maxima(config):
+        kept.sort()
+        below += np.searchsorted(kept, grid, side="right")
+        kept_total += len(kept)
     if kept_total == 0:
         raise DegenerateSampleError(
             "every trial was empty; the conditional CDF is undefined"

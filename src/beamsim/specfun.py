@@ -26,9 +26,10 @@ alone:
 * ``de_quad``           -- double-exponential quadrature (Takahasi & Mori
                            1974): tanh-sinh on a finite interval, exp-sinh
                            on a half-line, numpy-vectorized over the nodes
-                           of each level and over rows of integrands, with the
-                           change between step-halved levels as its error
-                           estimate
+                           of each level and over rows of integrands, each
+                           row with the bits of its one-row call, and with
+                           the change between step-halved levels as its
+                           error estimate
 * ``brent_root``        -- Brent's bracketed root finder (Brent 1973)
 
 All routines are pure functions and are safe for unrestricted concurrent
@@ -227,8 +228,8 @@ _DE_H0 = 0.5
 _DE_T_MAX = 4.5
 DE_MIN_LEVEL = 2
 DE_MAX_LEVEL = 8
-# Most rows times nodes in one integrand call of a row-batched quadrature,
-# which bounds its temporaries however many rows a caller passes.
+# Most rows times nodes in one integrand call, which bounds a quadrature's
+# temporaries however many rows a caller passes.
 _DE_BLOCK = 1 << 16
 
 
@@ -268,46 +269,31 @@ def de_quad(
     b: float,
     rtol: float = 1e-11,
     atol: float = 1e-13,
-    rows: int | None = None,
-) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
-    """Integral of ``f`` over [a, b] by double-exponential quadrature.
+    *,
+    rows: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of ``rows`` integrands over [a, b] by double-exponential
+    quadrature: per-row arrays ``(values, errors)``.
 
-    ``f(x, c)`` is called on arrays of nodes, where ``c = b - x`` is
-    computed without cancellation (+inf when ``b`` is +inf), so integrands
-    with an endpoint singularity at ``b`` can evaluate it from ``c``; c
-    never rounds to 0, nor does x when a = 0 (x itself may round to a
-    nonzero a, or to b).  A finite [a, b] uses the tanh-sinh map and
-    [a, inf) the exp-sinh map.  Each level halves the step; the estimate
-    of a level is its change from the previous one, which overstates the
-    error of the finer sum (DE quadrature roughly doubles its correct
-    digits per level).  Returns ``(value, error_estimate)`` after the first
+    ``f(x, c, active)`` is called on arrays of nodes and returns a
+    (len(active) x nodes) array for ``active``, the list of the row indices
+    still running.  ``c = b - x`` is computed without cancellation (+inf
+    when ``b`` is +inf), so integrands with an endpoint singularity at ``b``
+    can evaluate it from ``c``; c never rounds to 0, nor does x when a = 0
+    (x itself may round to a nonzero a, or to b).  A finite [a, b] uses the
+    tanh-sinh map and [a, inf) the exp-sinh map.  Each level halves the
+    step; the estimate of a level is its change from the previous one,
+    which overstates the error of the finer sum (DE quadrature roughly
+    doubles its correct digits per level).  A row stops after the first
     level >= ``DE_MIN_LEVEL`` whose estimate is within
     ``max(atol, rtol * |value|)``, or after ``DE_MAX_LEVEL`` with whatever
     estimate it reached; a non-finite sum has estimate +inf.  Callers
-    decide what estimate they accept.
-
-    With ``rows`` given, ``f(x, c, active)`` evaluates that many integrands
-    at once: it returns a (len(active) x nodes) array for ``active``, the
-    list of the row indices still running, and ``de_quad`` returns per-row
-    arrays ``(values, errors)``.  Each row stops by the rule above at its
-    own level and gets the bits of its one-row call (the scalar form is that
-    one-row case); a level is evaluated in blocks of rows, so its
+    decide what estimate they accept.  Each row gets the bits of its
+    one-row call.  A level is evaluated in blocks of rows, so its
     temporaries stay near ``_DE_BLOCK`` elements.
     """
     if not (math.isfinite(a) and b > a):
         raise ValueError(f"de_quad needs finite a < b, got [{a!r}, {b!r}]")
-    if rows is None:
-        (value,), (err,) = _de_rows(lambda x, c, active: (f(x, c),), a, b, rtol, atol, 1)
-        return value, err
-    values, errors = _de_rows(f, a, b, rtol, atol, rows)
-    return np.array(values), np.array(errors)
-
-
-def _de_rows(
-    f: Callable[..., np.ndarray], a: float, b: float, rtol: float, atol: float, rows: int
-) -> tuple[list[float], list[float]]:
-    """The levels of :func:`de_quad` for ``rows`` integrands: per-row lists
-    of values and error estimates."""
     half_line = b == math.inf
     width = 1.0 if half_line else b - a
     totals = [0.0] * rows
@@ -336,27 +322,30 @@ def _de_rows(
                     err = math.inf
                 values[i], errors[i] = value, err
         active = running
-    return values, errors
+    return np.array(values), np.array(errors)
 
 
 # =====================================================================
 #  Brent root finder
 # =====================================================================
 
-# Absolute part of the stopping tolerance.
+# Absolute and relative parts of the stopping tolerance, and the step cap.
 _BRENT_XTOL = 2e-12
+_BRENT_RTOL = 1e-12
+_BRENT_MAXITER = 200
 
 
-def brent_root(f: Callable[[float], float], a: float, b: float, *, rtol: float, maxiter: int) -> float:
+def brent_root(f: Callable[[float], float], a: float, b: float) -> float:
     """Root of ``f`` in the bracket [a, b] by Brent's method (Brent 1973).
 
     Each step takes the inverse-quadratic (or secant) step when it stays
     well inside the bracket and shrinks fast enough, and bisects
     otherwise, so convergence is superlinear on smooth ``f`` and never
     slower than bisection.  Stops once the bracket half-width is below
-    (2e-12 + rtol |x|)/2.  Raises :class:`NumericalError` when f(a) and
+    (2e-12 + 1e-12 |x|)/2.  Raises :class:`NumericalError` when f(a) and
     f(b) do not have opposite signs, and
-    :class:`~beamsim.errors.ConvergenceError` after ``maxiter`` steps.
+    :class:`~beamsim.errors.ConvergenceError` after ``_BRENT_MAXITER``
+    steps.
     """
     x_pre, x_cur = float(a), float(b)
     f_pre, f_cur = f(x_pre), f(x_cur)
@@ -369,7 +358,7 @@ def brent_root(f: Callable[[float], float], a: float, b: float, *, rtol: float, 
             f"brent_root: f(a) = {f_pre!r} and f(b) = {f_cur!r} do not bracket a root"
         )
     x_blk = f_blk = s_pre = s_cur = 0.0
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if f_pre != 0.0 and f_cur != 0.0 and (f_pre < 0.0) != (f_cur < 0.0):
             # x_cur and x_pre bracket the root: x_pre becomes the far side.
             x_blk, f_blk = x_pre, f_pre
@@ -378,7 +367,7 @@ def brent_root(f: Callable[[float], float], a: float, b: float, *, rtol: float, 
             # Keep the best estimate in x_cur.
             x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
             f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
-        delta = (_BRENT_XTOL + rtol * abs(x_cur)) / 2.0
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(x_cur)) / 2.0
         s_bis = (x_blk - x_cur) / 2.0
         if f_cur == 0.0 or abs(s_bis) < delta:
             return x_cur
@@ -400,4 +389,4 @@ def brent_root(f: Callable[[float], float], a: float, b: float, *, rtol: float, 
         x_pre, f_pre = x_cur, f_cur
         x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
         f_cur = f(x_cur)
-    raise ConvergenceError(f"brent_root did not converge in {maxiter} steps (last x = {x_cur!r})")
+    raise ConvergenceError(f"brent_root did not converge in {_BRENT_MAXITER} steps (last x = {x_cur!r})")

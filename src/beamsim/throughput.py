@@ -151,7 +151,7 @@ def optimal_b_numeric(cfg: ThroughputConfig) -> float:
         return 1.0
     hi = (1.0 / cfg.f_t) ** 2
     try:
-        b_star = brent_root(lambda b: _stationarity_gap(b, cfg), 1.0, hi, rtol=1e-12, maxiter=200)
+        b_star = brent_root(lambda b: _stationarity_gap(b, cfg), 1.0, hi)
     except NumericalError as exc:
         raise NumericalError(f"optimal_b_numeric: {exc}") from exc
     return float(b_star)

@@ -57,7 +57,8 @@ def _integral(
 ) -> float:
     """``specfun.de_quad`` of an integrand ``f(x)`` over [a, b] (b may be inf);
     a ``NumericalError`` unless its error estimate is within the tolerances."""
-    value, err = specfun.de_quad(lambda x, c: f(x), a, b, rtol=rtol, atol=atol)
+    values, errors = specfun.de_quad(lambda x, c, active: (f(x),), a, b, rtol=rtol, atol=atol, rows=1)
+    value, err = values.item(), errors.item()
     if not err <= max(atol, rtol * abs(value)):
         raise NumericalError(
             f"oracle quadrature over [{a!r}, {b!r}] did not converge: {value!r} +- {err!r}"

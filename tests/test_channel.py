@@ -9,6 +9,7 @@ from scipy import special, stats
 from beamsim.channel import (
     FadingFamily,
     FadingModel,
+    MaxDrawWork,
     rician_k_to_nakagami_m,
     sample_max_path_power,
     sample_pair_power_sums,
@@ -177,17 +178,14 @@ class TestRealizeChannel:
 
 
 class FixedUniforms:
-    """A generator stand-in whose ``random(n)``, or ``random(out=a)``,
-    returns the given uniforms (written into ``a`` for the latter)."""
+    """A generator stand-in whose ``random(out=a)`` writes the given
+    uniforms into ``a`` and returns it."""
 
     def __init__(self, u):
         self.u = np.asarray(u, dtype=float)
 
-    def random(self, n=None, out=None):
-        if out is None:
-            assert n == len(self.u)
-            return self.u.copy()
-        assert n is None and len(out) == len(self.u)
+    def random(self, *, out):
+        assert len(out) == len(self.u)
         out[...] = self.u
         return out
 
@@ -229,7 +227,7 @@ class TestMaxPathPower:
             rng.random(100),
         ])
         for k in (1, 2, 7, 100, 10**4, k0 + len(pmf) - 1):
-            z = sample_max_path_power(model, np.full(len(u), float(k)), FixedUniforms(u))
+            z = sample_max_path_power(model, np.full(len(u), float(k)), FixedUniforms(u), MaxDrawWork(len(u)))
             ref = scipy_max_power(model, u, k)
             assert np.all(np.abs(z / ref - 1.0) <= 1e-9), (k, np.abs(z / ref - 1.0).max())
 
@@ -238,7 +236,8 @@ class TestMaxPathPower:
         ids=["nakagami", "rician", "rayleigh"],
     )
     def test_empty_set_and_zero_uniform_give_zero(self, model):
-        z = sample_max_path_power(model, np.array([0.0, 0.0, 1.0, 5.0]), FixedUniforms([0.3, 0.0, 0.0, 0.0]))
+        k1 = np.array([0.0, 0.0, 1.0, 5.0])
+        z = sample_max_path_power(model, k1, FixedUniforms([0.3, 0.0, 0.0, 0.0]), MaxDrawWork(len(k1)))
         assert np.array_equal(z, np.zeros(4))
 
     @pytest.mark.parametrize(
@@ -249,5 +248,5 @@ class TestMaxPathPower:
         # against the largest of 5 per-path draws of the literal reference
         n, k = 20_000, 5
         direct = path_powers(model, n * k, substream(9, 0)).reshape(n, k).max(axis=1)
-        drawn = sample_max_path_power(model, np.full(n, float(k)), substream(9, 1))
+        drawn = sample_max_path_power(model, np.full(n, float(k)), substream(9, 1), MaxDrawWork(n))
         assert stats.ks_2samp(direct, drawn).pvalue > 1e-3

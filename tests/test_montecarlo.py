@@ -377,7 +377,7 @@ class TestWorkSetReuse:
         assert (est.mean, est.std_error, est.trials) == (*pinned, PINNED_TRIALS)
 
     def test_empirical_cdf_pinned(self):
-        # the reduction sorts each chunk's view of the work set in place
+        # the chunk loop sorts each chunk's view of the work set in place
         cfg = make_config(3.5, 121, FadingModel.nakagami(3.2), PINNED_TRIALS, 2504)
         ecdf = empirical_opt_power_cdf(cfg, np.linspace(0.0, 4.0, 9))
         assert ecdf.trials_kept == 317_825
