@@ -90,6 +90,11 @@ def reg_gamma_pq(a, x) -> tuple[np.ndarray, np.ndarray]:
     by cancellation where it is small, and Q keeps its relative accuracy
     down to the double range.  Each loop runs until every element has
     converged.  A NaN anywhere in ``a`` or ``x`` raises ``ValueError``.
+    Measured domain near x ~ a: the series converges at x = a = 1e6 and
+    raises ``ConvergenceError`` from a = 2e6 (at x = 0.999 a from 3e6); x =
+    1.001 a still converges at 1e7.  From a = 2^53 on, a + 1 rounds to a,
+    and a division by zero, overflow or invalid result is a
+    ``ConvergenceError`` too, never a warning.
     """
     a, x = np.asarray(a, dtype=float), np.asarray(x, dtype=float)
     if not ((a > 0.0).all() and (x >= 0.0).all()):
@@ -104,8 +109,13 @@ def reg_gamma_pq(a, x) -> tuple[np.ndarray, np.ndarray]:
     for region, sum_of in ((series, _lower_series_array), (fraction, _upper_fraction_array)):
         if region.any():
             ar, xr = a[region], x[region]
-            # x^a e^-x / Gamma(a), in log space
-            value = np.exp(ar * np.log(xr) - xr - lgam[region]) * sum_of(ar, xr)
+            mode = "raise" if (ar >= 2.0**53).any() else None
+            try:
+                with np.errstate(divide=mode, over=mode, invalid=mode):
+                    # x^a e^-x / Gamma(a), in log space
+                    value = np.exp(ar * np.log(xr) - xr - lgam[region]) * sum_of(ar, xr)
+            except FloatingPointError as exc:
+                raise ConvergenceError(f"reg_gamma_pq failed at a shape >= 2^53: {exc}") from None
             if sum_of is _lower_series_array:
                 p[region] = value
                 q[region] = 1.0 - value

@@ -52,18 +52,21 @@ def _sim_se(lambda0: float, b: int, fading: FadingModel, trials: int, seed: int)
     return estimate_se(SimConfig(lambda0, b, _rho(lambda0, b), fading, trials, seed))
 
 
-def _integral(
-    f: Callable[[np.ndarray], np.ndarray], a: float, b: float, rtol: float, atol: float
-) -> float:
-    """``specfun.de_quad`` of an integrand ``f(x)`` over [a, b] (b may be inf);
-    a ``NumericalError`` unless its error estimate is within the tolerances."""
-    values, errors = specfun.de_quad(lambda x, c, active: (f(x),), a, b, rtol=rtol, atol=atol, rows=1)
-    value, err = values.item(), errors.item()
-    if not err <= max(atol, rtol * abs(value)):
-        raise NumericalError(
-            f"oracle quadrature over [{a!r}, {b!r}] did not converge: {value!r} +- {err!r}"
-        )
-    return value
+def _integrals(
+    f: Callable[..., np.ndarray], params: Sequence, a: float, b: float, rtol: float, atol: float
+) -> list[float]:
+    """``specfun.de_quad`` of the family ``f(x, param)`` over [a, b] (b may be
+    inf), one row per param with the bits of its one-param call; a
+    ``NumericalError`` unless every error estimate is within the tolerances."""
+    family = lambda x, c, active: [f(x, params[i]) for i in active]
+    values, errors = specfun.de_quad(family, a, b, rtol=rtol, atol=atol, rows=len(params))
+    values = values.tolist()
+    for value, err in zip(values, errors.tolist()):
+        if not err <= max(atol, rtol * abs(value)):
+            raise NumericalError(
+                f"oracle quadrature over [{a!r}, {b!r}] did not converge: {value!r} +- {err!r}"
+            )
+    return values
 
 
 # =====================================================================
@@ -156,42 +159,34 @@ def _c04_cdf_exactness(seed: int, trials: int) -> CriterionResult:
 
 def _c05_surrogate_normalization(seed: int, trials: int) -> CriterionResult:
     """The surrogate optimal-power density integrates to 1 +- 1e-6."""
-    worst = 0.0
-    for p, b, m in ((0.0156, 121, 1.0), (0.0156, 121, 3.0), (0.003, 625, 3.0)):
-        model = SparseModel.from_p(p, b, m)
-        pdf = lambda x: analytic.opt_power_pdf_bound(x, model)
-        val = _integral(pdf, 0.0, math.inf, rtol=1e-10, atol=1e-12)
-        worst = max(worst, abs(val - 1.0))
+    pbms = ((0.0156, 121, 1.0), (0.0156, 121, 3.0), (0.003, 625, 3.0))
+    models = [SparseModel.from_p(p, b, m) for p, b, m in pbms]
+    vals = _integrals(analytic.opt_power_pdf_bound, models, 0.0, math.inf, rtol=1e-10, atol=1e-12)
+    worst = max(abs(val - 1.0) for val in vals)
     detail = f"max |integral - 1| = {worst:.2e} (limit 1e-06)"
     return CriterionResult(5, "surrogate-density-normalization", worst <= 1e-6, detail)
 
 
-def _pattern_se(p: float, b: int, rho: float) -> float:
-    """SE by exhaustive occupancy-pattern conditioning (m = 1, tiny B).
-
-    A pattern's conditional SE depends only on its occupied count k, so
-    each k's integral is taken once."""
-    vals = {
-        k: _integral(
-            lambda x, k=k: np.log1p(rho * x) * k * (-np.expm1(-x)) ** (k - 1) * np.exp(-x),
-            0.0, math.inf, rtol=1e-11, atol=1e-12,
-        )
-        for k in range(1, b + 1)
-    }
-    total = 0.0
-    for pattern in itertools.product((0, 1), repeat=b):
-        k = sum(pattern)
-        if k:
-            total += p**k * (1.0 - p) ** (b - k) * vals[k]
-    return total
+def _occupied_ses(pairs: Sequence[tuple[int, float]]) -> list[float]:
+    """E[ln(1 + rho M)] for each (k, rho), M the max of k i.i.d. Exp(1)
+    powers: the SE given k occupied pairs (m = 1)."""
+    f = lambda x, kr: np.log1p(kr[1] * x) * kr[0] * (-np.expm1(-x)) ** (kr[0] - 1) * np.exp(-x)
+    return _integrals(f, pairs, 0.0, math.inf, rtol=1e-11, atol=1e-12)
 
 
-def _density_se(p: float, b: int, rho: float) -> float:
-    """SE by quadrature against the exact conditional max density (m = 1)."""
-    model = SparseModel.from_p(p, b, 1.0)
-    integrand = lambda x: np.log1p(rho * x) * analytic.opt_power_pdf_exact(x, model)
-    val = _integral(integrand, 0.0, math.inf, rtol=1e-11, atol=1e-13)
-    return model.prob_any() * val
+def _pattern_se(p: float, b: int, rho: float, occupied: dict[tuple[int, float], float]) -> float:
+    """SE by exhaustive occupancy-pattern conditioning (m = 1, tiny B); a
+    pattern's conditional SE is ``occupied[k, rho]``, k its occupied count."""
+    patterns = itertools.product((0, 1), repeat=b)
+    return sum(p**k * (1.0 - p) ** (b - k) * occupied[k, rho] for k in map(sum, patterns) if k)
+
+
+def _density_ses(points: Sequence[tuple[SparseModel, float]]) -> list[float]:
+    """SE by quadrature against the exact conditional max density (m = 1),
+    for each (model, rho)."""
+    f = lambda x, mr: np.log1p(mr[1] * x) * analytic.opt_power_pdf_exact(x, mr[0])
+    vals = _integrals(f, points, 0.0, math.inf, rtol=1e-11, atol=1e-13)
+    return [model.prob_any() * val for (model, _), val in zip(points, vals)]
 
 
 def _max_exp_log_moment(n: int, a: float, rho: float) -> float:
@@ -229,14 +224,13 @@ def _mixture_upper_se(model: SparseModel, rho: float) -> float:
 def _c06_small_instance_oracle(seed: int, trials: int) -> CriterionResult:
     """Pattern-enumeration SE equals density-quadrature SE to 1e-6, and the
     Nakagami upper bound equals its closed binomial mixture to 1e-6 (m = 1, 2, 3)."""
-    worst = 0.0
-    points = []
-    for b in (1, 2, 3):
-        for p in (0.2, 0.5):
-            for rho in (1.0, 5.0):
-                gap = abs(_pattern_se(p, b, rho) - _density_se(p, b, rho))
-                worst = max(worst, gap)
-                points += [(SparseModel.from_p(p, b, m), rho) for m in (1.0, 2.0, 3.0)]
+    grid = [(p, b, rho) for b in (1, 2, 3) for p in (0.2, 0.5) for rho in (1.0, 5.0)]
+    pairs = sorted({(k, rho) for _, b, rho in grid for k in range(1, b + 1)})
+    occupied = dict(zip(pairs, _occupied_ses(pairs)))
+    densities = _density_ses([(SparseModel.from_p(p, b, 1.0), rho) for p, b, rho in grid])
+    gaps = [abs(_pattern_se(p, b, rho, occupied) - dens) for (p, b, rho), dens in zip(grid, densities)]
+    worst = max(gaps)
+    points = [(SparseModel.from_p(p, b, m), rho) for p, b, rho in grid for m in (1.0, 2.0, 3.0)]
     models, rhos = zip(*points)
     uppers = analytic.se_upper_nakagami(models, rhos).tolist()
     worst_upper = 0.0
@@ -379,22 +373,20 @@ def _e1_quad_oracle(x: float) -> float:
     # E1(x) = int_{ln x}^{inf} exp(-e^u) du; the integrand dies double-
     # exponentially, so truncating at u = 8 is already below 1e-300.
     # Pure relative tolerance: E1 spans many decades over the test range.
-    return _integral(lambda u: np.exp(-np.exp(u)), math.log(x), 8.0, rtol=1e-13, atol=0.0)
+    return _integrals(lambda u, _: np.exp(-np.exp(u)), [x], math.log(x), 8.0, rtol=1e-13, atol=0.0)[0]
 
 
-def _e1_scaled_quad_oracle(x: float) -> float:
+def _e1_scaled_oracles(xs: Sequence[float]) -> list[float]:
     # exp(x) E1(x) = int_0^inf e^{-v} / (x + v) dv
-    return _integral(lambda v: np.exp(-v) / (x + v), 0.0, math.inf, rtol=1e-13, atol=0.0)
+    return _integrals(lambda v, x: np.exp(-v) / (x + v), xs, 0.0, math.inf, rtol=1e-13, atol=0.0)
 
 
-def _gamma_quad_oracle(m: float, x: float) -> float:
-    # P(m, x) = 2 int_0^sqrt(x) r^{2m-1} e^{-r^2} dr / Gamma(m); the
-    # substitution removes the endpoint singularity for m in [0.5, 1).
-    if x == 0.0:
-        return 0.0
-    integrand = lambda r: 2.0 * r ** (2.0 * m - 1.0) * np.exp(-r * r)
-    val = _integral(integrand, 0.0, math.sqrt(x), rtol=1e-12, atol=1e-14)
-    return val / math.exp(math.lgamma(m))
+def _gamma_oracles(ms: Sequence[float], x: float) -> list[float]:
+    # P(m, x) = 2 int_0^sqrt(x) r^{2m-1} e^{-r^2} dr / Gamma(m), for x > 0;
+    # the substitution removes the endpoint singularity for m in [0.5, 1).
+    integrand = lambda r, m: 2.0 * r ** (2.0 * m - 1.0) * np.exp(-r * r)
+    vals = _integrals(integrand, ms, 0.0, math.sqrt(x), rtol=1e-12, atol=1e-14)
+    return [val / math.exp(math.lgamma(m)) for m, val in zip(ms, vals)]
 
 
 def _c10_special_function_kernel(seed: int, trials: int) -> CriterionResult:
@@ -402,18 +394,14 @@ def _c10_special_function_kernel(seed: int, trials: int) -> CriterionResult:
     ms = (0.5, 1.0, 2.5, 3.2, 8.0, 20.0, 50.0)
     xs = (1e-6, 0.01, 0.3, 1.0, 2.24, 5.0, 17.0, 80.0, 200.0, 500.0)
     mine = specfun.reg_lower_gamma(np.array(ms)[:, None], np.array(xs))
-    oracle = np.array([[_gamma_quad_oracle(m, x) for x in xs] for m in ms])
+    oracle = np.array([_gamma_oracles(ms, x) for x in xs]).T
     worst_gamma = float(np.max(np.abs(mine - oracle)))
 
-    worst_e1 = 0.0
-    for x in np.logspace(-8, math.log10(5.0), 25):
-        x = float(x)
-        ref = _e1_quad_oracle(x)
-        worst_e1 = max(worst_e1, abs(specfun.exp_integral_e1(x) - ref) / ref)
-    for x in np.logspace(math.log10(5.0), math.log10(700.0), 15):
-        x = float(x)
-        ref = _e1_scaled_quad_oracle(x)
-        worst_e1 = max(worst_e1, abs(specfun.exp_e1_scaled(x) - ref) / ref)
+    xs = np.logspace(-8, math.log10(5.0), 25).tolist()
+    e1 = [(specfun.exp_integral_e1(x), _e1_quad_oracle(x)) for x in xs]
+    xs = np.logspace(math.log10(5.0), math.log10(700.0), 15).tolist()
+    e1 += zip(map(specfun.exp_e1_scaled, xs), _e1_scaled_oracles(xs))
+    worst_e1 = max(abs(value - ref) / ref for value, ref in e1)
 
     inequality_ok = True
     for x in np.logspace(-6, 2, 81):

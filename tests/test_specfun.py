@@ -121,6 +121,35 @@ class TestRegLowerGamma:
             warnings.simplefilter("error")
             assert reg_lower_gamma(1e306, 1.0) == 0.0
 
+    @pytest.mark.parametrize(
+        "a, x",
+        [
+            (1e16, 1e16),                                     # x + 1 - a rounds to 0
+            (2.0**53, 2.0**53),
+            (2.262673282382615e18, 2.2626732823826127e18),    # x^a e^-x / Gamma(a) overflows
+            (2.793949083890976e40, 2.7939490838909764e40),
+            (3.51057415539819e305, 3.5105741553981904e295),   # a ln x overflows
+        ],
+    )
+    def test_huge_shape_failure_is_a_convergence_error(self, a, x):
+        # from a = 2^53 on, a + 1 rounds to a; a failure there warns nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError):
+                specfun.reg_gamma_pq(a, x)
+
+    def test_measured_domain_near_x_equals_a(self):
+        # the series needs ~9 sqrt(a) terms at x = a
+        for a, ratio in ((1e6, 1.0), (2e6, 0.999), (1e7, 1.001)):
+            p, q = specfun.reg_gamma_pq(a, ratio * a)
+            assert 0.0 < p < 1.0 and p + q == pytest.approx(1.0)
+        for a, ratio in ((2e6, 1.0), (3e6, 0.999)):
+            with pytest.raises(ConvergenceError):
+                specfun.reg_gamma_pq(a, ratio * a)
+        # saturated values past 2^53 are still returned
+        assert specfun.reg_gamma_pq(1e16, 1.0)[0] == 0.0
+        assert specfun.reg_gamma_pq(1e16, 1e20)[0] == 1.0
+
     def test_against_quadrature_oracle(self):
         for m in (0.5, 0.9, 1.0, 2.5, 3.2, 8.0, 20.0, 50.0):
             for x in (1e-6, 0.01, 0.3, 1.0, 2.24, 5.0, 17.0, 80.0, 200.0, 500.0):
@@ -357,12 +386,15 @@ class TestValidationOraclesAgainstScipy:
     """Each quadrature oracle of ``validation`` against ``scipy.integrate.quad``."""
 
     def test_surrogate_density_normalization(self):
-        for p, b, m in ((0.0156, 121, 1.0), (0.0156, 121, 3.0), (0.003, 625, 3.0)):
-            model = SparseModel.from_p(p, b, m)
+        pbms = ((0.0156, 121, 1.0), (0.0156, 121, 3.0), (0.003, 625, 3.0))
+        models = [SparseModel.from_p(p, b, m) for p, b, m in pbms]
+        got = validation._integrals(
+            analytic.opt_power_pdf_bound, models, 0.0, math.inf, rtol=1e-10, atol=1e-12
+        )
+        for model, value in zip(models, got):
             pdf = lambda x: analytic.opt_power_pdf_bound(x, model)
             ref, _ = integrate.quad(pdf, 0.0, np.inf, epsabs=1e-12, epsrel=1e-10, limit=400)
-            got = validation._integral(pdf, 0.0, math.inf, rtol=1e-10, atol=1e-12)
-            assert got == pytest.approx(ref, rel=1e-10)
+            assert value == pytest.approx(ref, rel=1e-10)
 
     def test_pattern_and_density_se(self):
         def pattern_ref(p, b, rho):
@@ -375,28 +407,31 @@ class TestValidationOraclesAgainstScipy:
                 total += math.comb(b, k) * p**k * (1.0 - p) ** (b - k) * val
             return total
 
+        pairs = [(k, rho) for k in (1, 2, 3) for rho in (1.0, 5.0)]
+        occupied = dict(zip(pairs, validation._occupied_ses(pairs)))
         for b in (1, 2, 3):
             for p in (0.2, 0.5):
                 for rho in (1.0, 5.0):
                     ref = pattern_ref(p, b, rho)
-                    assert validation._pattern_se(p, b, rho) == pytest.approx(ref, rel=1e-10)
+                    assert validation._pattern_se(p, b, rho, occupied) == pytest.approx(ref, rel=1e-10)
                     model = SparseModel.from_p(p, b, 1.0)
                     dens, _ = integrate.quad(
                         lambda x: math.log1p(rho * x) * analytic.opt_power_pdf_exact(x, model),
                         0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=300,
                     )
-                    assert validation._density_se(p, b, rho) == pytest.approx(
-                        model.prob_any() * dens, rel=1e-10
-                    )
+                    assert validation._density_ses([(model, rho)]) == [
+                        pytest.approx(model.prob_any() * dens, rel=1e-10)
+                    ]
 
     def test_exponential_integral_oracles(self):
         for x in np.logspace(-8, math.log10(5.0), 25):
             assert validation._e1_quad_oracle(float(x)) == pytest.approx(quad_e1(float(x)), rel=1e-12)
-        for x in np.logspace(math.log10(5.0), math.log10(700.0), 15):
+        xs = np.logspace(math.log10(5.0), math.log10(700.0), 15).tolist()
+        for x, got in zip(xs, validation._e1_scaled_oracles(xs)):
             ref, _ = integrate.quad(
-                lambda v: math.exp(-v) / (float(x) + v), 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=300
+                lambda v: math.exp(-v) / (x + v), 0.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=300
             )
-            assert validation._e1_scaled_quad_oracle(float(x)) == pytest.approx(ref, rel=1e-12)
+            assert got == pytest.approx(ref, rel=1e-12)
 
     def test_unconverged_quadrature_is_an_error(self, monkeypatch):
         # an oracle takes only an estimate within its tolerances
@@ -405,11 +440,59 @@ class TestValidationOraclesAgainstScipy:
             validation.run_validation(criteria=[5])
 
     def test_incomplete_gamma_oracle(self):
-        for m in (0.5, 1.0, 2.5, 3.2, 8.0, 20.0, 50.0):
-            for x in (1e-6, 0.01, 0.3, 1.0, 2.24, 5.0, 17.0, 80.0, 200.0, 500.0):
-                assert validation._gamma_quad_oracle(m, x) == pytest.approx(
-                    quad_reg_lower_gamma(m, x), rel=1e-10, abs=1e-13
-                )
+        ms = (0.5, 1.0, 2.5, 3.2, 8.0, 20.0, 50.0)
+        for x in (1e-6, 0.01, 0.3, 1.0, 2.24, 5.0, 17.0, 80.0, 200.0, 500.0):
+            for m, got in zip(ms, validation._gamma_oracles(ms, x)):
+                assert got == pytest.approx(quad_reg_lower_gamma(m, x), rel=1e-10, abs=1e-13)
+
+
+class TestValidationOracleRows:
+    """The oracles integrate each family as the rows of one ``de_quad`` call;
+    the report's bytes rest on every row having the bits of its own call."""
+
+    @staticmethod
+    def integrals_calls(monkeypatch, criterion):
+        # (f, params, args, kwargs, values) of each ``_integrals`` call the criterion makes
+        calls = []
+        integrals = validation._integrals
+
+        def spy(f, params, *args, **kwargs):
+            values = integrals(f, params, *args, **kwargs)
+            calls.append((f, list(params), args, kwargs, values))
+            return values
+
+        monkeypatch.setattr(validation, "_integrals", spy)
+        validation.run_validation(seed=5, criteria=[criterion])
+        monkeypatch.setattr(validation, "_integrals", integrals)
+        return calls
+
+    @pytest.mark.parametrize(
+        "criterion, rows",
+        [(5, [3]), (6, [6, 12]), (10, [7] * 10 + [1] * 25 + [15])],
+        ids=["c05_models", "c06_pairs_and_densities", "c10_shapes_and_scaled_e1"],
+    )
+    def test_each_row_is_its_own_call(self, monkeypatch, criterion, rows):
+        calls = self.integrals_calls(monkeypatch, criterion)
+        assert [len(params) for _, params, _, _, _ in calls] == rows
+        for f, params, args, kwargs, values in calls:
+            if len(params) > 1:
+                alone = [validation._integrals(f, [param], *args, **kwargs)[0] for param in params]
+                assert [_bits(v) for v in values] == [_bits(v) for v in alone]
+
+    def test_quadrature_calls_per_criterion(self, monkeypatch):
+        # the surrogate-bound quadrature of ``analytic`` counts too (one call in criterion 6)
+        calls = collections.Counter()
+        de_quad_of = specfun.de_quad
+
+        def counted(*args, **kwargs):
+            calls[criterion] += 1
+            return de_quad_of(*args, **kwargs)
+
+        monkeypatch.setattr(specfun, "de_quad", counted)
+        monkeypatch.setattr(analytic, "de_quad", counted)
+        for criterion in (5, 6, 10):
+            validation.run_validation(seed=5, trials=100_000, criteria=[criterion])
+        assert calls == {5: 1, 6: 3, 10: 36}
 
 
 class TestBrentRoot:
