@@ -104,12 +104,15 @@ def gamma_power_law(m: float, z) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     The CDF and its complement are ``specfun.reg_gamma_pq`` at m z, each
     accurate where it is small; the density m (m z)^(m-1) e^(-m z) / Gamma(m)
-    is +inf at z = 0 for m < 1.
+    is +inf at z = 0 for m < 1.  Where m z overflows, or z = +inf, the law
+    is its limit (1, 0, 0).
     """
-    x = m * np.asarray(z, dtype=float)
+    with np.errstate(over="ignore"):    # an overflowing m z is +inf
+        x = m * np.asarray(z, dtype=float)
     cdf, tail = reg_gamma_pq(m, x)
     with np.errstate(divide="ignore"):
-        shape_term = 0.0 if m == 1.0 else (m - 1.0) * np.log(x)
+        # the log of x capped at the largest double, so x = +inf gives e^-inf = 0, not e^(inf - inf)
+        shape_term = 0.0 if m == 1.0 else (m - 1.0) * np.log(np.minimum(x, np.finfo(float).max))
     density = np.exp(math.log(m) + shape_term - x - ln_gamma(m))
     return cdf, tail, density
 
@@ -170,12 +173,14 @@ def opt_power_pdf_bound(p_star, model: SparseModel):
     z = _powers(p_star)
     m, p, b = model.m, model.p, model.b
     a = surrogate_rate(m)
-    u = -np.expm1(-a * z)
+    with np.errstate(over="ignore"):    # an overflowing a z is +inf, where the density is 0
+        az = a * z
+    u = -np.expm1(-az)
     lead = m * a * p * b / model.prob_any()
     with np.errstate(divide="ignore"):
         shape_term = 1.0 if m == 1.0 else u ** (m - 1.0)
     bracket = np.exp((b - 1) * np.log1p(-p * (1.0 - u**m)))
-    return _like(p_star, lead * shape_term * bracket * np.exp(-a * z))
+    return _like(p_star, lead * shape_term * bracket * np.exp(-az))
 
 
 def opt_power_pdf_exact(p_star, model: SparseModel):

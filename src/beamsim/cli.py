@@ -33,8 +33,13 @@ values, and the Python and numpy versions and the OpenBLAS thread setting
 the run had.  CSV bytes depend only on config + seed, never on
 timing.
 
-Exit codes: 0 success, 1 numerical failure, 2 config error, 3 infeasible
-throughput configuration.
+Errors take one path to the exit code.  While a point is built, ``_blame``
+turns a value the library rejects (a ``ValueError``) into a config error;
+``_maybe_infeasible`` turns a planner optimum that does not exist into an
+empty cell; and ``main`` maps the error type to the exit code: 0 success,
+1 numerical failure (``NumericalError``), 2 config error (``ConfigError``),
+3 infeasible throughput configuration (``InfeasibleConfigError``).  On a
+point ``_point_from`` accepted, a cell's library call raises nothing else.
 """
 
 from __future__ import annotations
@@ -61,13 +66,7 @@ import beamsim.throughput as throughput
 from . import _BLAS_THREAD_VARS, __version__, analytic, validation
 from .analytic import SparseModel
 from .channel import FadingModel
-from .errors import (
-    ApproximationInvalidError,
-    BeamsimError,
-    ConfigError,
-    InfeasibleConfigError,
-    NumericalError,
-)
+from .errors import ApproximationInvalidError, ConfigError, InfeasibleConfigError, NumericalError
 from .montecarlo import MAX_TRIALS, STREAM_VERSION, SimConfig, estimate_se
 from .rng import child_seed
 
@@ -444,18 +443,18 @@ def _evaluate_rows(columns: Sequence[str], points: list[Point], section: Section
     """Named cells of each point by :func:`_evaluate`.
 
     The ``upper_nakagami`` cells are one call, made first and stored in the
-    points' cells.  An error it raises is stored at its failing point's cell
-    (every other point's holds None), so a section still fails on its first
-    failing cell in row-major order.
+    points' cells.  The ``NumericalError`` it raises is stored at the cell of
+    its failing point, its ``index`` (every other point's holds None), so a
+    section still fails on its first failing cell in row-major order.
     """
     if "upper_nakagami" in columns:
         try:
             # looked up per call, so wrappers put on the analytic module (perfbench's tracer) see it
             values = analytic.se_upper_nakagami([p.model for p in points], [p.cells["rho"] for p in points])
             upper = [value * _unit_scale(units) for value in values.tolist()]
-        except (BeamsimError, ValueError) as exc:
+        except NumericalError as exc:
             upper = [None] * len(points)
-            upper[getattr(exc, "index", None) or 0] = exc
+            upper[exc.index] = exc
         for point, cell in zip(points, upper):
             point.cells["upper_nakagami"] = cell
     return [_evaluate(columns, point, section, units) for point in points]
@@ -469,53 +468,47 @@ def _evaluate(columns: Sequence[str], point: Point, section: Section, units: str
     brings every planner optimum plus ``f_t`` and ``n_b``.  ``tp`` holds the
     throughput-curve rows (``TP_CURVE_COLUMNS``) over the section's
     ``b_values``.  Planner cells of an infeasible point are None, as are the
-    closed-form cells wherever that approximation does not apply.
+    closed-form cells wherever that approximation does not apply.  Any other
+    error a cell's library call raises is a ``NumericalError``, and it
+    passes through to ``main``.
     """
     _, model, cfg, sim = point
     scale = _unit_scale(units)
     cells = {**point.cells, "units": units}
     for column in columns:
-        try:
-            if column in cells:
-                if isinstance(cells[column], Exception):
-                    raise cells[column]
-            elif column in ("sim_se", "sim_ci95", "trials"):
-                est = estimate_se(sim)
-                cells.update(sim_se=est.mean * scale, sim_ci95=est.ci95 * scale, trials=est.trials)
-            elif column in BOUND_COLUMNS:
-                # Looked up per call, so wrappers put on the analytic module
-                # (perfbench's tracer) see these calls.
-                bound = {"upper_rayleigh": analytic.se_upper_rayleigh, "lower": analytic.se_lower}[column]
-                cells[column] = bound(model, cells["rho"]) * scale
-            elif column == "sparse":
-                cells[column] = analytic.se_sparse_approx(cells["lambda0"], cells["rho"]) * scale
-            elif column == "tp":
-                b_values = section.get("b_values") or []
-                raws = [tp * scale for tp in throughput.throughput_curve(b_values, cfg).tolist()]
-                cells[column] = [[b, max(raw, 0.0), raw, units] for b, raw in zip(b_values, raws)]
-            elif column == "best_square_b":
-                cells[column] = _maybe_infeasible(lambda: throughput.best_square_b(cfg))
-            else:
-                region = throughput.feasible_region(cfg)
-                b_num = _maybe_infeasible(lambda: throughput.optimal_b_numeric(cfg))
-                b_cf = _maybe_infeasible(lambda: throughput.optimal_b_closed_form(cfg))
-                cells.update(
-                    f_t=cfg.f_t,
-                    n_b=cfg.n_b,
-                    b_max_feasible=region[1] if region else None,
-                    b_star_numeric=b_num,
-                    b_star_closed=b_cf,
-                    hpbw_star_numeric=None if b_num is None else throughput.optimal_hpbw(b_num),
-                    hpbw_star_closed=None if b_cf is None else throughput.optimal_hpbw(b_cf),
-                    tp_at_optimum=(
-                        None if b_num is None
-                        else throughput.throughput_continuous(b_num, cfg) * scale
-                    ),
-                )
-        except (ConfigError, InfeasibleConfigError, NumericalError):
-            raise
-        except (BeamsimError, ValueError) as exc:
-            raise NumericalError(f"{column}: {exc}") from exc
+        if column in cells:
+            if isinstance(cells[column], Exception):
+                raise cells[column]
+        elif column in ("sim_se", "sim_ci95", "trials"):
+            est = estimate_se(sim)
+            cells.update(sim_se=est.mean * scale, sim_ci95=est.ci95 * scale, trials=est.trials)
+        elif column in BOUND_COLUMNS:
+            # Looked up per call, so wrappers put on the analytic module
+            # (perfbench's tracer) see these calls.
+            bound = {"upper_rayleigh": analytic.se_upper_rayleigh, "lower": analytic.se_lower}[column]
+            cells[column] = bound(model, cells["rho"]) * scale
+        elif column == "sparse":
+            cells[column] = analytic.se_sparse_approx(cells["lambda0"], cells["rho"]) * scale
+        elif column == "tp":
+            b_values = section.get("b_values") or []
+            raws = [tp * scale for tp in throughput.throughput_curve(b_values, cfg).tolist()]
+            cells[column] = [[b, max(raw, 0.0), raw, units] for b, raw in zip(b_values, raws)]
+        elif column == "best_square_b":
+            cells[column] = _maybe_infeasible(lambda: throughput.best_square_b(cfg))
+        else:
+            region = throughput.feasible_region(cfg)
+            b_num = _maybe_infeasible(lambda: throughput.optimal_b_numeric(cfg))
+            b_cf = _maybe_infeasible(lambda: throughput.optimal_b_closed_form(cfg))
+            cells.update(
+                f_t=cfg.f_t,
+                n_b=cfg.n_b,
+                b_max_feasible=region[1] if region else None,
+                b_star_numeric=b_num,
+                b_star_closed=b_cf,
+                hpbw_star_numeric=None if b_num is None else throughput.optimal_hpbw(b_num),
+                hpbw_star_closed=None if b_cf is None else throughput.optimal_hpbw(b_cf),
+                tp_at_optimum=None if b_num is None else throughput.throughput_continuous(b_num, cfg) * scale,
+            )
     return cells
 
 

@@ -52,7 +52,7 @@ MAX_ITERATIONS = 10_000
 
 EULER_GAMMA = 0.5772156649015329
 
-# Smallest positive normal double, used to guard Lentz continued fractions.
+# Smallest positive normal double: the Lentz guard, and reg_gamma_pq's least shape.
 _FPMIN = 2.2250738585072014e-308
 _EPS = 2.220446049250313e-16
 
@@ -70,7 +70,7 @@ def ln_gamma(x: float) -> float:
 
 def reg_lower_gamma(m, x):
     """Regularized lower incomplete gamma P(m, x) = gamma(m, x) / Gamma(m),
-    elementwise over the broadcast arrays ``m`` > 0 and ``x`` >= 0.
+    elementwise over the broadcast arrays ``m`` >= 2^-1022 and ``x`` >= 0.
 
     The P half of :func:`reg_gamma_pq`; a float for scalar input.
     """
@@ -80,7 +80,7 @@ def reg_lower_gamma(m, x):
 
 def reg_gamma_pq(a, x) -> tuple[np.ndarray, np.ndarray]:
     """Regularized incomplete gammas P(a, x) and Q(a, x) = 1 - P(a, x),
-    elementwise over the broadcast arrays ``a`` > 0 and ``x`` >= 0.
+    elementwise over the broadcast arrays ``a`` >= 2^-1022 and ``x`` >= 0.
 
     The package's one incomplete-gamma kernel: the power series gives P
     where x < a + 1 and the modified Lentz continued fraction gives Q
@@ -89,7 +89,8 @@ def reg_gamma_pq(a, x) -> tuple[np.ndarray, np.ndarray]:
     P >= 1/2 in the other), so it loses at most four bits; neither is formed
     by cancellation where it is small, and Q keeps its relative accuracy
     down to the double range.  Each loop runs until every element has
-    converged.  A NaN anywhere in ``a`` or ``x`` raises ``ValueError``.
+    converged.  A NaN anywhere in ``a`` or ``x`` raises ``ValueError``, as
+    does a subnormal shape a < 2^-1022, whose 1/a in the series overflows.
     Measured domain near x ~ a: the series converges at x = a = 1e6 and
     raises ``ConvergenceError`` from a = 2e6 (at x = 0.999 a from 3e6); x =
     1.001 a still converges at 1e7.  From a = 2^53 on, a + 1 rounds to a,
@@ -97,8 +98,8 @@ def reg_gamma_pq(a, x) -> tuple[np.ndarray, np.ndarray]:
     ``ConvergenceError`` too, never a warning.
     """
     a, x = np.asarray(a, dtype=float), np.asarray(x, dtype=float)
-    if not ((a > 0.0).all() and (x >= 0.0).all()):
-        raise ValueError("the regularized incomplete gamma requires a > 0 and x >= 0 (no NaN)")
+    if not ((a >= _FPMIN).all() and (x >= 0.0).all()):
+        raise ValueError("the regularized incomplete gamma requires a >= 2^-1022 and x >= 0 (no NaN)")
     with np.errstate(over="ignore"):     # an overflowing element is +inf
         lgam = np.vectorize(ln_gamma, otypes=[float])(a)
     a, x, lgam = np.broadcast_arrays(a, x, lgam)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ApproximationInvalidError, InfeasibleConfigError, NumericalError
+from .errors import ApproximationInvalidError, InfeasibleConfigError
 from .specfun import brent_root
 
 SPEED_OF_LIGHT = 299_792_458.0
@@ -141,6 +141,9 @@ def optimal_b_numeric(cfg: ThroughputConfig) -> float:
     ~1e-12 relative tolerance.  It is the maximizer: TP'(B) is
     -(1 - e^{-lambda0}) F_t K / (1 + B K) times the stationarity gap, which
     is strictly increasing in B, so TP rises below the root and falls above.
+    The bracket always holds the root: the gap at 1 is < 0 (checked first),
+    and at F_t^-2, where its right-hand side is -(1/F_t + N_b^2), it is > 0.
+    Brent's ``ConvergenceError`` passes through as it is.
     """
     if feasible_region(cfg) is None:
         raise InfeasibleConfigError(
@@ -149,12 +152,7 @@ def optimal_b_numeric(cfg: ThroughputConfig) -> float:
     if _stationarity_gap(1.0, cfg) >= 0.0:
         # Throughput is already decreasing at B = 1.
         return 1.0
-    hi = (1.0 / cfg.f_t) ** 2
-    try:
-        b_star = brent_root(lambda b: _stationarity_gap(b, cfg), 1.0, hi)
-    except NumericalError as exc:
-        raise NumericalError(f"optimal_b_numeric: {exc}") from exc
-    return float(b_star)
+    return brent_root(lambda b: _stationarity_gap(b, cfg), 1.0, (1.0 / cfg.f_t) ** 2)
 
 
 def optimal_b_closed_form(cfg: ThroughputConfig) -> float:

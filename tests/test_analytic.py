@@ -168,6 +168,16 @@ class TestArrayLaws:
             with pytest.raises(ValueError):
                 law(-0.1, model)
 
+    @pytest.mark.parametrize("m", [0.5, 1.0, 3.2, 1000.0])
+    @pytest.mark.parametrize("z", [1e308, math.inf])
+    def test_huge_power_is_the_limit(self, m, z):
+        # m z (or a z for the surrogate) overflows or is +inf: the CDF is 1
+        # and both densities 0, with no warning (warnings are errors here)
+        model = SparseModel.from_occupancy(1.9, 121, m)
+        assert opt_power_cdf(z, model) == 1.0
+        assert opt_power_pdf_exact(z, model) == 0.0
+        assert opt_power_pdf_bound(z, model) == 0.0
+
 
 class TestSurrogateDensity:
     def test_m1_reduction(self):

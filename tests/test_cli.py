@@ -25,8 +25,7 @@ from beamsim.analytic import SparseModel
 from beamsim.channel import FadingModel
 from beamsim.montecarlo import SimConfig, estimate_se
 from beamsim.rng import child_seed
-
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+from child_process import SRC_DIR, run_python
 
 BASE_CONFIG = """
 [run]
@@ -81,26 +80,6 @@ outputs = tp, b_star_numeric, hpbw_star
 DERIVED_LINK = "intercept_c = 1e-6\ndistance_d = {d}\nalpha = 2.0\nnoise_power = 1e-10"
 
 
-def run_cli(*args, cwd=None):
-    """Run ``python -m beamsim.cli`` in a child process.
-
-    The absolute ``src`` directory goes first on the child's ``PYTHONPATH`` so
-    the package imports from any ``cwd``, installed or not; inherited entries
-    are kept after it.
-    """
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC_DIR)] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    )
-    return subprocess.run(
-        [sys.executable, "-m", "beamsim.cli", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=cwd,
-    )
-
-
 def run_main(*args):
     """Run ``beamsim.cli.main`` in this process; return (exit code, stdout, stderr).
 
@@ -131,7 +110,7 @@ def read_csv(path):
 class TestSubcommands:
     def test_simulate(self, config_path, tmp_path):
         out = tmp_path / "out"
-        res = run_cli("simulate", "--config", str(config_path), "--out-dir", str(out))
+        res = run_python("-m", "beamsim.cli", "simulate", "--config", str(config_path), "--out-dir", str(out))
         assert res.returncode == 0, res.stderr
         rows = read_csv(out / "simulate.csv")
         assert rows[0] == ["lambda0", "b", "m_eff", "sim_se", "sim_ci95", "trials", "units"]
@@ -141,8 +120,9 @@ class TestSubcommands:
     def test_bounds_and_units(self, config_path, tmp_path):
         out_n = tmp_path / "n"
         out_b = tmp_path / "b"
-        assert run_cli("bounds", "--config", str(config_path), "--out-dir", str(out_n)).returncode == 0
-        assert run_cli("bounds", "--config", str(config_path), "--out-dir", str(out_b), "--units", "bits").returncode == 0
+        bounds = ("-m", "beamsim.cli", "bounds", "--config", str(config_path))
+        assert run_python(*bounds, "--out-dir", str(out_n)).returncode == 0
+        assert run_python(*bounds, "--out-dir", str(out_b), "--units", "bits").returncode == 0
         row_n = read_csv(out_n / "bounds.csv")[1]
         row_b = read_csv(out_b / "bounds.csv")[1]
         # every bound column scales by 1/ln 2; the units tag flips
@@ -164,7 +144,7 @@ class TestSubcommands:
 
     def test_throughput(self, config_path, tmp_path):
         out = tmp_path / "out"
-        res = run_cli("throughput", "--config", str(config_path), "--out-dir", str(out))
+        res = run_python("-m", "beamsim.cli", "throughput", "--config", str(config_path), "--out-dir", str(out))
         assert res.returncode == 0, res.stderr
         rows = read_csv(out / "throughput.csv")
         header = rows[0]
@@ -177,7 +157,7 @@ class TestSubcommands:
 
     def test_sweep_outputs(self, config_path, tmp_path):
         out = tmp_path / "out"
-        res = run_cli("sweep", "--config", str(config_path), "--out-dir", str(out))
+        res = run_python("-m", "beamsim.cli", "sweep", "--config", str(config_path), "--out-dir", str(out))
         assert res.returncode == 0, res.stderr
         demo = read_csv(out / "demo.csv")
         assert demo[0] == ["lambda0", "sim_se", "sim_ci95", "upper_nakagami", "lower", "units"]
@@ -204,7 +184,7 @@ class TestSubcommands:
             "outputs = b_star_numeric, b_star_closed, hpbw_star\n"
         )
         out = tmp_path / "out"
-        res = run_cli("sweep", "--config", str(cfg), "--out-dir", str(out))
+        res = run_python("-m", "beamsim.cli", "sweep", "--config", str(cfg), "--out-dir", str(out))
         assert res.returncode == 0, res.stderr
         rows = read_csv(out / "plan.csv")
         assert rows[0] == [
@@ -232,7 +212,7 @@ class TestSubcommands:
             "outputs = sim_se, upper_nakagami, lower\n"
         )
         out = tmp_path / "out"
-        res = run_cli("sweep", "--config", str(cfg), "--out-dir", str(out))
+        res = run_python("-m", "beamsim.cli", "sweep", "--config", str(cfg), "--out-dir", str(out))
         assert res.returncode == 0, res.stderr
         rows = read_csv(out / "v.csv")
         assert rows[0][0] == variable
@@ -250,14 +230,14 @@ class TestSubcommands:
             "lambda0 = 1.9\nb = 121\nm = 1\nsnr_coeff = 0.01\noutputs = lower\n"
         )
         out = tmp_path / "out"
-        assert run_cli("sweep", "--config", str(cfg), "--out-dir", str(out)).returncode == 0
+        assert run_python("-m", "beamsim.cli", "sweep", "--config", str(cfg), "--out-dir", str(out)).returncode == 0
         rows = read_csv(out / "r.csv")
         lows = [float(r[1]) for r in rows[1:]]
         assert lows[0] < lows[1] < lows[2]
 
     def test_manifest_provenance(self, config_path, tmp_path):
         out = tmp_path / "out"
-        run_cli("sweep", "--config", str(config_path), "--out-dir", str(out))
+        run_python("-m", "beamsim.cli", "sweep", "--config", str(config_path), "--out-dir", str(out))
         entries = [json.loads(line) for line in (out / "run_manifest.jsonl").read_text().splitlines()]
         assert len(entries) == 2
         for entry in entries:
@@ -326,7 +306,7 @@ class TestOnePath:
             + f"[sweep:one]\nvariable = lambda0\nvalues = 1.9\n{keys}{extra}outputs = {outputs}\n"
         )
         out = tmp_path / "sweep"
-        res = run_cli("sweep", "--config", str(cfg), "--out-dir", str(out))
+        res = run_python("-m", "beamsim.cli", "sweep", "--config", str(cfg), "--out-dir", str(out))
         assert res.returncode == 0, res.stderr
         header, row = read_csv(out / "one.csv")
         return dict(zip(header, row)), out
@@ -334,7 +314,7 @@ class TestOnePath:
     @staticmethod
     def _point(config_path, tmp_path, kind):
         out = tmp_path / kind
-        res = run_cli(kind, "--config", str(config_path), "--out-dir", str(out))
+        res = run_python("-m", "beamsim.cli", kind, "--config", str(config_path), "--out-dir", str(out))
         assert res.returncode == 0, res.stderr
         header, row = read_csv(out / f"{kind}.csv")
         return dict(zip(header, row)), out
@@ -600,15 +580,15 @@ class TestVersion:
 class TestDeterminism:
     def test_sweep_csv_bytes(self, config_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        run_cli("sweep", "--config", str(config_path), "--out-dir", str(out1))
-        run_cli("sweep", "--config", str(config_path), "--out-dir", str(out2))
+        run_python("-m", "beamsim.cli", "sweep", "--config", str(config_path), "--out-dir", str(out1))
+        run_python("-m", "beamsim.cli", "sweep", "--config", str(config_path), "--out-dir", str(out2))
         for name in ("demo.csv", "plan.csv", "plan_tp.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_validate_report_bytes(self, tmp_path):
         args = ("validate", "--criteria", "5,10", "--seed", "3", "--trials", "2000")
-        r1 = run_cli(*args, cwd=tmp_path)
-        r2 = run_cli(*args, cwd=tmp_path)
+        r1 = run_python("-m", "beamsim.cli", *args, cwd=tmp_path)
+        r2 = run_python("-m", "beamsim.cli", *args, cwd=tmp_path)
         assert r1.returncode == 0, r1.stderr
         assert r1.stdout == r2.stdout and r1.stdout
 
@@ -617,12 +597,14 @@ class TestExitCodes:
     def test_bad_schema_is_2(self, tmp_path):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[run]\nschema_version = 7\n")
-        res = run_cli("sweep", "--config", str(cfg), "--out-dir", str(tmp_path))
+        res = run_python("-m", "beamsim.cli", "sweep", "--config", str(cfg), "--out-dir", str(tmp_path))
         assert res.returncode == 2
         assert "schema_version" in res.stderr
 
     def test_missing_config_is_2(self, tmp_path):
-        res = run_cli("sweep", "--config", str(tmp_path / "nope.ini"), "--out-dir", str(tmp_path))
+        res = run_python(
+            "-m", "beamsim.cli", "sweep", "--config", str(tmp_path / "nope.ini"), "--out-dir", str(tmp_path)
+        )
         assert res.returncode == 2
 
     def test_empty_sweep_values_is_2(self, tmp_path):
@@ -631,7 +613,7 @@ class TestExitCodes:
             "[run]\nschema_version = 1\n"
             "[sweep:x]\nvariable = lambda0\nvalues =\nb = 121\nsnr_coeff = 0.01\noutputs = lower\n"
         )
-        res = run_cli("sweep", "--config", str(cfg), "--out-dir", str(tmp_path))
+        res = run_python("-m", "beamsim.cli", "sweep", "--config", str(cfg), "--out-dir", str(tmp_path))
         assert res.returncode == 2
         assert "values" in res.stderr
 
@@ -641,7 +623,7 @@ class TestExitCodes:
             "[run]\nschema_version = 1\n"
             "[sweep:x]\nvariable = lambda0\nvalues = 1, 2\nb = 121\nsnr_coeff = 0.01\noutputs = bogus\n"
         )
-        res = run_cli("sweep", "--config", str(cfg), "--out-dir", str(tmp_path))
+        res = run_python("-m", "beamsim.cli", "sweep", "--config", str(cfg), "--out-dir", str(tmp_path))
         assert res.returncode == 2
         assert "bogus" in res.stderr
 
@@ -710,7 +692,7 @@ class TestExitCodes:
         cfg = tmp_path / "bad.ini"
         cfg.write_text(head + section + rest.replace(old, new, 1))
         out = tmp_path / "out"
-        res = run_cli(kind, "--config", str(cfg), "--out-dir", str(out))
+        res = run_python("-m", "beamsim.cli", kind, "--config", str(cfg), "--out-dir", str(out))
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith(f"config error: [{kind}] ")
         assert len(res.stderr.splitlines()) == 1, res.stderr
@@ -754,7 +736,7 @@ class TestExitCodes:
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[run]\nschema_version = 1\n[sweep:x]\n" + body)
         out = tmp_path / "out"
-        res = run_cli("sweep", "--config", str(cfg), "--out-dir", str(out))
+        res = run_python("-m", "beamsim.cli", "sweep", "--config", str(cfg), "--out-dir", str(out))
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith("config error: [sweep:x] ")
         assert key in res.stderr, res.stderr
@@ -782,7 +764,7 @@ class TestExitCodes:
         cfg = tmp_path / "bad.ini"
         cfg.write_text(BASE_CONFIG.replace(old, new, 1))
         out = tmp_path / "out"
-        res = run_cli("throughput", "--config", str(cfg), "--out-dir", str(out))
+        res = run_python("-m", "beamsim.cli", "throughput", "--config", str(cfg), "--out-dir", str(out))
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith(f"config error: {message}"), res.stderr
         assert len(res.stderr.splitlines()) == 1, res.stderr
@@ -800,7 +782,7 @@ class TestExitCodes:
             "validate": ("validate", "--trials", huge),
         }[entry]
         out = tmp_path / "out"
-        res = run_cli(*args, "--out-dir", str(out), cwd=tmp_path)
+        res = run_python("-m", "beamsim.cli", *args, "--out-dir", str(out), cwd=tmp_path)
         assert res.returncode == 2, res.stderr
         assert res.stderr.startswith(f"config error: [run] trials = {huge}: must be "), res.stderr
         assert len(res.stderr.splitlines()) == 1, res.stderr
@@ -825,7 +807,7 @@ class TestExitCodes:
                 "snr_coeff = 0.01\noutputs = lower\n" + section
             )
             out = tmp_path / f"out{i}"
-            res = run_cli("sweep", "--config", str(cfg), "--out-dir", str(out))
+            res = run_python("-m", "beamsim.cli", "sweep", "--config", str(cfg), "--out-dir", str(out))
             assert res.returncode == 2, res.stderr
             assert res.stderr.startswith("config error: [sweep:b] "), res.stderr
             assert key in res.stderr, res.stderr
@@ -953,7 +935,7 @@ class TestExitCodes:
         cfg = tmp_path / "bad.ini"
         cfg.write_text(head + section + rest.replace(old, new, 1))
         out = tmp_path / "out"
-        res = run_cli(kind, "--config", str(cfg), "--out-dir", str(out))
+        res = run_python("-m", "beamsim.cli", kind, "--config", str(cfg), "--out-dir", str(out))
         assert res.returncode == 1, res.stderr
         assert res.stderr.startswith(f"numerical failure: {failing}: "), res.stderr
         assert len(res.stderr.splitlines()) == 1, res.stderr
@@ -970,9 +952,9 @@ class TestExitCodes:
         alone, both = tmp_path / "alone.ini", tmp_path / "both.ini"
         alone.write_text(head + good)
         both.write_text(head + good + bad)
-        res = run_cli("sweep", "--config", str(alone), "--out-dir", str(tmp_path / "alone"))
+        res = run_python("-m", "beamsim.cli", "sweep", "--config", str(alone), "--out-dir", str(tmp_path / "alone"))
         assert res.returncode == 0, res.stderr
-        res = run_cli("sweep", "--config", str(both), "--out-dir", str(tmp_path / "both"))
+        res = run_python("-m", "beamsim.cli", "sweep", "--config", str(both), "--out-dir", str(tmp_path / "both"))
         assert res.returncode == 1, res.stderr
         assert res.stderr == (
             "numerical failure: se_upper_nakagami: quadrature failed to converge (estimate inf, error inf)\n"
@@ -1023,9 +1005,18 @@ class TestExitCodes:
             "[throughput]\nlambda0 = 1.9\nsnr_coeff = 0.01\nt_f = 5e-6\nn_b = 4\n"
             "velocity = 11.1\ncarrier_freq = 60e9\n"
         )
-        res = run_cli("throughput", "--config", str(cfg), "--out-dir", str(tmp_path))
+        res = run_python("-m", "beamsim.cli", "throughput", "--config", str(cfg), "--out-dir", str(tmp_path))
         assert res.returncode == 3
         assert "infeasible" in res.stderr.lower()
+
+    def test_unconverged_planner_is_1(self, config_path, tmp_path, monkeypatch):
+        # Brent's ConvergenceError reaches main as it is: one stderr line naming brent_root
+        monkeypatch.setattr(specfun, "_BRENT_MAXITER", 3)
+        rc, out, err = run_main("throughput", "--config", str(config_path), "--out-dir", str(tmp_path / "out"))
+        assert rc == 1 and out == ""
+        assert err.startswith("numerical failure: brent_root did not converge in 3 steps"), err
+        assert len(err.splitlines()) == 1, err
+        assert not list((tmp_path / "out").iterdir())
 
     def test_planner_where_its_gap_overflows(self, tmp_path):
         # (1/F_t)^2 K ~ 3e311: the stationarity gap passes the float range
@@ -1225,7 +1216,9 @@ class TestBadInputProperty:
 
 class TestValidateCommand:
     def test_report_shape(self, tmp_path):
-        res = run_cli("validate", "--criteria", "5,6,10", "--seed", "1", "--trials", "2000", cwd=tmp_path)
+        res = run_python(
+            "-m", "beamsim.cli", "validate", "--criteria", "5,6,10", "--seed", "1", "--trials", "2000", cwd=tmp_path
+        )
         assert res.returncode == 0, res.stdout + res.stderr
         lines = res.stdout.splitlines()
         assert lines[0].startswith("beamsim validation")
@@ -1242,12 +1235,12 @@ class TestValidateCommand:
         assert "specfun" in err
 
     def test_unknown_criterion_is_2(self, tmp_path):
-        res = run_cli("validate", "--criteria", "99", cwd=tmp_path)
+        res = run_python("-m", "beamsim.cli", "validate", "--criteria", "99", cwd=tmp_path)
         assert res.returncode == 2, res.stderr
 
     def test_units_is_rejected(self, tmp_path):
         # the report is in nats: --units is not one of validate's flags
-        res = run_cli("validate", "--criteria", "5", "--units", "bits", cwd=tmp_path)
+        res = run_python("-m", "beamsim.cli", "validate", "--criteria", "5", "--units", "bits", cwd=tmp_path)
         assert res.returncode == 2, res.stdout + res.stderr
         assert res.stdout == ""
         assert "error: unrecognized arguments: --units bits" in res.stderr
@@ -1289,10 +1282,7 @@ class TestImportHygiene:
             "print('scipy modules:', loaded)\n"
             "sys.exit(1 if loaded else 0)\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-        res = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
-        )
+        res = run_python("-c", script, cwd=tmp_path)
         assert res.returncode == 0, res.stdout + res.stderr
         assert "scipy modules: []" in res.stdout
 
@@ -1312,14 +1302,12 @@ class TestImportHygiene:
             "             if m in sys.modules))\n"
             "print('beamsim.validation' in sys.modules)\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
+        env = dict(os.environ)
         for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
             env.pop(var, None)
         if preset is not None:
             env["OMP_NUM_THREADS"] = preset
-        res = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
-        )
+        res = run_python("-c", script, cwd=tmp_path, env=env)
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines() == [repr(expected), "[]", "True"]
 
@@ -1350,10 +1338,7 @@ class TestImportHygiene:
             f"                         '--out-dir', {str(out)!r}]) == 0\n"
             "loaded()\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-        res = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
-        )
+        res = run_python("-c", script, cwd=tmp_path)
         assert res.returncode == 0, res.stderr
         before, after = [line for line in res.stdout.splitlines() if line.startswith("loaded:")]
         assert before == "loaded: []"
@@ -1376,10 +1361,7 @@ class TestImportHygiene:
             f"assert beamsim.cli.main(['sweep', '--config', {str(cfg)!r}, '--out-dir', {str(tmp_path / 'out')!r}]) == 0\n"
             "print('pool modules:', sorted(m for m in ('concurrent.futures', 'logging') if m in sys.modules))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-        res = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
-        )
+        res = run_python("-c", script, cwd=tmp_path)
         assert res.returncode == 0, res.stdout + res.stderr
         assert "pool modules: []" in res.stdout
 
@@ -1400,10 +1382,7 @@ class TestImportHygiene:
             f"assert beamsim.cli.main(['bounds', '--config', {str(config_path)!r}, '--out-dir', {str(out)!r}]) == 0\n"
             "print(sorted(m for m in ('subprocess', '_posixsubprocess') if m in sys.modules))\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-        res = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path
-        )
+        res = run_python("-c", script, cwd=tmp_path)
         assert res.returncode == 0, res.stderr
         assert res.stdout.splitlines()[-1] == "[]"
         entries = [json.loads(line) for line in (out / "run_manifest.jsonl").read_text().splitlines()]

@@ -4,15 +4,13 @@ and the README's config example."""
 import configparser
 import csv
 import math
-import os
 import re
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 from beamsim import cli
+from child_process import run_python
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -20,14 +18,6 @@ SWEEP_CONFIGS = ("se_bounds_vs_path_density", "se_vs_beam_count", "rician_fading
 PLANNER_COLUMNS = ("b_star_numeric", "b_star_closed", "hpbw_star_numeric", "hpbw_star_closed")
 # No beam count fits the coherence interval at this velocity (60 GHz carrier).
 INFEASIBLE_VELOCITY = 11.1
-
-
-def run_python(*args, cwd):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
-    )
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, cwd=cwd)
 
 
 def expected_csvs(config: Path) -> list[str]:

@@ -2,11 +2,8 @@
 
 import dataclasses
 import math
-import os
 import platform
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +24,8 @@ from beamsim.montecarlo import (
     estimate_se,
 )
 from beamsim.rng import substream
+from child_process import run_python
 from per_pair_reference import strongest_pair_powers
-
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def make_config(lambda0, b, fading, trials, seed):
@@ -401,7 +397,6 @@ class TestWorkSetReuse:
             "estimate_se(cfg)\n"
             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         )
-        env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-        res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path)
+        res = run_python("-c", script, cwd=tmp_path)
         assert res.returncode == 0, res.stderr
         assert int(res.stdout) <= 10 * 20

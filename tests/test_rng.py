@@ -1,16 +1,10 @@
 """Random-stream derivation: pinned values of stream 5, and numpy.random
 loading on first use, also when that use is in concurrent caller threads."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from beamsim.rng import child_seed, substream
-
-SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+from child_process import run_python
 
 
 def test_child_seed_pinned():
@@ -47,8 +41,7 @@ def test_first_draw_in_worker_threads_matches_one_worker(tmp_path, fading):
         "for est in (*results, estimate_se(cfg)):\n"
         "    print(repr((est.mean, est.std_error, est.trials)))\n"
     )
-    env = dict(os.environ, PYTHONPATH=str(SRC_DIR))
-    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, cwd=tmp_path)
+    res = run_python("-c", script, cwd=tmp_path)
     assert res.returncode == 0, res.stderr
     first, second, serial = res.stdout.splitlines()
     assert first == second == serial

@@ -138,6 +138,18 @@ class TestRegLowerGamma:
             with pytest.raises(ConvergenceError):
                 specfun.reg_gamma_pq(a, x)
 
+    @pytest.mark.parametrize("a", [5e-324, 1e-320, 1e-310, 2.0**-1022 * (1.0 - 2.0**-52)])
+    def test_subnormal_shape_is_rejected(self, a):
+        # 1/a overflows in the series.  scipy is no reference here:
+        # special.gammainc(1e-320, 1.0) is 0.0, where the limit is 1.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"a >= 2\^-1022"):
+                specfun.reg_gamma_pq(a, 1.0)
+            with pytest.raises(ValueError, match=r"a >= 2\^-1022"):
+                reg_lower_gamma(np.array([3.2, a]), 5e-324)
+        assert reg_lower_gamma(2.0**-1022, 1.0) == 1.0
+
     def test_measured_domain_near_x_equals_a(self):
         # the series needs ~9 sqrt(a) terms at x = a
         for a, ratio in ((1e6, 1.0), (2e6, 0.999), (1e7, 1.001)):

@@ -7,7 +7,8 @@ import pytest
 from scipy import optimize
 
 import beamsim.throughput as tp
-from beamsim.errors import ApproximationInvalidError, InfeasibleConfigError
+from beamsim import specfun
+from beamsim.errors import ApproximationInvalidError, ConvergenceError, InfeasibleConfigError
 
 
 def make_cfg(k=0.0052632, f_t=0.001, n_b=4, lambda0=1.9, t_f=5e-6):
@@ -133,6 +134,12 @@ class TestOptimalBNumeric:
     def test_infeasible_raises(self):
         with pytest.raises(InfeasibleConfigError):
             tp.optimal_b_numeric(make_cfg(f_t=0.1))
+
+    def test_unconverged_root_is_a_convergence_error(self, monkeypatch):
+        # Brent's typed failure reaches the caller as it is, not relabelled
+        monkeypatch.setattr(specfun, "_BRENT_MAXITER", 3)
+        with pytest.raises(ConvergenceError, match="^brent_root did not converge in 3 steps"):
+            tp.optimal_b_numeric(make_cfg())
 
     def test_matches_scipy_brentq_on_planner_grid(self):
         # the in-house Brent root against scipy's over the K x F_t planes of
