@@ -150,10 +150,10 @@ def opt_power_cdf(p_star, model: SparseModel):
 def surrogate_rate(m: float) -> float:
     """Exponential rate a = m * Gamma(m+1)^(-1/m) of the power surrogate.
 
-    (1 - e^{-a x})^m approximates the Gamma(m, 1/m) CDF and is exact at
-    m = 1.  Measured on 40,001 log-spaced x in [1e-8, 316], it lies below
-    that CDF for m > 1 (by up to 6.5e-2 at m = 3.2) and above it for m < 1
-    (by up to 6.3e-3 at m = 0.5); the order is measured, not proved.
+    (1 - e^{-a x})^m approximates the Gamma(m, 1/m) CDF, exactly at m = 1,
+    and lies below it for all x > 0 if m > 1, above if m < 1 (Alzer 1997,
+    Thm 1); checked against scipy on 40,001 x in [1e-8, 316] for m in
+    [0.5, 1000], by up to -6.5e-2 at m = 3.2 and +6.3e-3 at m = 0.5.
     """
     return m * math.exp(-ln_gamma(m + 1.0) / m)
 
@@ -163,12 +163,11 @@ def opt_power_pdf_bound(p_star, model: SparseModel):
     elementwise over an array of powers (a float for a float).
 
     Replaces the Gamma CDF by (1 - e^{-a P})^m with a = m Gamma(m+1)^(-1/m);
-    the result is a proper density (integrates to 1).  Pushed through
-    ln(1 + rho P) it gives an upper expression for the spectral efficiency
-    where the surrogate CDF lies below the Gamma CDF (measured for m > 1),
-    and a lower one for m < 1, where the measured order reverses (see
-    :func:`surrogate_rate`); a proof of either is still owed.  For m < 1
-    the density diverges (integrably) at P = 0 and +inf is returned there.
+    the result is a proper density (integrates to 1).  Its CDF order
+    (:func:`surrogate_rate`) survives the max over pairs and ln(1 + rho P),
+    so the SE it gives is at least the single-path (Bernoulli) model's SE
+    at the true law for m > 1 and at most it for m < 1.  For m < 1 the
+    density diverges (integrably) at P = 0 and +inf is returned there.
     """
     z = _powers(p_star)
     m, p, b = model.m, model.p, model.b
@@ -247,13 +246,13 @@ def se_upper_nakagami(
     The Gamma power of an occupied pair is replaced by the surrogate CDF
     (1 - e^{-a P})^shape with shape = floor(m) for m >= 1 (the max of
     floor(m) exponentials) and shape = m for m < 1.  The result is the SE of
-    that surrogate model, an upper bound only where the surrogate CDF lies
-    below the Gamma CDF.  That order is measured, not proved: for m < 1 it
-    reverses (:func:`surrogate_rate`), and for non-integer m > 1 the two
-    CDFs cross (surrogate minus Gamma CDF on 40,001 log-spaced x in
-    [1e-8, 316]: -6.3e-2 to +4.2e-3 at m = 3.2, -2.5e-2 to +8.5e-2 at
-    m = 1.5; near 0 they go as x^floor(m) and x^m).  A proof of where it
-    bounds the SE is still owed.  It is evaluated by tanh-sinh quadrature
+    that surrogate model: at least the single-path (Bernoulli) model's SE
+    at the true law for integer m >= 1 and at most it for m < 1, by the
+    CDF order of :func:`surrogate_rate`.  For non-integer m > 1 the floor(m)
+    surrogate crosses the Gamma CDF (surrogate minus Gamma CDF on 40,001
+    log-spaced x in [1e-8, 316]: -6.3e-2 to +4.2e-3 at m = 3.2, -2.5e-2 to
+    +8.5e-2 at m = 1.5; near 0 they go as x^floor(m) and x^m), so neither
+    order is proved there.  It is evaluated by tanh-sinh quadrature
     (``specfun.de_quad``); raises :class:`NumericalError` when its error
     estimate exceeds 1e-7 relative.
 

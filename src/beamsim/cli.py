@@ -699,15 +699,15 @@ def _cmd_point(kind: str, args: argparse.Namespace) -> int:
 
     columns, line = POINT_COMMANDS[kind]
     point = _point_from(section, columns, run, run["seed"])
+    # decided from the config alone, so an infeasible plan leaves no --out-dir
+    if point.cfg is not None and throughput.feasible_region(point.cfg) is None:
+        raise InfeasibleConfigError(
+            f"no beam count achieves positive throughput (F_t={point.cfg.f_t!r} with N_b={point.cfg.n_b})"
+        )
     out_dir, manifest = _output(args)
     files = [f"{kind}.csv"] + (["throughput_curve.csv"] if "tp" in columns else [])
     _check_outputs([out_dir / file for file in files] + [manifest.path])
     cells = _evaluate_rows(columns, [point], section, run["units"])[0]
-    if "b_max_feasible" in cells and cells["b_max_feasible"] is None:
-        raise InfeasibleConfigError(
-            "no beam count achieves positive throughput "
-            f"(F_t={cells['f_t']!r} with N_b={cells['n_b']})"
-        )
     header = [c for c in columns if c != "tp"]
     _write_csv(out_dir / f"{kind}.csv", header, [[cells[c] for c in header]])
     written = [f"{kind}.csv"]

@@ -121,15 +121,17 @@ def feasible_region(cfg: ThroughputConfig) -> tuple[float, float] | None:
     return (1.0, b_max)
 
 
+def _stationarity_lhs(b: float, k: float) -> float:
+    """(1 + BK) ln(1 + BK) / (K sqrt(B)), the left side of the stationarity equation."""
+    x = b * k
+    lhs = (1.0 + x) * math.log1p(x) / (k * math.sqrt(b))
+    # where a term overflows, lhs is sqrt(B) (ln B + ln K) to the last digit
+    return lhs if math.isfinite(lhs) else math.sqrt(b) * (math.log(b) + math.log(k))
+
+
 def _stationarity_gap(b: float, cfg: ThroughputConfig) -> float:
     """Increasing function of B whose root is the throughput maximizer."""
-    x = b * cfg.k
-    lhs = (1.0 + x) * math.log1p(x) / (cfg.k * math.sqrt(b))
-    if not math.isfinite(lhs):
-        # where a term overflows, lhs is sqrt(B) (ln B + ln K) to the last digit
-        lhs = math.sqrt(b) * (math.log(b) + math.log(cfg.k))
-    rhs = 1.0 / cfg.f_t - (2.0 * math.sqrt(b) + cfg.n_b**2)
-    return lhs - rhs
+    return _stationarity_lhs(b, cfg.k) - (1.0 / cfg.f_t - (2.0 * math.sqrt(b) + cfg.n_b**2))
 
 
 def optimal_b_numeric(cfg: ThroughputConfig) -> float:

@@ -303,9 +303,7 @@ def _c08_closed_form_agreement(seed: int, trials: int) -> CriterionResult:
 def _calibrated_overhead_ratio(theta_target_deg: float, k: float, n_b: int) -> float:
     """F_t making ``theta_target_deg`` the numeric optimum (stationarity inverted)."""
     b_star = (360.0 / theta_target_deg) ** 2
-    x = b_star * k
-    lhs = (1.0 + x) * math.log1p(x) / (k * math.sqrt(b_star))
-    return 1.0 / (lhs + 2.0 * math.sqrt(b_star) + n_b**2)
+    return 1.0 / (throughput._stationarity_lhs(b_star, k) + 2.0 * math.sqrt(b_star) + n_b**2)
 
 
 def _c09_throughput_planning_shape(seed: int, trials: int) -> CriterionResult:

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.special import gammainc
 
 from beamsim import specfun
 from beamsim.analytic import (
@@ -31,6 +32,7 @@ from beamsim.montecarlo import SimConfig, empirical_opt_power_cdf
 from beamsim.specfun import EULER_GAMMA
 from beamsim.throughput import ThroughputConfig, throughput_continuous
 from beamsim.validation import _max_exp_log_moment, _mixture_upper_se
+from exact_reference import exact_multipath_se
 
 
 class TestBernoulliP:
@@ -218,6 +220,33 @@ class TestSurrogateDensity:
             h = 1e-6
             fd = (opt_power_cdf(x + h, model) - opt_power_cdf(x - h, model)) / (2 * h)
             assert opt_power_pdf_exact(x, model) == pytest.approx(fd, rel=1e-5)
+
+
+class TestSurrogateOrder:
+    """(1 - e^{-a x})^shape with a = surrogate_rate(shape) against the
+    Gamma(m, 1/m) CDF on 40,001 log-spaced x in [1e-8, 316] (Alzer 1997,
+    Thm 1, for shape m)."""
+
+    X = np.logspace(-8, math.log10(316.0), 40_001)
+
+    def gap(self, shape, m):
+        return (-np.expm1(-surrogate_rate(shape) * self.X)) ** shape - gammainc(m, m * self.X)
+
+    @pytest.mark.parametrize("m", [0.5, 0.7, 0.9])
+    def test_above_the_gamma_cdf_for_m_below_1(self, m):
+        assert self.gap(m, m).min() >= 0.0
+
+    @pytest.mark.parametrize("m", [1.5, 2.0, 3.2, 5.0, 10.0, 100.0, 1000.0])
+    def test_below_the_gamma_cdf_for_m_above_1(self, m):
+        # at m = 100 the Gamma CDF underflows a step before the surrogate,
+        # which leaves +5.2e-311 near x = 1e-2
+        assert self.gap(m, m).max() <= 1e-300
+
+    @pytest.mark.parametrize("m, lo, hi", [(1.5, -2.5e-2, 8.5e-2), (3.2, -6.3e-2, 4.2e-3)])
+    def test_floor_shape_crosses_at_non_integer_m(self, m, lo, hi):
+        # the shape se_upper_nakagami takes for m >= 1 has no order there
+        gap = self.gap(math.floor(m), m)
+        assert gap.min() == pytest.approx(lo, rel=0.02) and gap.max() == pytest.approx(hi, rel=0.02)
 
 
 class TestSeLowerAndSparse:
@@ -453,6 +482,41 @@ class TestSeUpperNakagamiSequence:
             se_upper_nakagami([model] * 2, [0.6] * 3)
         with pytest.raises(ValueError, match="do not pair"):
             se_upper_nakagami(model, [0.6] * 2)
+
+
+class TestWhereEachBoundHolds:
+    """The sign of each bound minus the noise-free exact SE.  Every gap is
+    at least 2.2e-4 in size, far above the bounds' 1e-7 quadrature tolerance."""
+
+    @pytest.mark.parametrize(
+        "lambda0, b, fading, upper_nakagami, upper_rayleigh, lower",
+        [
+            (1.25, 625, FadingModel.rayleigh(), -1, +1, +1),
+            (1.0, 625, FadingModel.rayleigh(), -1, +1, +1),
+            (1.0, 121, FadingModel.rayleigh(), -1, +1, -1),
+            (1.9, 121, FadingModel.nakagami(3.2), +1, None, -1),
+            (3.5, 625, FadingModel.nakagami(3.2), +1, None, -1),
+            (3.5, 121, FadingModel.nakagami(3.2), +1, None, -1),
+            (1.9, 121, FadingModel.nakagami(0.7), -1, None, -1),
+            # Rician K at 0, 5 and 10 dB, as the CLI converts k_db
+            (1.9, 121, FadingModel.rician(1.0), -1, None, -1),
+            (1.9, 121, FadingModel.rician(10.0**0.5), +1, None, -1),
+            (1.9, 121, FadingModel.rician(10.0), +1, None, -1),
+            (3.5, 625, FadingModel.rician(1.0), +1, None, -1),
+            (3.5, 625, FadingModel.rician(10.0**0.5), +1, None, -1),
+            (3.5, 625, FadingModel.rician(10.0), +1, None, -1),
+        ],
+    )
+    def test_sign_against_exact(self, lambda0, b, fading, upper_nakagami, upper_rayleigh, lower):
+        # snr_coeff 0.01, and the bounds at the CLI's moment-matched m_eff
+        rho = b * 0.01 / lambda0
+        model = SparseModel.from_occupancy(lambda0, b, fading.effective_nakagami_m())
+        exact = exact_multipath_se(lambda0, b, fading, rho)
+        assert upper_nakagami * (se_upper_nakagami(model, rho) - exact) > 0.0
+        if upper_rayleigh is not None:
+            assert upper_rayleigh * (se_upper_rayleigh(model, rho) - exact) > 0.0
+        # lower above exact at B = 625, m = 1 is acceptance criterion 7's failure
+        assert lower * (se_lower(model, rho) - exact) > 0.0
 
 
 class TestSmallInstanceOracle:

@@ -1005,9 +1005,15 @@ class TestExitCodes:
             "[throughput]\nlambda0 = 1.9\nsnr_coeff = 0.01\nt_f = 5e-6\nn_b = 4\n"
             "velocity = 11.1\ncarrier_freq = 60e9\n"
         )
-        res = run_python("-m", "beamsim.cli", "throughput", "--config", str(cfg), "--out-dir", str(tmp_path))
-        assert res.returncode == 3
-        assert "infeasible" in res.stderr.lower()
+        out_dir = tmp_path / "out"
+        res = run_python("-m", "beamsim.cli", "throughput", "--config", str(cfg), "--out-dir", str(out_dir))
+        assert res.returncode == 3 and res.stdout == ""
+        assert res.stderr == (
+            "infeasible configuration: no beam count achieves positive throughput "
+            "(F_t=0.12407402529953958 with N_b=4)\n"
+        )
+        # decided from the config, before --out-dir is created
+        assert not out_dir.exists()
 
     def test_unconverged_planner_is_1(self, config_path, tmp_path, monkeypatch):
         # Brent's ConvergenceError reaches main as it is: one stderr line naming brent_root

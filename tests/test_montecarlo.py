@@ -7,11 +7,10 @@ import sys
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
-from scipy.special import gammaincc
+from scipy import stats
 
 from beamsim.analytic import SparseModel, se_lower, se_upper_rayleigh
-from beamsim.channel import FadingFamily, FadingModel
+from beamsim.channel import FadingModel
 from beamsim.errors import DegenerateSampleError, NumericalError
 from beamsim.montecarlo import (
     CHUNK_TRIALS,
@@ -25,49 +24,13 @@ from beamsim.montecarlo import (
 )
 from beamsim.rng import substream
 from child_process import run_python
+from exact_reference import exact_multipath_se
 from per_pair_reference import strongest_pair_powers
 
 
 def make_config(lambda0, b, fading, trials, seed):
     """The point at snr_coeff 0.01, rho = b * 0.01 / lambda0, as the CLI forms it."""
     return SimConfig(lambda0, b, b * 0.01 / lambda0, fading, trials, seed)
-
-
-def exact_multipath_se(lambda0, b, fading, rho, moment=1):
-    """E[ln(1 + rho z)^moment] of the full Poisson multipath model (no sampling).
-
-    Pairs are independent, so P(z > x) = 1 - (1 - T(x))^b with T the tail
-    of one pair's power sum: sum over n >= 1 of Pois(n; lambda0/b) times the
-    tail of n summed paths -- Gamma(n m, 1/m) for Nakagami and Rayleigh,
-    ncx2(2n, 2nK) / (2(1 + K)) for Rician.  Then E[g(z)] is the integral of
-    g'(x) P(z > x) for g(0) = 0.
-    """
-    mu = lambda0 / b
-    n = np.arange(1, int(mu + 12.0 * math.sqrt(mu) + 40.0))
-    pois = stats.poisson.pmf(n, mu)
-    if fading.family is FadingFamily.RICIAN_K:
-        k = fading.parameter
-
-        def pair_tail(x):
-            return pois @ stats.ncx2.sf(2.0 * (1.0 + k) * x, 2.0 * n, 2.0 * k * n)
-    else:
-        m = fading.effective_nakagami_m()
-
-        def pair_tail(x):
-            return pois @ gammaincc(m * n, m * x)
-
-    def integrand(x):
-        t = pair_tail(x)
-        survival = 1.0 if t >= 1.0 else -math.expm1(b * math.log1p(-t))
-        rate = math.log1p(rho * x)
-        return moment * rate ** (moment - 1) * rho / (1.0 + rho * x) * survival
-
-    # split where the pair sums have left their bulk, so quad sees it
-    split = mu + 12.0 * math.sqrt(mu) + 40.0
-    return sum(
-        integrate.quad(integrand, lo, hi, epsabs=1e-14, epsrel=1e-11, limit=400)[0]
-        for lo, hi in ((0.0, split), (split, np.inf))
-    )
 
 
 class TestSimConfig:
@@ -124,10 +87,20 @@ class TestEstimateSe:
         # ~100 occupied trials, enough for the normal approximation; z uses
         # the exact standard deviation of the mean.
         cfg = make_config(lambda0, b, fading, trials, 2718)
-        mean = exact_multipath_se(lambda0, b, fading, cfg.rho)
-        second = exact_multipath_se(lambda0, b, fading, cfg.rho, moment=2)
-        sd = math.sqrt((second - mean * mean) / cfg.trials)
-        assert abs(estimate_se(cfg).mean - mean) <= 4.0 * sd
+        mean, second, third, fourth = (
+            exact_multipath_se(lambda0, b, fading, cfg.rho, moment=k) for k in (1, 2, 3, 4)
+        )
+        var = second - mean * mean
+        sd = math.sqrt(var / cfg.trials)
+        est = estimate_se(cfg)
+        assert abs(est.mean - mean) <= 4.0 * sd
+        # The sample variance s^2 has variance (mu4 - var^2) / n to first
+        # order, so s^2 / var has relative sd sqrt((kurtosis - 1) / n) and,
+        # by the delta method, s / sqrt(var), which is std_error / sd, has
+        # half that.  Five of those bound the reported spread.
+        mu4 = fourth - 4.0 * third * mean + 6.0 * second * mean**2 - 3.0 * mean**4
+        kurtosis = mu4 / (var * var)
+        assert abs(est.std_error / sd - 1.0) <= 5.0 * 0.5 * math.sqrt((kurtosis - 1.0) / cfg.trials)
 
     @pytest.mark.parametrize(
         "lambda0, b",
