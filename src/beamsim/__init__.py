@@ -6,7 +6,11 @@ spectral-efficiency bounds, and a beam-count planner that trades training
 overhead against beamforming gain.
 """
 
+import importlib.util as _util
 import os as _os
+import sys as _sys
+import threading as _threading
+import types as _types
 
 __version__ = "0.1.0"
 
@@ -42,13 +46,6 @@ from .errors import (
     InfeasibleConfigError,
     NumericalError,
 )
-from .montecarlo import (
-    EmpiricalCdf,
-    SEEstimate,
-    SimConfig,
-    empirical_opt_power_cdf,
-    estimate_se,
-)
 from .rng import child_seed, substream
 from .specfun import exp_e1_scaled, exp_integral_e1, ln_gamma, reg_lower_gamma
 
@@ -66,4 +63,44 @@ from .throughput import (
     throughput_curve,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_LOAD_LOCK = _threading.RLock()
+
+
+class _LazyModule(_types.ModuleType):
+    """A submodule whose code runs on its first attribute read; other threads
+    wait for it (importlib's ``LazyLoader`` lets them read it half run)."""
+
+    def __getattribute__(self, attr):
+        with _LOAD_LOCK:  # reentrant: the module's own loading reads it too
+            spec = object.__getattribute__(self, "__spec__")
+            if type(self) is _LazyModule and spec.loader_state is None:
+                spec.loader_state = "running"
+                spec.loader.exec_module(self)
+                self.__class__ = _types.ModuleType
+        return _types.ModuleType.__getattribute__(self, attr)
+
+
+def _lazy(name):
+    """Submodule ``name`` in ``sys.modules``, compiled only by a command that uses it."""
+    spec = _util.find_spec(f"{__name__}.{name}")
+    module = _sys.modules[spec.name] = _util.module_from_spec(spec)
+    module.__class__ = _LazyModule
+    return module
+
+
+montecarlo = _lazy("montecarlo")
+_MONTECARLO_NAMES = ("EmpiricalCdf", "SEEstimate", "SimConfig", "empirical_opt_power_cdf", "estimate_se")
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_MONTECARLO_NAMES)
+
+validation = _lazy("validation")   # the CLI's suite, not a public name
+
+
+def __getattr__(name):
+    if name in _MONTECARLO_NAMES:
+        return getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted([*globals(), *_MONTECARLO_NAMES])

@@ -63,12 +63,12 @@ import numpy as np
 
 import beamsim.throughput as throughput
 
-from . import _BLAS_THREAD_VARS, __version__, analytic, validation
+# montecarlo and validation load on first use (see __init__), so their names are read at call time
+from . import _BLAS_THREAD_VARS, __version__, analytic, montecarlo, validation
 from .analytic import SparseModel
 from .channel import FadingModel
 from .errors import ApproximationInvalidError, ConfigError, InfeasibleConfigError, NumericalError
-from .montecarlo import MAX_TRIALS, STREAM_VERSION, SimConfig, estimate_se
-from .rng import child_seed
+from .rng import MAX_TRIALS, child_seed
 
 SCHEMA_VERSION = 1
 LN2 = math.log(2.0)
@@ -371,7 +371,7 @@ class Point(NamedTuple):
     cells: dict[str, Any]
     model: SparseModel | None
     cfg: throughput.ThroughputConfig | None
-    sim: SimConfig | None
+    sim: montecarlo.SimConfig | None
 
 
 def _point_from(
@@ -412,7 +412,7 @@ def _point_from(
     model = cfg = sim = None
     if "sim_se" in columns:
         with _blame(section, "lambda0", "b", "m", "k_db"):
-            sim = SimConfig(lambda0, cells["b"], cells["rho"], fading, run["trials"], seed)
+            sim = montecarlo.SimConfig(lambda0, cells["b"], cells["rho"], fading, run["trials"], seed)
     if any(column in BOUND_COLUMNS for column in columns):
         with _blame(section, "lambda0", "b"):
             model = SparseModel.from_occupancy(lambda0, cells["b"], cells["m_eff"])
@@ -480,7 +480,7 @@ def _evaluate(columns: Sequence[str], point: Point, section: Section, units: str
             if isinstance(cells[column], Exception):
                 raise cells[column]
         elif column in ("sim_se", "sim_ci95", "trials"):
-            est = estimate_se(sim)
+            est = montecarlo.estimate_se(sim)
             cells.update(sim_se=est.mean * scale, sim_ci95=est.ci95 * scale, trials=est.trials)
         elif column in BOUND_COLUMNS:
             # Looked up per call, so wrappers put on the analytic module
@@ -685,7 +685,7 @@ def _provenance(run: dict[str, Any], section: Section, columns: Sequence[str]) -
     section's values and, with ``sim_se``, the Monte Carlo stream version."""
     fields = dict(run, config_resolved={**run, **section.values})
     if "sim_se" in columns:
-        fields["stream"] = STREAM_VERSION
+        fields["stream"] = montecarlo.STREAM_VERSION
     return fields
 
 

@@ -63,7 +63,7 @@ import numpy as np
 
 from .channel import FadingModel, MaxDrawWork, max_power_table, sample_max_path_power, sample_pair_power_sums
 from .errors import DegenerateSampleError, NumericalError
-from .rng import substream
+from .rng import MAX_TRIALS, substream
 
 CHUNK_TRIALS = 16_384
 
@@ -77,9 +77,6 @@ STREAM_VERSION = 5
 # Largest mean path count per beam pair the multiplicity table is built
 # for; the table holds about mu + 10 sqrt(mu) + 40 entries.
 MAX_PATHS_PER_PAIR = 1e5
-
-# Largest trial count; its chunk list holds 131072 entries.
-MAX_TRIALS = 2**31 - 1
 
 # Largest Nakagami shape m (for a Rician K, its moment-matched m, which is
 # ~K / 2) the engine simulates.  A law's quantile table is built once per

@@ -18,6 +18,10 @@ import numpy as np
 
 _SEED_MASK = 0xFFFFFFFFFFFFFFFF
 
+# Largest trial count of one Monte Carlo estimate; its chunk list holds
+# 131072 entries, each drawing from its own substream.
+MAX_TRIALS = 2**31 - 1
+
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Generator for the substream identified by ``(seed, *key)``.

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import beamsim
-from beamsim import analytic, cli, specfun, throughput
+from beamsim import analytic, cli, montecarlo, specfun, throughput
 from beamsim.analytic import SparseModel
 from beamsim.channel import FadingModel
 from beamsim.montecarlo import SimConfig, estimate_se
@@ -78,6 +78,23 @@ outputs = tp, b_star_numeric, hpbw_star
 
 # Link budget given by its parts instead of snr_coeff; {d} is the distance.
 DERIVED_LINK = "intercept_c = 1e-6\ndistance_d = {d}\nalpha = 2.0\nnoise_power = 1e-10"
+
+# Prepended to a child's script: ``compiled`` collects the names of the
+# beamsim source files the process compiles, which it does once per module,
+# when the module's code first runs.  The child runs with -X pycache_prefix
+# set to an empty directory (compile_flags), so no cached bytecode is read.
+COMPILE_HOOK = (
+    "import os, sys\n"
+    "compiled = []\n"
+    "def _hook(event, args):\n"
+    f"    if event == 'compile' and os.path.dirname(str(args[1])) == {str(SRC_DIR / 'beamsim')!r}:\n"
+    "        compiled.append(os.path.basename(args[1]))\n"
+    "sys.addaudithook(_hook)\n"
+)
+
+
+def compile_flags(tmp_path):
+    return ("-X", f"pycache_prefix={tmp_path / 'pycache'}")
 
 
 def run_main(*args):
@@ -788,6 +805,16 @@ class TestExitCodes:
         assert len(res.stderr.splitlines()) == 1, res.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("trials", ["0", "2147483648"])
+    def test_trials_out_of_range_is_2(self, tmp_path, config_path, trials):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(BASE_CONFIG.replace("trials = 5000", f"trials = {trials}"))
+        out = tmp_path / "out"
+        res = run_python("-m", "beamsim.cli", "bounds", "--config", str(cfg), "--out-dir", str(out))
+        assert res.returncode == 2, res.stderr
+        assert res.stderr == f"config error: [run] trials = {trials}: must be an integer in [1, 2147483647]\n"
+        assert not out.exists()
+
     def test_bad_later_section_leaves_no_output(self, tmp_path):
         # every section, planner keys included, is checked before the first one writes
         plan = "[sweep:b]\nvariable = velocity\nvalues = 1, 2\nlambda0 = 1.9\nb = 121\nsnr_coeff = 0.01\n"
@@ -971,8 +998,8 @@ class TestExitCodes:
                 raise cli.NumericalError("boom")
             return real(config)
 
-        real, rhos = cli.estimate_se, (1.0, 1e307)
-        monkeypatch.setattr(cli, "estimate_se", estimate_se)
+        real, rhos = montecarlo.estimate_se, (1.0, 1e307)
+        monkeypatch.setattr(montecarlo, "estimate_se", estimate_se)
         cfg = tmp_path / "order.ini"
         cfg.write_text(
             "[run]\nschema_version = 1\ntrials = 100\n[sweep:s]\nvariable = rho\nvalues = 1.0, 1e307\n"
@@ -1298,24 +1325,139 @@ class TestImportHygiene:
         # thread variable is set, and `import beamsim.cli` leaves
         # `subprocess` and `concurrent.futures` unloaded (they stay unloaded
         # through a run: see test_run_spawns_no_process and
-        # test_monte_carlo_runs_load_no_pool_modules), and numpy.random with
-        # the secrets module it imports.
-        script = (
-            "import os, sys\n"
+        # test_monte_carlo_runs_load_no_pool_modules), numpy.random with
+        # the secrets module it imports, and the Monte Carlo engine and the
+        # validation suite uncompiled.
+        script = COMPILE_HOOK + (
             "import beamsim.cli\n"
             "print(repr(os.environ.get('OPENBLAS_NUM_THREADS')))\n"
             "print(sorted(m for m in ('subprocess', 'concurrent.futures', 'numpy.random', 'secrets')\n"
             "             if m in sys.modules))\n"
-            "print('beamsim.validation' in sys.modules)\n"
+            "print(sorted(set(compiled) & {'montecarlo.py', 'validation.py'}))\n"
         )
         env = dict(os.environ)
         for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
             env.pop(var, None)
         if preset is not None:
             env["OMP_NUM_THREADS"] = preset
-        res = run_python("-c", script, cwd=tmp_path, env=env)
+        res = run_python(*compile_flags(tmp_path), "-c", script, cwd=tmp_path, env=env)
         assert res.returncode == 0, res.stderr
-        assert res.stdout.splitlines() == [repr(expected), "[]", "True"]
+        assert res.stdout.splitlines() == [repr(expected), "[]", "[]"]
+
+    @pytest.mark.parametrize(
+        "runs, wanted, unwanted",
+        [
+            ([["sweep", "--config", "{plan}"], ["bounds", "--config", "{base}"], ["throughput", "--config", "{base}"]],
+             {"cli.py", "analytic.py", "throughput.py"}, {"montecarlo.py", "validation.py", "quantile.py"}),
+            ([["sweep", "--config", "{sim}"]], {"montecarlo.py", "quantile.py"}, {"validation.py"}),
+            ([["validate", "--criteria", "5"]], {"validation.py"}, set()),
+        ],
+        ids=["bounds_and_plan", "sim_se", "validate"],
+    )
+    def test_command_compiles_only_what_it_runs(self, tmp_path, config_path, runs, wanted, unwanted):
+        # montecarlo and validation load on first use: a run that neither
+        # simulates nor validates never compiles them (nor the quantile
+        # tables the engine builds)
+        plan, sim = tmp_path / "plan.ini", tmp_path / "sim.ini"
+        plan.write_text(
+            "[run]\nschema_version = 1\n"
+            "[sweep:b]\nvariable = lambda0\nvalues = 1.0, 1.9\nb = 121\nm = 3.2\n"
+            "snr_coeff = 0.01\noutputs = upper_nakagami, upper_rayleigh, lower, sparse\n"
+            "[sweep:plan]\nvariable = velocity\nvalues = 1.0, 11.1\nlambda0 = 1.9\nb = 121\n"
+            "snr_coeff = 0.01\nt_f = 5e-6\nn_b = 4\ncarrier_freq = 60e9\nb_values = 16, 121\n"
+            "outputs = tp, b_star_numeric, b_star_closed, hpbw_star\n"
+        )
+        sim.write_text(
+            "[run]\nschema_version = 1\ntrials = 2000\n"
+            "[sweep:mc]\nvariable = lambda0\nvalues = 1.0, 3.5\nb = 121\nm = 3.2\n"
+            "snr_coeff = 0.01\noutputs = sim_se\n"
+        )
+        paths = {"plan": plan, "sim": sim, "base": config_path}
+        script = COMPILE_HOOK + "import beamsim.cli\n"
+        for args in runs:
+            argv = [arg.format(**paths) for arg in args] + ["--out-dir", str(tmp_path / "out")]
+            script += f"assert beamsim.cli.main({argv!r}) == 0\n"
+        script += "print(*sorted(compiled))\n"
+        res = run_python(*compile_flags(tmp_path), "-c", script, cwd=tmp_path)
+        assert res.returncode == 0, res.stdout + res.stderr
+        compiled = set(res.stdout.splitlines()[-1].split())
+        assert wanted <= compiled and not unwanted & compiled, compiled
+
+    def test_public_names_resolve(self, tmp_path):
+        # the engine's names re-exported by the package resolve through its
+        # module __getattr__, in a process that has not loaded the engine
+        script = (
+            "import beamsim\n"
+            "from beamsim import EmpiricalCdf, SimConfig, estimate_se\n"
+            "assert estimate_se is beamsim.montecarlo.estimate_se\n"
+            "assert [name for name in beamsim.__all__ if name not in dir(beamsim)] == []\n"
+            "for name in beamsim.__all__:\n"
+            "    getattr(beamsim, name)\n"
+            "try:\n"
+            "    beamsim.no_such_name\n"
+            "except AttributeError as exc:\n"
+            "    print(exc)\n"
+        )
+        res = run_python("-c", script, cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "module 'beamsim' has no attribute 'no_such_name'\n"
+
+    def test_first_use_from_threads_waits_for_the_load(self, tmp_path):
+        # More threads than cores read the lazy modules at once, with a short
+        # switch interval: each waits until the module's code has run, where
+        # importlib's LazyLoader let all but the first read a half-run module
+        script = (
+            "import sys, threading\n"
+            "import beamsim\n"
+            "barrier, errors = threading.Barrier(4), []\n"
+            "def use():\n"
+            "    barrier.wait()\n"
+            "    try:\n"
+            "        beamsim.estimate_se, beamsim.validation.run_validation\n"
+            "    except AttributeError as exc:\n"
+            "        errors.append(exc)\n"
+            "interval = sys.getswitchinterval()\n"
+            "sys.setswitchinterval(1e-5)\n"
+            "try:\n"
+            "    threads = [threading.Thread(target=use) for _ in range(4)]\n"
+            "    for thread in threads:\n"
+            "        thread.start()\n"
+            "    for thread in threads:\n"
+            "        thread.join(timeout=60)\n"
+            "finally:\n"
+            "    sys.setswitchinterval(interval)\n"
+            "print(sum(thread.is_alive() for thread in threads), errors)\n"
+        )
+        res = run_python("-c", script, cwd=tmp_path)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "0 []\n"
+
+    @pytest.mark.parametrize(
+        "args, names",
+        [
+            (["sweep", "--config", "{sim}", "--out-dir", "{out}"], {"montecarlo.estimate_se", "rng.substream"}),
+            (["validate", "--criteria", "2", "--trials", "1000"],
+             {"montecarlo.estimate_se", "rng.substream", "validation.c02"}),
+        ],
+        ids=["sim_se", "validate"],
+    )
+    def test_benchmark_tracer_sees_lazy_modules(self, tmp_path, args, names):
+        # perfbench's tracer patches its targets when it is installed, after
+        # `import beamsim.cli`; its own attribute reads load the lazy modules
+        sim = tmp_path / "sim.ini"
+        sim.write_text(
+            "[run]\nschema_version = 1\ntrials = 2000\n"
+            "[sweep:mc]\nvariable = lambda0\nvalues = 1.0, 3.5\nb = 121\nm = 3.2\n"
+            "snr_coeff = 0.01\noutputs = sim_se\n"
+        )
+        launch = SRC_DIR.parent / "perfbench" / "launch.py"
+        timings, spans = tmp_path / "timings.json", tmp_path / "spans.json"
+        argv = [arg.format(sim=sim, out=tmp_path / "out") for arg in args]
+        res = run_python(str(launch), str(timings), "--spans", str(spans), "--", *argv, cwd=tmp_path)
+        assert res.returncode == json.loads(timings.read_text())["exit_code"], res.stderr
+        assert "Traceback" not in res.stderr, res.stderr
+        recorded = {span[1] for span in json.loads(spans.read_text())["spans"]}
+        assert names <= recorded, recorded
 
     def test_draw_free_run_loads_no_random_machinery(self, tmp_path, config_path):
         # Commands that neither draw nor derive a seed leave numpy.random and
