@@ -75,7 +75,11 @@ class _LazyModule(_types.ModuleType):
             spec = object.__getattribute__(self, "__spec__")
             if type(self) is _LazyModule and spec.loader_state is None:
                 spec.loader_state = "running"
-                spec.loader.exec_module(self)
+                try:
+                    spec.loader.exec_module(self)
+                except BaseException:
+                    spec.loader_state = None  # the next read runs the code again, and raises again
+                    raise
                 self.__class__ = _types.ModuleType
         return _types.ModuleType.__getattribute__(self, attr)
 

@@ -260,8 +260,7 @@ def se_upper_nakagami(
     points are one row-batched quadrature and the result is an array, each
     element the bits of that point's own call.  A sequence raises the
     ``ValueError`` of its first rho <= 0, else the ``NumericalError`` of its
-    first point whose quadrature fails, with that point's position as the
-    error's ``index``.
+    first point whose quadrature fails.
     """
     models = [model] if isinstance(model, SparseModel) else list(model)
     rhos = [rho] if np.ndim(rho) == 0 else list(rho)
@@ -274,14 +273,12 @@ def se_upper_nakagami(
     values, errors = _upper_bound_quadrature(
         [mdl.p for mdl in models], [mdl.b for mdl in models], shapes, rhos
     )
-    for index, (value, err) in enumerate(zip(values.tolist(), errors.tolist())):
+    for value, err in zip(values.tolist(), errors.tolist()):
         if not (math.isfinite(err) and err <= 1e-7 * max(abs(value), 1e-12)):
-            exc = NumericalError(
+            raise NumericalError(
                 f"se_upper_nakagami: quadrature failed to converge (estimate {value!r}, "
                 f"error {err!r})"
             )
-            exc.index = index
-            raise exc
     return float(values[0]) if isinstance(model, SparseModel) and np.ndim(rho) == 0 else values
 
 

@@ -18,20 +18,20 @@ naming the keys the user wrote behind it (``DERIVED``).
 There is one evaluation path: a section becomes a ``Point`` (``_point_from``,
 with the swept value substituted in a sweep), the cells the section fixes
 plus the bounds model, planner config and Monte Carlo config its columns
-need.  ``_evaluate_rows`` stores the cells computed for all points in one
-call (``upper_nakagami``) in the points' cells, and ``_evaluate`` computes
-the rest of each point's named cells.  A sweep writes one row per value;
-``simulate``, ``bounds`` and ``throughput`` are one-row evaluations with a
-fixed column tuple each (``POINT_COMMANDS``).
+need.  ``_evaluate_rows`` computes a section's named cells a column at a
+time over all of its points (``upper_nakagami`` in one call), so a section
+fails on its first failing cell in column order.  A sweep writes one row
+per value; ``simulate``, ``bounds`` and ``throughput`` are one-row
+evaluations with a fixed column tuple each (``POINT_COMMANDS``).
 
-Every run writes RFC-4180 CSV files plus a JSON-lines manifest with one
-entry per evaluated section.  An entry names the section's CSV files and
-records the seed, trial count, units, version (with the checked-out commit,
-read from the checkout's files: no git process runs), a CRC-32 of the
-package's source, wall time, those settings with the section's parsed
-values, and the Python and numpy versions and the OpenBLAS thread setting
-the run had.  CSV bytes depend only on config + seed, never on
-timing.
+Every run but ``validate``, which prints its report, writes RFC-4180 CSV
+files plus a JSON-lines manifest with one entry per evaluated section.  An
+entry names the section's CSV files and records the seed, trial count,
+units, version (with the checked-out commit, read from the checkout's
+files: no git process runs), a CRC-32 of the package's source, wall time,
+those settings with the section's parsed values, and the Python and numpy
+versions and the OpenBLAS thread setting the run had.  CSV bytes depend
+only on config + seed, never on timing.
 
 Errors take one path to the exit code.  While a point is built, ``_blame``
 turns a value the library rejects (a ``ValueError``) into a config error;
@@ -362,11 +362,11 @@ def _unit_scale(units: str) -> float:
 
 
 class Point(NamedTuple):
-    """One point: ``cells`` holds the ``lambda0`` and ``m_eff`` it fixes,
-    its ``b`` and ``rho`` where a column reads rho (``b`` also in a rho sweep),
-    and the cells :func:`_evaluate_rows` computes for all points in one
-    call; then its bounds model, planner config and Monte Carlo config,
-    each None when no column needs it."""
+    """One point: ``cells`` holds the ``lambda0`` and ``m_eff`` it fixes and
+    its ``b`` and ``rho`` where a column reads rho (``b`` also in a rho
+    sweep); then its bounds model, planner config and Monte Carlo config,
+    each None when no column needs it.  :func:`_evaluate_rows` starts
+    the point's row from a copy of ``cells``."""
 
     cells: dict[str, Any]
     model: SparseModel | None
@@ -440,76 +440,61 @@ def _tp_config(section: Section, k: float) -> throughput.ThroughputConfig:
 
 
 def _evaluate_rows(columns: Sequence[str], points: list[Point], section: Section, units: str) -> list[dict]:
-    """Named cells of each point by :func:`_evaluate`.
+    """Named cells of each point: its ``cells`` and ``units``, plus every
+    cell ``columns`` names, computed a column at a time over all points, so
+    a section fails on its first failing cell in column order.
 
-    The ``upper_nakagami`` cells are one call, made first and stored in the
-    points' cells.  The ``NumericalError`` it raises is stored at the cell of
-    its failing point, its ``index`` (every other point's holds None), so a
-    section still fails on its first failing cell in row-major order.
+    The ``upper_nakagami`` cells are one call.  ``sim_se`` comes with
+    ``sim_ci95`` and ``trials``; any planner column brings every planner
+    optimum plus ``f_t`` and ``n_b``.  ``tp`` holds the throughput-curve rows
+    (``TP_CURVE_COLUMNS``) over the section's ``b_values``.  Planner cells of
+    an infeasible point are None, as are the closed-form cells wherever that
+    approximation does not apply.  Any other error a cell's library call
+    raises is a ``NumericalError``, and it passes through to ``main``.
     """
-    if "upper_nakagami" in columns:
-        try:
-            # looked up per call, so wrappers put on the analytic module (perfbench's tracer) see it
-            values = analytic.se_upper_nakagami([p.model for p in points], [p.cells["rho"] for p in points])
-            upper = [value * _unit_scale(units) for value in values.tolist()]
-        except NumericalError as exc:
-            upper = [None] * len(points)
-            upper[exc.index] = exc
-        for point, cell in zip(points, upper):
-            point.cells["upper_nakagami"] = cell
-    return [_evaluate(columns, point, section, units) for point in points]
-
-
-def _evaluate(columns: Sequence[str], point: Point, section: Section, units: str) -> dict[str, Any]:
-    """Named cells of one point: its ``cells`` and ``units``, plus every
-    cell ``columns`` names; a stored cell that is an exception raises it.
-
-    ``sim_se`` comes with ``sim_ci95`` and ``trials``; any planner column
-    brings every planner optimum plus ``f_t`` and ``n_b``.  ``tp`` holds the
-    throughput-curve rows (``TP_CURVE_COLUMNS``) over the section's
-    ``b_values``.  Planner cells of an infeasible point are None, as are the
-    closed-form cells wherever that approximation does not apply.  Any other
-    error a cell's library call raises is a ``NumericalError``, and it
-    passes through to ``main``.
-    """
-    _, model, cfg, sim = point
     scale = _unit_scale(units)
-    cells = {**point.cells, "units": units}
+    rows = [{**point.cells, "units": units} for point in points]
     for column in columns:
-        if column in cells:
-            if isinstance(cells[column], Exception):
-                raise cells[column]
-        elif column in ("sim_se", "sim_ci95", "trials"):
-            est = montecarlo.estimate_se(sim)
-            cells.update(sim_se=est.mean * scale, sim_ci95=est.ci95 * scale, trials=est.trials)
-        elif column in BOUND_COLUMNS:
-            # Looked up per call, so wrappers put on the analytic module
-            # (perfbench's tracer) see these calls.
-            bound = {"upper_rayleigh": analytic.se_upper_rayleigh, "lower": analytic.se_lower}[column]
-            cells[column] = bound(model, cells["rho"]) * scale
-        elif column == "sparse":
-            cells[column] = analytic.se_sparse_approx(cells["lambda0"], cells["rho"]) * scale
-        elif column == "tp":
-            b_values = section.get("b_values") or []
-            raws = [tp * scale for tp in throughput.throughput_curve(b_values, cfg).tolist()]
-            cells[column] = [[b, max(raw, 0.0), raw, units] for b, raw in zip(b_values, raws)]
-        elif column == "best_square_b":
-            cells[column] = _maybe_infeasible(lambda: throughput.best_square_b(cfg))
-        else:
-            region = throughput.feasible_region(cfg)
-            b_num = _maybe_infeasible(lambda: throughput.optimal_b_numeric(cfg))
-            b_cf = _maybe_infeasible(lambda: throughput.optimal_b_closed_form(cfg))
-            cells.update(
-                f_t=cfg.f_t,
-                n_b=cfg.n_b,
-                b_max_feasible=region[1] if region else None,
-                b_star_numeric=b_num,
-                b_star_closed=b_cf,
-                hpbw_star_numeric=None if b_num is None else throughput.optimal_hpbw(b_num),
-                hpbw_star_closed=None if b_cf is None else throughput.optimal_hpbw(b_cf),
-                tp_at_optimum=None if b_num is None else throughput.throughput_continuous(b_num, cfg) * scale,
-            )
-    return cells
+        # a point's own cell, or one an earlier column's group filled, is there in every row
+        if column in rows[0]:
+            continue
+        # Library functions are looked up per call, so wrappers put on their
+        # modules (perfbench's tracer) see these calls.
+        if column == "upper_nakagami":
+            values = analytic.se_upper_nakagami([p.model for p in points], [cells["rho"] for cells in rows])
+            for cells, value in zip(rows, values.tolist()):
+                cells[column] = value * scale
+            continue
+        for (_, model, cfg, sim), cells in zip(points, rows):
+            if column in ("sim_se", "sim_ci95", "trials"):
+                est = montecarlo.estimate_se(sim)
+                cells.update(sim_se=est.mean * scale, sim_ci95=est.ci95 * scale, trials=est.trials)
+            elif column in BOUND_COLUMNS:
+                bound = {"upper_rayleigh": analytic.se_upper_rayleigh, "lower": analytic.se_lower}[column]
+                cells[column] = bound(model, cells["rho"]) * scale
+            elif column == "sparse":
+                cells[column] = analytic.se_sparse_approx(cells["lambda0"], cells["rho"]) * scale
+            elif column == "tp":
+                b_values = section.get("b_values") or []
+                raws = [tp * scale for tp in throughput.throughput_curve(b_values, cfg).tolist()]
+                cells[column] = [[b, max(raw, 0.0), raw, units] for b, raw in zip(b_values, raws)]
+            elif column == "best_square_b":
+                cells[column] = _maybe_infeasible(lambda: throughput.best_square_b(cfg))
+            else:
+                region = throughput.feasible_region(cfg)
+                b_num = _maybe_infeasible(lambda: throughput.optimal_b_numeric(cfg))
+                b_cf = _maybe_infeasible(lambda: throughput.optimal_b_closed_form(cfg))
+                cells.update(
+                    f_t=cfg.f_t,
+                    n_b=cfg.n_b,
+                    b_max_feasible=region[1] if region else None,
+                    b_star_numeric=b_num,
+                    b_star_closed=b_cf,
+                    hpbw_star_numeric=None if b_num is None else throughput.optimal_hpbw(b_num),
+                    hpbw_star_closed=None if b_cf is None else throughput.optimal_hpbw(b_cf),
+                    tp_at_optimum=None if b_num is None else throughput.throughput_continuous(b_num, cfg) * scale,
+                )
+    return rows
 
 
 def _maybe_infeasible(fn):

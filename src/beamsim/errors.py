@@ -14,12 +14,7 @@ class ConfigError(BeamsimError):
 
 
 class NumericalError(BeamsimError):
-    """A numerical routine failed to produce a trustworthy result.
-
-    ``index`` is the position of the failing point when the routine
-    evaluated a sequence of them, else None."""
-
-    index: int | None = None
+    """A numerical routine failed to produce a trustworthy result."""
 
 
 class ConvergenceError(NumericalError):

@@ -472,7 +472,6 @@ class TestSeUpperNakagamiSequence:
         with pytest.raises(NumericalError) as batched:
             se_upper_nakagami([model] * 4, [0.6, 1.0, math.inf, math.inf])
         assert str(batched.value) == str(scalar.value)
-        assert batched.value.index == 2 and scalar.value.index == 0
 
     def test_bad_rho_in_a_sequence(self):
         model = SparseModel.from_occupancy(1.9, 121, 3.2)

@@ -3,6 +3,7 @@
 import configparser
 import contextlib
 import csv
+import importlib.util
 import io
 import json
 import math
@@ -989,10 +990,19 @@ class TestExitCodes:
         assert sorted(path.name for path in (tmp_path / "both").glob("*.csv")) == ["a.csv"]
         assert (tmp_path / "both" / "a.csv").read_bytes() == (tmp_path / "alone" / "a.csv").read_bytes()
 
-    @pytest.mark.parametrize("sim_row, reported", [(0, "boom"), (1, "se_upper_nakagami")])
-    def test_first_failing_cell_in_row_major_order(self, tmp_path, monkeypatch, sim_row, reported):
-        # upper_nakagami fails at row 1 (rho = 1e307); a sim_se cell that
-        # fails in an earlier row is the one reported, one in the same row is not
+    @pytest.mark.parametrize(
+        "outputs, sim_row, reported",
+        [
+            ("upper_nakagami, sim_se", 0, "se_upper_nakagami"),
+            ("upper_nakagami, sim_se", 1, "se_upper_nakagami"),
+            ("sim_se, upper_nakagami", 1, "boom"),
+        ],
+        ids=["upper_first-sim_row0", "upper_first-sim_row1", "sim_first-sim_row1"],
+    )
+    def test_first_failing_cell_in_column_order(self, tmp_path, monkeypatch, outputs, sim_row, reported):
+        # upper_nakagami fails at row 1 (rho = 1e307) and sim_se at sim_row:
+        # a section is computed a column at a time, so the column named
+        # first reports its failure, whichever row the other one fails in
         def estimate_se(config):
             if config.rho == rhos[sim_row]:
                 raise cli.NumericalError("boom")
@@ -1003,12 +1013,34 @@ class TestExitCodes:
         cfg = tmp_path / "order.ini"
         cfg.write_text(
             "[run]\nschema_version = 1\ntrials = 100\n[sweep:s]\nvariable = rho\nvalues = 1.0, 1e307\n"
-            "lambda0 = 1.9\nb = 121\nm = 3.2\noutputs = upper_nakagami, sim_se\n"
+            f"lambda0 = 1.9\nb = 121\nm = 3.2\noutputs = {outputs}\n"
         )
         rc, _, err = run_main("sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
         assert rc == 1
         assert err.startswith(f"numerical failure: {reported}"), err
         assert len(err.splitlines()) == 1, err
+
+    def test_upper_nakagami_is_one_call_per_section(self, tmp_path, monkeypatch):
+        # the column's cells of all of a section's points come from one call
+        calls = []
+
+        def se_upper_nakagami(models, rhos):
+            calls.append(len(rhos))
+            return real(models, rhos)
+
+        real = analytic.se_upper_nakagami
+        monkeypatch.setattr(analytic, "se_upper_nakagami", se_upper_nakagami)
+        cfg = tmp_path / "two.ini"
+        cfg.write_text(
+            "[run]\nschema_version = 1\n"
+            "[sweep:a]\nvariable = lambda0\nstart = 0.5\nstop = 3.5\ncount = 69\nb = 121\nm = 3.2\n"
+            "snr_coeff = 0.01\noutputs = upper_nakagami, lower\n"
+            "[sweep:b]\nvariable = rho\nstart = 0.1\nstop = 10\ncount = 127\nlambda0 = 1.9\nb = 121\n"
+            "m = 0.7\noutputs = lower, upper_nakagami\n"
+        )
+        rc, _, err = run_main("sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out"))
+        assert rc == 0, err
+        assert calls == [69, 127]
 
     def test_rayleigh_upper_where_two_over_rho_overflows(self, tmp_path):
         # 1/rho is finite but 2/rho is not: e^x E1(x) is 0, its limit, at x = inf
@@ -1431,6 +1463,21 @@ class TestImportHygiene:
         res = run_python("-c", script, cwd=tmp_path)
         assert res.returncode == 0, res.stderr
         assert res.stdout == "0 []\n"
+
+    def test_failing_first_use_raises_on_every_read(self, tmp_path):
+        # a lazy module whose code raises is not left half run: each read
+        # runs its code again and raises the same error
+        (tmp_path / "broken.py").write_text("raise ImportError('no engine here')\nready = True\n")
+        spec = importlib.util.spec_from_file_location("broken", tmp_path / "broken.py")
+        module = importlib.util.module_from_spec(spec)
+        module.__class__ = beamsim._LazyModule
+        errors = []
+        for _ in range(3):
+            try:
+                module.ready
+            except Exception as exc:
+                errors.append(f"{type(exc).__name__}: {exc}")
+        assert errors == ["ImportError: no engine here"] * 3
 
     @pytest.mark.parametrize(
         "args, names",
